@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc  # noqa: F401  (re-exported for tests/readers)
+from scipy.special import erfc
 
 
 class RegionError(ValueError):
@@ -305,85 +304,3 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
         "distance": d, "paths": paths, "t": t,
         "holds_3sigma": lhs - 3.0 * lhs_se <= rhs + 3.0 * rhs_se,
     }
-
-
-# ---------------------------------------------------------------------------
-# free heat kernel
-
-
-def free_heat_kernel(x, y, t: float, nu: int) -> float:
-    """(4 pi t)^(-nu/2) exp(-|x-y|^2 / (4 t))."""
-    if not t > 0.0:
-        raise RegionError("t must be positive")
-    x = np.asarray(x, dtype=float).reshape(nu)
-    y = np.asarray(y, dtype=float).reshape(nu)
-    r2 = float(np.sum((x - y) ** 2))
-    return (4.0 * math.pi * t) ** (-nu / 2.0) * math.exp(-r2 / (4.0 * t))
-
-
-# ---------------------------------------------------------------------------
-# boundary-overlap integrals
-
-
-@dataclass(frozen=True)
-class OverlapKernel:
-    """Separable integrable kernel f(x) = prod_i k(x_i) for the boundary
-    overlap integral; per-axis k is exponential exp(-a|u|) or the compact
-    cosine bump cos(pi u / (2 r))^2 on [-r, r]."""
-
-    kind: str
-    a: float = 1.0
-    r: float = 1.0
-
-    def __post_init__(self):
-        if self.kind == "exponential":
-            if not self.a > 0.0:
-                raise RegionError("exponential kernel needs a > 0 (integrable)")
-        elif self.kind == "bump":
-            if not self.r > 0.0:
-                raise RegionError("bump kernel needs r > 0")
-        else:
-            raise RegionError(f"unknown overlap kernel {self.kind!r}")
-
-    def _axis_total(self) -> float:
-        """integral of k over the line."""
-        if self.kind == "exponential":
-            return 2.0 / self.a
-        return self.r  # integral of cos^2(pi u / 2r) over [-r, r]
-
-    def _axis_inner(self, length: float) -> float:
-        """integral over [0,L]^2 of k(x - y)."""
-        if self.kind == "exponential":
-            a = self.a
-            return (2.0 / a) * (length - (1.0 - math.exp(-a * length)) / a)
-        val, _ = integrate.quad(
-            lambda u: self._k(u) * (length - abs(u)),
-            -min(self.r, length), min(self.r, length))
-        return val
-
-    def _k(self, u: float) -> float:
-        if self.kind == "exponential":
-            return math.exp(-self.a * abs(u))
-        if abs(u) >= self.r:
-            return 0.0
-        return math.cos(math.pi * u / (2.0 * self.r)) ** 2
-
-
-def boundary_overlap(kernel: OverlapKernel, length: float, nu: int,
-                     normalized: bool = True) -> float:
-    """(1/meas Lambda) int_Lambda int_{Lambda^c} f(x - y) dx dy for the cube
-    [0, L]^nu, reduced exactly to per-axis 1D integrals.
-
-    With A = int_{[0,L] x R} k and B = int_{[0,L]^2} k the double integral is
-    prod A_i - prod B_i; the normalised version divides by L^nu.
-    """
-    if not length > 0.0:
-        raise RegionError("length must be positive")
-    if nu not in (1, 2, 3):
-        raise RegionError("nu must be 1, 2 or 3")
-    a_ax = length * kernel._axis_total()
-    b_ax = kernel._axis_inner(length)
-    unnorm = a_ax ** nu - b_ax ** nu
-    if not normalized:
-        return unnorm
-    return unnorm / length ** nu

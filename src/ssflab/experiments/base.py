@@ -169,14 +169,28 @@ def fit_loglog(xs, ys) -> dict:
             "stderr": stderr, "points": len(xs)}
 
 
-def serial_map(fn, items):
-    return [fn(it) for it in items]
-
-
 def centered_absolute_box(length: int, dim: int = 1) -> IntBox:
     """Integer box of the given side length centered at the absolute origin."""
     lo = -(length // 2)
     return IntBox((lo,) * dim, (lo + length - 1,) * dim)
+
+
+def centered_rect_box(side: int, width: int) -> IntBox:
+    """2D integer box of side x width sites centered at the absolute origin."""
+    lo0 = -(side // 2)
+    lo1 = -(width // 2)
+    return IntBox((lo0, lo1), (lo0 + side - 1, lo1 + width - 1))
+
+
+def center_origin(grid) -> tuple:
+    return tuple(e // 2 for e in grid.extents)
+
+
+def absolute_site_window(grid) -> IntBox:
+    """All grid sites as an absolute window (origin at the grid center)."""
+    half = center_origin(grid)
+    return IntBox(tuple(-c for c in half),
+                  tuple(e - 1 - c for e, c in zip(grid.extents, half)))
 
 
 def ambient_for(box: IntBox, margin: int, spacing: float) -> tuple:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import brownian as br
-from .base import ExperimentConfig, ExperimentError, ResultRecord, serial_map
+from ..harness.parallel import parallel_map
+from .base import ExperimentConfig, ExperimentError, ResultRecord
 
 
-def run_brownian(config: ExperimentConfig, pmap=None) -> ResultRecord:
-    pmap = pmap or serial_map
+def run_brownian(config: ExperimentConfig) -> ResultRecord:
     distances = [float(d) for d in config.opt("distances", (0.5, 1.0, 2.0))]
     times = [float(t) for t in (config.times or (0.25, 1.0))]
     nus = [int(v) for v in config.opt("nus", (1, 2))]
@@ -39,7 +39,7 @@ def run_brownian(config: ExperimentConfig, pmap=None) -> ResultRecord:
         exact = br.halfspace_exact(d, t)
         return est, bound, exact
 
-    results = pmap(one, combos)
+    results = parallel_map(one, combos, config.workers)
 
     bound_ok = True
     exact_ok = True

@@ -13,12 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
+from ..harness.parallel import parallel_map
 from ..model import SiteBox, assemble_hamiltonian, assemble_potential, \
     dirichlet_restriction, free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
     ambient_for, centered_absolute_box, gershgorin_window_check, \
-    mean_and_var, serial_map
+    mean_and_var
 
 
 def _xi_per_meas(config, ambient_factor, length, realization, lam_grid):
@@ -57,14 +58,13 @@ def _dirichlet_reference(config, ambient_factor, realization, lam_grid):
                      for lam in lam_grid])
 
 
-def run_bulk_limit(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     if config.dimension not in (1, 2):
         raise ExperimentError("bulk limit runs in 1D or 2D")
     if not config.schedule or not config.energies:
         raise ExperimentError("bulk limit needs a schedule and energies")
     if any(lam >= 0.0 for lam in config.energies):
         raise ExperimentError("bulk-limit energies must be negative (below the free spectrum)")
-    pmap = pmap or serial_map
     factor = int(config.opt("ambient_factor", 4))
     if factor < 4:
         raise ExperimentError("ambient grid must be at least 4x the largest box")
@@ -75,15 +75,17 @@ def run_bulk_limit(config: ExperimentConfig, pmap=None) -> ResultRecord:
 
     per_length = {}
     for length in config.schedule:
-        results = pmap(lambda r, L=length: _xi_per_meas(config, factor, L, r, lam_grid),
-                       list(reals))
+        results = parallel_map(
+            lambda r, L=length: _xi_per_meas(config, factor, L, r, lam_grid),
+            reals, config.workers)
         per_length[length] = results
         for r, (xi, meas) in zip(reals, results):
             for lam, x in zip(lam_grid, xi):
                 rec.rows.append({"L": length, "realization": r, "lam": float(lam),
                                  "xi": int(x), "xi_per_meas": float(x / meas)})
 
-    refs = pmap(lambda r: _dirichlet_reference(config, factor, r, lam_grid), list(reals))
+    refs = parallel_map(lambda r: _dirichlet_reference(config, factor, r, lam_grid),
+                        reals, config.workers)
     ref_n = np.mean(np.stack(refs, axis=0), axis=0)
     for i, lam in enumerate(lam_grid):
         rec.aggregates[f"reference_N[{lam}]"] = float(ref_n[i])

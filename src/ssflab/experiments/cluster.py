@@ -16,12 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral, ssf
-from ..model import IntBox, PotentialField, Provenance, SiteBox, \
+from ..harness.parallel import parallel_map
+from ..model import PotentialField, Provenance, SiteBox, \
     assemble_hamiltonian, assemble_potential, free_hamiltonian, interface_measure
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_absolute_box, fit_loglog, serial_map
-from .locality import absolute_site_window, center_origin
+    absolute_site_window, ambient_for, center_origin, centered_absolute_box, \
+    centered_rect_box, fit_loglog
 
 
 def _four_term_norm(config: ExperimentConfig, width: int, realization: int,
@@ -31,7 +32,7 @@ def _four_term_norm(config: ExperimentConfig, width: int, realization: int,
     side = int(config.opt("box_side", 8))
     if side % 2:
         raise ExperimentError("box_side must be even for the hyperplane split")
-    grid, _ = ambient_for(_rect_box(side, width), margin, h)
+    grid, _ = ambient_for(centered_rect_box(side, width), margin, h)
     origin = center_origin(grid)
     field = sample_couplings(config.distribution, absolute_site_window(grid),
                              config.seed, realization)
@@ -52,12 +53,6 @@ def _four_term_norm(config: ExperimentConfig, width: int, realization: int,
     comb = (spectral.heat_semigroup(hv, t, dl) - spectral.heat_semigroup(h1, t, dl)
             - spectral.heat_semigroup(h2, t, dl) + spectral.heat_semigroup(h0, t, dl))
     return spectral.trace_norm(comb, dl), interface_measure(lam1, lam2)
-
-
-def _rect_box(side: int, width: int) -> IntBox:
-    lo0 = -(side // 2)
-    lo1 = -(width // 2)
-    return IntBox((lo0, lo1), (lo0 + side - 1, lo1 + width - 1))
 
 
 def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
@@ -104,12 +99,11 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     return int(defect.max())
 
 
-def run_cluster(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_cluster(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("cluster interface scaling is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("cluster needs an interface-length schedule")
-    pmap = pmap or serial_map
     t = float(config.opt("t", 1.0))
 
     rec = ResultRecord("cluster", config.seed, config.digest())
@@ -118,7 +112,8 @@ def run_cluster(config: ExperimentConfig, pmap=None) -> ResultRecord:
     norms = []
     interfaces = []
     for width in config.schedule:
-        vals = pmap(lambda r, w=width: _four_term_norm(config, w, r, t), reals)
+        vals = parallel_map(lambda r, w=width: _four_term_norm(config, w, r, t),
+                            reals, config.workers)
         mean = float(np.mean([v for v, _ in vals]))
         interfaces.append(vals[0][1])
         norms.append(mean)
@@ -150,7 +145,8 @@ def run_cluster(config: ExperimentConfig, pmap=None) -> ResultRecord:
         else:
             rec.notes.append("norm_vs_t recorded only: decay check needs V >= 0")
 
-    defects = pmap(lambda r: _additivity_defect(config, r), reals)
+    defects = parallel_map(lambda r: _additivity_defect(config, r), reals,
+                           config.workers)
     worst = int(max(defects))
     rec.aggregates["additivity_defect"] = worst
     tol = config.tol("additivity", 1.1)

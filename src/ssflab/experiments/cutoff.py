@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
+from ..harness.parallel import parallel_map
 from ..model import SiteBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_absolute_box, serial_map
-from .locality import absolute_site_window, center_origin
+    absolute_site_window, ambient_for, center_origin, centered_absolute_box
 
 
 def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int) -> float:
@@ -44,12 +44,11 @@ def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int)
     return abs(tr_sharp - tr_lat) / meas
 
 
-def run_cutoff_equivalence(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_cutoff_equivalence(config: ExperimentConfig) -> ResultRecord:
     if config.dimension not in (1, 2):
         raise ExperimentError("cutoff equivalence runs in 1D or 2D")
     if len(config.schedule) < 2:
         raise ExperimentError("cutoff equivalence needs a growing schedule")
-    pmap = pmap or serial_map
     profile = config.build_profile()
 
     rec = ResultRecord("cutoff", config.seed, config.digest())
@@ -59,7 +58,8 @@ def run_cutoff_equivalence(config: ExperimentConfig, pmap=None) -> ResultRecord:
     reals = list(range(config.realizations))
     per_length = []
     for length in config.schedule:
-        vals = pmap(lambda r, L=length: _norm_diff(config, profile, L, r), reals)
+        vals = parallel_map(lambda r, L=length: _norm_diff(config, profile, L, r),
+                            reals, config.workers)
         mean = float(np.mean(vals))
         per_length.append(mean)
         for r, v in zip(reals, vals):

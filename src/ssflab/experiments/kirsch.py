@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral, ssf
+from ..harness.parallel import parallel_map
 from ..model import IntBox, build_grid
 from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
 from ..randomfield import constant_couplings, sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    gershgorin_window_check, serial_map
+    gershgorin_window_check
 
 
 def _box_pair(config: ExperimentConfig, length: int):
@@ -36,14 +37,13 @@ def _box_pair(config: ExperimentConfig, length: int):
     return h0l, hl
 
 
-def run_kirsch_demo(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_kirsch_demo(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("kirsch demonstration is two-dimensional")
     if not config.schedule or not config.energies:
         raise ExperimentError("kirsch needs a box schedule and a lam > 0 grid")
     if any(lam <= 0.0 for lam in config.energies):
         raise ExperimentError("kirsch energies must be positive")
-    pmap = pmap or serial_map
 
     rec = ResultRecord("kirsch", config.seed, config.digest())
     lam_grid = np.asarray(config.energies)
@@ -66,7 +66,7 @@ def run_kirsch_demo(config: ExperimentConfig, pmap=None) -> ResultRecord:
             psi_step.append(-t * ssf.exp_step_integral(t, x, xi_k))
         return phi, dists, psi_trace, psi_step
 
-    results = pmap(one, list(config.schedule))
+    results = parallel_map(one, config.schedule, config.workers)
 
     phi_by_l = {}
     dual_ok = True

@@ -14,27 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
-from ..model import IntBox, SiteBox, assemble_hamiltonian, assemble_potential, \
+from ..harness.parallel import parallel_map
+from ..model import SiteBox, assemble_hamiltonian, assemble_potential, \
     free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_absolute_box, fit_loglog, serial_map
-
-
-def _g_diag(ham, g, dense_limit):
-    orc = spectral.eig_all(ham, need_vectors=True, dense_limit=dense_limit)
-    return (orc.vectors ** 2) @ g.value(orc.eigenvalues)
-
-
-def center_origin(grid) -> tuple:
-    return tuple(e // 2 for e in grid.extents)
-
-
-def absolute_site_window(grid) -> IntBox:
-    """All grid sites as an absolute window (origin at the grid center)."""
-    half = center_origin(grid)
-    return IntBox(tuple(-c for c in half),
-                  tuple(e - 1 - c for e, c in zip(grid.extents, half)))
+    absolute_site_window, ambient_for, center_origin, centered_absolute_box, \
+    fit_loglog
 
 
 def _one_realization(config: ExperimentConfig, realization: int):
@@ -53,8 +39,8 @@ def _one_realization(config: ExperimentConfig, realization: int):
     h_full = assemble_hamiltonian(grid, pot_full)
     h0 = free_hamiltonian(grid)
     dl = config.dense_limit
-    diag_full = _g_diag(h_full, g, dl)
-    diag_free = _g_diag(h0, g, dl)
+    diag_full = spectral.diag_of_function(h_full, g, dl)
+    diag_free = spectral.diag_of_function(h0, g, dl)
 
     out = []
     for length in config.schedule:
@@ -62,7 +48,7 @@ def _one_realization(config: ExperimentConfig, realization: int):
         pot_cut = assemble_potential(grid, profile, field, "sharp", box,
                                      origin=origin)
         h_cut = assemble_hamiltonian(grid, pot_cut)
-        diag_cut = _g_diag(h_cut, g, dl)
+        diag_cut = spectral.diag_of_function(h_cut, g, dl)
         mask = box.mask()
         meas = box.measure
         t_inside = float(np.sum((diag_full - diag_cut)[mask])) / meas
@@ -71,15 +57,15 @@ def _one_realization(config: ExperimentConfig, realization: int):
     return out
 
 
-def run_locality(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_locality(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("locality campaign is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("locality needs at least two box sizes")
-    pmap = pmap or serial_map
 
     rec = ResultRecord("locality", config.seed, config.digest())
-    results = pmap(lambda r: _one_realization(config, r), list(range(config.realizations)))
+    results = parallel_map(lambda r: _one_realization(config, r),
+                           range(config.realizations), config.workers)
 
     sched = list(config.schedule)
     t1 = np.zeros((config.realizations, len(sched)))

@@ -13,12 +13,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .. import spectral
+from ..harness.parallel import parallel_map
 from ..model import SiteBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, fit_loglog, serial_map
-from .cluster import _rect_box
-from .locality import absolute_site_window, center_origin
+    absolute_site_window, ambient_for, center_origin, centered_rect_box, \
+    fit_loglog
 
 
 def _resolvent_power(a: np.ndarray, e: float, m: int) -> np.ndarray:
@@ -35,7 +35,7 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
     margin = int(config.opt("margin", 8))
     side = int(config.opt("box_side", 8))
     m = int(config.opt("power", 2))
-    grid, _ = ambient_for(_rect_box(side, width), margin, h)
+    grid, _ = ambient_for(centered_rect_box(side, width), margin, h)
     origin = center_origin(grid)
     field = sample_couplings(config.distribution, absolute_site_window(grid),
                              config.seed, realization)
@@ -65,12 +65,11 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
     return spectral.trace_norm(diff, config.dense_limit), box.surface_measure
 
 
-def run_resolvent_power(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("resolvent campaign is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("resolvent needs an interface schedule")
-    pmap = pmap or serial_map
     e_values = [float(v) for v in config.opt("e_values", (1.0, 2.0, 4.0))]
     e_main = float(config.opt("e_main", 2.0))
 
@@ -79,7 +78,8 @@ def run_resolvent_power(config: ExperimentConfig, pmap=None) -> ResultRecord:
 
     norms, boundaries = [], []
     for width in config.schedule:
-        vals = pmap(lambda r, w=width: _norm_for(config, w, r, e_main), reals)
+        vals = parallel_map(lambda r, w=width: _norm_for(config, w, r, e_main),
+                            reals, config.workers)
         mean = float(np.mean([v for v, _ in vals]))
         norms.append(mean)
         boundaries.append(vals[0][1])

@@ -13,19 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
+from ..harness.parallel import parallel_map
 from ..model import IntBox
 from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, mean_and_var, serial_map
+    ambient_for, mean_and_var
 
 
 def _boundary_measure(box: IntBox, h: float) -> float:
-    total = box.count
-    interior = 1
-    for n in box.extents:
-        interior *= max(n - 2, 0)
-    return (total - interior) * h ** (box.dim - 1)
+    return box.boundary_site_count * h ** (box.dim - 1)
 
 
 def _f_lambda(config: ExperimentConfig, abs_box: IntBox, realization: int,
@@ -56,12 +53,11 @@ def _split(box: IntBox) -> tuple:
     return b1, b2
 
 
-def run_subadditive(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("subadditivity campaign is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("subadditive needs a growing schedule")
-    pmap = pmap or serial_map
     t = float(config.opt("t", 1.0))
     h = config.spacing
 
@@ -81,7 +77,7 @@ def run_subadditive(config: ExperimentConfig, pmap=None) -> ResultRecord:
             f2 = _f_lambda(config, b2, r, t)
             return f, f1, f2
 
-        vals = pmap(one, reals)
+        vals = parallel_map(one, reals, config.workers)
         per_l[length] = vals
         for r, (f, f1, f2) in zip(reals, vals):
             split_rows.append({"L": length, "realization": r, "F": f,

@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
+from ..harness.parallel import parallel_map
 from ..model import IntBox, build_grid
 from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
 from ..randomfield import sample_couplings, split_signs
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    mean_and_var, serial_map
+    mean_and_var
 
 
 def _strip(config: ExperimentConfig, line_len: int, transverse: int):
@@ -65,7 +66,7 @@ def _one_length(config: ExperimentConfig, line_len: int, realization: int,
     return xi_full, xi_plus, xi_minus, f_vals
 
 
-def run_surface(config: ExperimentConfig, pmap=None) -> ResultRecord:
+def run_surface(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("surface campaign uses a 2D strip (nu1 = 1)")
     if not config.schedule or not config.energies:
@@ -74,7 +75,6 @@ def run_surface(config: ExperimentConfig, pmap=None) -> ResultRecord:
     profile_width = max(config.build_profile().values.shape)
     if transverse < 8 * profile_width:
         raise ExperimentError("transverse extent must be >= 8x the profile width")
-    pmap = pmap or serial_map
     h = config.spacing
 
     rec = ResultRecord("surface", config.seed, config.digest())
@@ -87,7 +87,8 @@ def run_surface(config: ExperimentConfig, pmap=None) -> ResultRecord:
     per_len_mean = []
     per_len_var = []
     for line_len in config.schedule:
-        vals = pmap(lambda r, L=line_len: _one_length(config, L, r), reals)
+        vals = parallel_map(lambda r, L=line_len: _one_length(config, L, r),
+                            reals, config.workers)
         meas1 = line_len * h
         per_real = []
         for r, (xi_full, xi_plus, xi_minus, f_vals) in zip(reals, vals):

@@ -1,7 +1,6 @@
 """CLI entry point, config grammar, persistence and the parallel-map facility."""
 
 from .config import ConfigError, config_digest, parse_config
-from .parallel import make_pmap, parallel_map
+from .parallel import parallel_map
 
-__all__ = ["ConfigError", "config_digest", "parse_config", "make_pmap",
-           "parallel_map"]
+__all__ = ["ConfigError", "config_digest", "parse_config", "parallel_map"]

@@ -19,7 +19,6 @@ from pathlib import Path
 from ..experiments import RUNNERS, ExperimentError
 from . import outputs
 from .config import EXPERIMENTS, ConfigError, config_digest, parse_config
-from .parallel import make_pmap
 from .selftest import run_selftest
 
 
@@ -74,10 +73,9 @@ def main(argv=None) -> int:
     digest = config_digest(text)
     outdir = args.out / config.experiment
     outdir.mkdir(parents=True, exist_ok=True)
-    pmap = make_pmap(config.workers)
 
     try:
-        record = RUNNERS[config.experiment](config, pmap)
+        record = RUNNERS[config.experiment](config)
     except Exception as exc:
         # any runtime failure leaves a manifest flagging the partial run
         kind = "experiment" if isinstance(exc, ExperimentError) else type(exc).__name__

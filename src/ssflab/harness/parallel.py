@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 
 def parallel_map(fn, items, workers: int = 1) -> list:
+    """[fn(x) for x in items], spread over ``workers`` threads, in input order."""
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -23,15 +22,3 @@ def parallel_map(fn, items, workers: int = 1) -> list:
         for fut, i in futures.items():
             out[i] = fut.result()
     return out
-
-
-def make_pmap(workers: int):
-    """Bind the worker count; modules receive this and never spawn their own."""
-    def pmap(fn, items):
-        return parallel_map(fn, items, workers)
-    return pmap
-
-
-def ordered_sum(values) -> float:
-    """Pairwise summation over an index-ordered array (fixed reduction tree)."""
-    return float(np.sum(np.asarray(list(values), dtype=float)))

@@ -64,6 +64,13 @@ def _checks(seed: int):
         b = ssf.laplace_via_xi(h, h0, 1.0)
         return abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-300)
 
+    def invariance_principle():
+        # xi(lam; H, H0) = -xi(exp(-t lam); exp(-tH), exp(-tH0)) off the spectra
+        h0, h = _alloy_1d(30, seed + 5)
+        spectra = [spectral.eig_all(x).eigenvalues for x in (h, h0)]
+        grid = ssf.midpoint_energy_grid(spectra, -1.5, 4.5, max_points=8)
+        return all(ssf.invariance_residual(h, h0, 0.7, lam) == 0 for lam in grid.values)
+
     def semigroup_property():
         h0, h = _alloy_1d(30, seed + 2)
         e1 = spectral.heat_semigroup(h, 0.7)
@@ -99,6 +106,7 @@ def _checks(seed: int):
         ("shift_group_action", shift_action),
         ("birman_krein_residual", birman_krein),
         ("laplace_identity", laplace_identity),
+        ("invariance_principle", invariance_principle),
         ("semigroup_property", semigroup_property),
         ("semigroup_domination", domination),
         ("dirichlet_interlacing", interlacing),

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ModelError(ValueError):
@@ -59,6 +58,15 @@ class IntBox:
     @property
     def count(self) -> int:
         return int(np.prod(self.extents))
+
+    @property
+    def boundary_site_count(self) -> int:
+        # sites with at least one of the 2*nu neighbours outside the box:
+        # total minus the interior block (each axis shrunk by 2)
+        interior = 1
+        for n in self.extents:
+            interior *= max(n - 2, 0)
+        return self.count - interior
 
     def shifted(self, k) -> "IntBox":
         k = tuple(int(v) for v in k)
@@ -124,11 +132,6 @@ class Grid:
     def coords_of(self, index: int) -> tuple:
         return tuple(int(c) for c in np.unravel_index(int(index), self.extents))
 
-    def coords_array(self) -> np.ndarray:
-        """(n_sites, dimension) array of all site coordinates in index order."""
-        return IntBox((0,) * self.dimension,
-                      tuple(n - 1 for n in self.extents)).coords()
-
     def full_box(self) -> "SiteBox":
         return SiteBox(self, (0,) * self.dimension,
                        tuple(n - 1 for n in self.extents))
@@ -183,12 +186,7 @@ class SiteBox:
 
     @property
     def boundary_site_count(self) -> int:
-        # sites with at least one of the 2*nu neighbours outside the box:
-        # total minus the interior block (each axis shrunk by 2)
-        interior = 1
-        for n in self.extents:
-            interior *= max(n - 2, 0)
-        return self.site_count - interior
+        return self.bounds.boundary_site_count
 
     @property
     def surface_measure(self) -> float:
@@ -333,13 +331,6 @@ class PotentialField:
     def zero(cls, grid: Grid) -> "PotentialField":
         return cls(grid, np.zeros(grid.n_sites), Provenance("zero", "none", "none"))
 
-    def to_debug_text(self) -> str:
-        """Columnar text dump: 'site_index value' per line."""
-        lines = [f"# potential on grid {self.grid.extents} h={self.grid.spacing!r}",
-                 f"# cutoff={self.provenance.cutoff} profile={self.provenance.profile_id}"]
-        lines += [f"{i} {float(v)!r}" for i, v in enumerate(self.values)]
-        return "\n".join(lines) + "\n"
-
 
 def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
                        cutoff_mode: str = "none", cutoff_box=None,
@@ -463,7 +454,9 @@ class Hamiltonian:
 
     @property
     def bandwidth(self) -> int:
-        return max(self.grid.strides) if self.n > 1 else 0
+        # unit axes have no neighbour pairs, so their strides never reach the band
+        return max((s for s, n in zip(self.grid.strides, self.grid.extents) if n > 1),
+                   default=0)
 
     def potential_values(self) -> np.ndarray:
         return self.diag - 2.0 * self.grid.dimension / self.grid.spacing ** 2
@@ -482,20 +475,6 @@ class Hamiltonian:
             out.append((idx[tuple(sl_lo)].ravel(), idx[tuple(sl_hi)].ravel()))
         return out
 
-    def to_sparse(self) -> sp.csr_matrix:
-        rows = [np.arange(self.n)]
-        cols = [np.arange(self.n)]
-        vals = [self.diag]
-        for i, j in self._neighbour_pairs():
-            rows += [i, j]
-            cols += [j, i]
-            off = np.full(i.shape, self.offdiag)
-            vals += [off, off]
-        m = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(self.n, self.n))
-        return m
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         a[np.arange(self.n), np.arange(self.n)] = self.diag
@@ -513,22 +492,6 @@ class Hamiltonian:
             # j - i equals the axis stride for every pair of this axis
             band[j[0] - i[0], i] = self.offdiag
         return band
-
-    def tridiagonal(self):
-        """(diag, offdiag) arrays; only valid for 1-dimensional grids."""
-        if self.grid.dimension != 1:
-            raise ModelError("tridiagonal form only exists in 1D")
-        e = np.full(max(self.n - 1, 0), self.offdiag)
-        return self.diag.copy(), e
-
-    def to_debug_text(self) -> str:
-        """Columnar text dump of nonzeros: 'row col value' per line."""
-        lines = [f"# hamiltonian on grid {self.grid.extents} h={self.grid.spacing!r}",
-                 f"# potential={self.potential_id}"]
-        lines += [f"{i} {i} {float(v)!r}" for i, v in enumerate(self.diag)]
-        for i, j in self._neighbour_pairs():
-            lines += [f"{a} {b} {self.offdiag!r}" for a, b in zip(i, j)]
-        return "\n".join(lines) + "\n"
 
 
 def assemble_hamiltonian(grid: Grid, potential: PotentialField) -> Hamiltonian:

@@ -14,7 +14,7 @@ coupling distribution has bounded support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,7 +150,9 @@ class CouplingField:
 
     ``shift`` realises the lattice translation: the value at j is the base
     draw at j - shift, so shifting by k and then -k is the identity and the
-    field statistics are translation invariant by construction.
+    field statistics are translation invariant by construction.  ``sign``
+    selects the positive part max(alpha, 0) (+1), the negative part
+    min(alpha, 0) (-1) or the whole field (0).
     """
 
     spec: DistributionSpec
@@ -158,23 +160,32 @@ class CouplingField:
     seed: int
     realization: int
     shift: tuple = None
+    sign: int = 0
 
     def __post_init__(self):
         shift = self.shift if self.shift is not None else (0,) * self.window.dim
         if len(shift) != self.window.dim:
             raise FieldError("shift dimension mismatch")
+        if self.sign not in (-1, 0, 1):
+            raise FieldError("sign must be -1, 0 or +1")
         object.__setattr__(self, "shift", tuple(int(s) for s in shift))
 
     def field_id(self) -> str:
+        tag = {0: "", 1: "|plus", -1: "|minus"}[self.sign]
         return (f"{self.spec.describe()}|seed={self.seed}"
-                f"|real={self.realization}|shift={self.shift}")
+                f"|real={self.realization}|shift={self.shift}{tag}")
 
     def values_at(self, coords) -> np.ndarray:
         """Coupling values at absolute anchor coordinates (m, dim)."""
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
         base = coords - np.asarray(self.shift, dtype=np.int64)
         u = _uniform01(self.seed, self.realization, base)
-        return self.spec.transform(u)
+        v = self.spec.transform(u)
+        if self.sign > 0:
+            return np.maximum(v, 0.0)
+        if self.sign < 0:
+            return np.minimum(v, 0.0)
+        return v
 
     def values_flat(self) -> np.ndarray:
         """All window values in row-major window order."""
@@ -203,36 +214,12 @@ def shift_field(field: CouplingField, k) -> CouplingField:
     k = tuple(int(v) for v in k)
     if len(k) != field.window.dim:
         raise FieldError("shift dimension mismatch")
-    return CouplingField(field.spec, field.window.shifted(k), field.seed,
-                         field.realization,
-                         tuple(s + v for s, v in zip(field.shift, k)))
-
-
-class _SplitField(CouplingField):
-    """Positive or negative part of a parent field (max/min with 0)."""
-
-    def __init__(self, parent: CouplingField, sign: int):
-        object.__setattr__(self, "spec", parent.spec)
-        object.__setattr__(self, "window", parent.window)
-        object.__setattr__(self, "seed", parent.seed)
-        object.__setattr__(self, "realization", parent.realization)
-        object.__setattr__(self, "shift", parent.shift)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_sign", sign)
-
-    def field_id(self) -> str:
-        tag = "plus" if self._sign > 0 else "minus"
-        return self._parent.field_id() + f"|{tag}"
-
-    def values_at(self, coords) -> np.ndarray:
-        v = self._parent.values_at(coords)
-        if self._sign > 0:
-            return np.maximum(v, 0.0)
-        return np.minimum(v, 0.0)
+    return replace(field, window=field.window.shifted(k),
+                   shift=tuple(s + v for s, v in zip(field.shift, k)))
 
 
 def split_signs(field: CouplingField):
     """(alpha_plus, alpha_minus) with alpha+_j = max(alpha_j, 0),
     alpha-_j = min(alpha_j, 0); the recombination alpha+ + alpha- = alpha is
     exact because the parts are selected by comparison, never by arithmetic."""
-    return _SplitField(field, +1), _SplitField(field, -1)
+    return replace(field, sign=+1), replace(field, sign=-1)

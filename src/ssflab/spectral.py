@@ -1,11 +1,12 @@
 """Eigenvalue counting, spectra, heat semigroups, matrix functions and norms.
 
-Counting never diagonalises: 1D Hamiltonians use the Sturm/LDLT sign
-recurrence on the tridiagonal, grid Hamiltonians in higher dimension use a
-no-pivot banded LDLT (Sylvester inertia of H - lambda), and plain symmetric
-matrices go through the LAPACK symmetric-indefinite factorization.  Any
-near-breakdown (pivot below 1e-12 * |H|) falls back to an eigenvalue-based
-count rather than silently approximating.
+Counting never diagonalises: chain Hamiltonians (1D, or one axis longer
+than one site) use the Sturm/LDLT sign recurrence on the tridiagonal, other
+grid Hamiltonians use a no-pivot banded LDLT (Sylvester inertia of
+H - lambda), and plain symmetric matrices go through the LAPACK
+symmetric-indefinite factorization.  Any near-breakdown (pivot below
+1e-12 * |H|) falls back to an eigenvalue-based count rather than silently
+approximating.
 
 The dense oracle (``eig_all``) backs every trace and matrix-function
 operation and sits behind a configurable size limit.
@@ -18,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .model import Hamiltonian, SiteBox
+from .model import Hamiltonian
 
 DENSE_LIMIT = 4000
 _BREAKDOWN_REL = 1e-12
@@ -42,12 +41,8 @@ class CountingError(RuntimeError):
 def _as_structure(h):
     """Classify the operand: ('tridiag', d, e) | ('banded', H) | ('dense', A)."""
     if isinstance(h, Hamiltonian):
-        if h.grid.dimension == 1 or h.bandwidth <= 1:
-            if h.grid.dimension == 1:
-                d, e = h.tridiagonal()
-            else:
-                d, e = h.diag.copy(), np.full(max(h.n - 1, 0), h.offdiag)
-            return ("tridiag", d, e)
+        if h.bandwidth <= 1:
+            return ("tridiag", h.diag.copy(), np.full(max(h.n - 1, 0), h.offdiag))
         return ("banded", h)
     a = np.asarray(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -206,16 +201,6 @@ class SpectrumOracle:
     eigenvalues: np.ndarray
     vectors: np.ndarray | None = None
 
-    def count_below(self, lam: float) -> int:
-        return int(np.searchsorted(self.eigenvalues, lam, side="left"))
-
-    def nearest_distance(self, lam: float) -> float:
-        return float(np.min(np.abs(self.eigenvalues - lam)))
-
-    @property
-    def n(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
 
 def _free_spectrum(h: Hamiltonian) -> np.ndarray:
     """Analytic Dirichlet spectrum of the free discrete Laplacian."""
@@ -265,51 +250,6 @@ def eig_all(h, need_vectors: bool = False, dense_limit: int = DENSE_LIMIT) -> Sp
     return SpectrumOracle(sla.eigvalsh(a))
 
 
-def nearest_eigenvalue_distance(h, lam: float,
-                                oracle: SpectrumOracle | None = None,
-                                dense_limit: int = DENSE_LIMIT) -> float:
-    """min |eig(H) - lam|; uses the oracle when available, otherwise a
-    shift-invert Lanczos probe near lam (cheap for banded operators)."""
-    if oracle is not None:
-        return oracle.nearest_distance(lam)
-    kind, *payload = _as_structure(h)
-    n = payload[0].shape[0] if kind != "banded" else payload[0].n
-    if n <= min(dense_limit, 1200):
-        return eig_all(h, dense_limit=dense_limit).nearest_distance(lam)
-    mat = h.to_sparse().tocsc() if isinstance(h, Hamiltonian) else sp.csc_matrix(np.asarray(h))
-    try:
-        vals = spla.eigsh(mat, k=2, sigma=lam, which="LM", return_eigenvectors=False)
-        return float(np.min(np.abs(vals - lam)))
-    except Exception:
-        return _distance_by_bisection(h, lam)
-
-
-def _distance_by_bisection(h, lam: float) -> float:
-    """Locate the nearest eigenvalue with counting bisection (slow, robust)."""
-    lo, hi = _gershgorin_interval(h)
-    span = max(hi - lo, 1.0)
-    tol = 1e-12 * span
-    n_at = count_below(h, lam)
-
-    def refine(a, b, target_side):
-        # target_side 'left': largest eig < lam; 'right': smallest eig >= lam
-        while b - a > tol:
-            m = 0.5 * (a + b)
-            if count_below(h, m) >= n_at + (0 if target_side == "left" else 1):
-                b = m
-            else:
-                a = m
-        return 0.5 * (a + b)
-
-    cands = []
-    if n_at > 0:
-        cands.append(lam - refine(lo - span * 1e-3, lam, "left"))
-    total = count_below(h, hi + span * 1e-3)
-    if n_at < total:
-        cands.append(refine(lam, hi + span * 1e-3, "right") - lam)
-    return float(min(cands)) if cands else float("inf")
-
-
 # ---------------------------------------------------------------------------
 # heat semigroup, traces, norms
 
@@ -322,26 +262,6 @@ def heat_trace(h, t: float, dense_limit: int = DENSE_LIMIT) -> float:
     return float(np.sum(np.exp(-t * w)))
 
 
-def heat_trace_hutchinson(h, t: float, probes: int = 64, seed: int = 0):
-    """Stochastic (Hutchinson) estimate of tr exp(-tH) for large sparse H.
-
-    Returns (estimate, standard_error).  Rademacher probes are drawn from a
-    counter-based Philox stream keyed by the seed so the estimate is
-    reproducible regardless of scheduling.
-    """
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if probes < 2:
-        raise ValueError("need at least 2 probes")
-    a = h.to_sparse() if isinstance(h, Hamiltonian) else sp.csr_matrix(np.asarray(h, dtype=float))
-    n = a.shape[0]
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.integers(0, 2, size=(n, probes)).astype(float) * 2.0 - 1.0
-    y = spla.expm_multiply(a * (-t), z)
-    est = np.einsum("ij,ij->j", z, y)
-    return float(est.mean()), float(est.std(ddof=1) / math.sqrt(probes))
-
-
 def heat_semigroup(h, t: float, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
     """Dense matrix exp(-tH), symmetric positive definite."""
     if not t > 0.0:
@@ -352,19 +272,6 @@ def heat_semigroup(h, t: float, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def partial_trace(m: np.ndarray, box) -> float:
-    """tr(chi_Lambda M): sum of diagonal entries over the sites of the box."""
-    m = np.asarray(m)
-    d = np.diagonal(m)
-    if isinstance(box, SiteBox):
-        idx = box.indices()
-    else:
-        idx = np.asarray(box, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= d.shape[0]):
-        raise IndexError("box indices outside the matrix")
-    return float(np.sum(d[idx]))
-
-
 def trace_norm(m: np.ndarray, dense_limit: int = DENSE_LIMIT) -> float:
     """Sum of singular values (for symmetric input: sum of |eigenvalues|)."""
     m = np.asarray(m, dtype=float)
@@ -373,12 +280,6 @@ def trace_norm(m: np.ndarray, dense_limit: int = DENSE_LIMIT) -> float:
     if np.array_equal(m, m.T):
         return float(np.sum(np.abs(sla.eigvalsh(m))))
     return float(np.sum(sla.svdvals(m)))
-
-
-def supnorm_rows(m: np.ndarray) -> float:
-    """Operator norm L^inf -> L^inf: max over rows of the absolute row sum."""
-    m = np.asarray(m, dtype=float)
-    return float(np.max(np.sum(np.abs(m), axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,16 +358,6 @@ class ConstantFunction:
 
 
 FUNCTION_FAMILY = (BumpFunction, ExpWeight, ConstantFunction)
-
-
-def apply_function(h, g, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Spectral calculus g(H) = sum g(lam_i) v_i v_i^T for the built-in g."""
-    if not isinstance(g, FUNCTION_FAMILY):
-        raise ValueError("g must come from the built-in function family")
-    orc = eig_all(h, need_vectors=True, dense_limit=dense_limit)
-    u, w = orc.vectors, orc.eigenvalues
-    m = (u * g.value(w)) @ u.T
-    return 0.5 * (m + m.T)
 
 
 def diag_of_function(h, g, dense_limit: int = DENSE_LIMIT) -> np.ndarray:

@@ -13,7 +13,7 @@ generic quadrature -- which removes quadrature error from every tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,6 @@ from .spectral import FUNCTION_FAMILY
 
 class OnSpectrumError(ValueError):
     """An energy grid point sits (numerically) on one of the spectra."""
-
-
-class NormalizationError(ValueError):
-    """Invalid or repeated normalization of an SSF sample."""
 
 
 # ---------------------------------------------------------------------------
@@ -58,25 +54,6 @@ class EnergyGrid:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def is_exact(self, rel_tol: float = 1e-10, scale: float = 1.0) -> bool:
-        if self.distances is None:
-            return False
-        return bool(np.all(self.distances > rel_tol * max(scale, 1.0)))
-
-    @classmethod
-    def with_distances(cls, values, h, h0, oracles=None,
-                       pair_id: str = "", dense_limit: int = spectral.DENSE_LIMIT):
-        values = np.asarray(values, dtype=float)
-        dists = np.empty_like(values)
-        for i, lam in enumerate(values):
-            if oracles is not None:
-                dists[i] = min(o.nearest_distance(lam) for o in oracles)
-            else:
-                dists[i] = min(
-                    spectral.nearest_eigenvalue_distance(h, lam, dense_limit=dense_limit),
-                    spectral.nearest_eigenvalue_distance(h0, lam, dense_limit=dense_limit))
-        return cls(values, dists, pair_id)
-
 
 def midpoint_energy_grid(spectra, lo: float, hi: float, max_points: int = 200) -> EnergyGrid:
     """Off-spectrum grid by construction: midpoints of the gaps of the merged
@@ -105,33 +82,18 @@ def midpoint_energy_grid(spectra, lo: float, hi: float, max_points: int = 200) -
 
 @dataclass(frozen=True)
 class SSFSample:
-    """xi on an energy grid for an operator pair.
-
-    ``xi_raw`` holds the integer counting differences; ``xi_normalized`` is
-    only set once ``normalize`` has divided by a volume or hyperplane-area
-    measure, and the tag guards against double normalization.
-    """
+    """xi on an energy grid for an operator pair; ``xi_raw`` holds the
+    integer counting differences."""
 
     grid: EnergyGrid
     xi_raw: np.ndarray
     pair_id: str
-    normalization: str = "raw"
-    measure: float | None = None
-    xi_normalized: np.ndarray | None = None
 
     def __post_init__(self):
         xi = np.asarray(self.xi_raw)
         if xi.shape != self.grid.values.shape:
             raise ValueError("xi shape mismatch with grid")
         object.__setattr__(self, "xi_raw", xi.astype(np.int64))
-
-    def csv_rows(self):
-        rows = []
-        for i, lam in enumerate(self.grid.values):
-            xin = "" if self.xi_normalized is None else repr(float(self.xi_normalized[i]))
-            rows.append((repr(float(lam)), int(self.xi_raw[i]), xin,
-                         self.normalization, self.pair_id))
-        return rows
 
 
 def ssf_counting(h, h0, grid: EnergyGrid, require_exact: bool = True,
@@ -144,18 +106,6 @@ def ssf_counting(h, h0, grid: EnergyGrid, require_exact: bool = True,
     xi = np.array([spectral.count_below(h0, lam) - spectral.count_below(h, lam)
                    for lam in grid.values], dtype=np.int64)
     return SSFSample(grid, xi, grid.pair_id or "pair")
-
-
-def normalize(sample: SSFSample, measure: float, mode: str = "per_volume") -> SSFSample:
-    """Divide xi by a (positive) volume or hyperplane-area measure and tag it."""
-    if not measure > 0.0:
-        raise NormalizationError(f"measure must be positive, got {measure}")
-    if sample.normalization != "raw":
-        raise NormalizationError("sample is already normalized")
-    if mode not in ("per_volume", "per_area"):
-        raise NormalizationError(f"unknown normalization mode {mode!r}")
-    return replace(sample, normalization=mode, measure=float(measure),
-                   xi_normalized=sample.xi_raw.astype(float) / float(measure))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from ssflab.brownian import (
-    OverlapKernel, RegionError, boundary_overlap, box_complement, box_region,
-    envelope_constant, free_heat_kernel, gaussian_bound, half_space,
+    RegionError, box_complement, box_region,
+    envelope_constant, gaussian_bound, half_space,
     halfspace_exact, joint_bound_check, simulate_hitting, slab_complement,
 )
 
@@ -157,82 +156,3 @@ def test_joint_bound_inside_and_outside():
     assert outside["distance"] == pytest.approx(1.0)
     assert outside["c_eps"] == pytest.approx(5.0 ** 0.5)
     assert outside["holds_3sigma"]
-
-
-# -- free heat kernel -----------------------------------------------------------------
-
-def test_kernel_normalization_point():
-    assert free_heat_kernel([0.0], [0.0], 1.0 / (4.0 * math.pi), 1) == pytest.approx(1.0)
-
-
-def test_kernel_symmetric_positive_normalized():
-    x = np.array([0.3, -0.2])
-    y = np.array([-1.0, 0.5])
-    t = 0.7
-    assert free_heat_kernel(x, y, t, 2) == free_heat_kernel(y, x, t, 2)
-    assert free_heat_kernel(x, y, t, 2) > 0.0
-    total, _ = integrate.quad(lambda u: free_heat_kernel([0.0], [u], t, 1),
-                              -40.0, 40.0)
-    assert abs(total - 1.0) <= 1e-6
-
-
-def test_chapman_kolmogorov():
-    s, t = 0.4, 0.9
-    x, y = 0.2, -0.7
-    conv, _ = integrate.quad(
-        lambda z: free_heat_kernel([x], [z], s, 1) * free_heat_kernel([z], [y], t, 1),
-        -50.0, 50.0)
-    assert abs(conv - free_heat_kernel([x], [y], s + t, 1)) <= 1e-6
-
-
-def test_kernel_rejects_nonpositive_time():
-    with pytest.raises(RegionError):
-        free_heat_kernel([0.0], [1.0], 0.0, 1)
-
-
-# -- boundary overlap ------------------------------------------------------------------
-
-def test_overlap_closed_form_1d():
-    val = boundary_overlap(OverlapKernel("exponential", a=1.0), 10.0, 1)
-    assert val == pytest.approx(2.0 * (1.0 - math.exp(-10.0)) / 10.0, rel=1e-12)
-    assert val == pytest.approx(0.199991, abs=1e-6)
-
-
-def test_overlap_decreases_toward_zero():
-    vals = [boundary_overlap(OverlapKernel("exponential", a=1.0), L, 1)
-            for L in (10.0, 20.0, 40.0, 80.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    vals2 = [boundary_overlap(OverlapKernel("bump", r=1.0), L, 2)
-             for L in (8.0, 16.0, 32.0, 64.0)]
-    assert all(b < a for a, b in zip(vals2, vals2[1:]))
-
-
-def test_overlap_surface_scaling_2d():
-    # unnormalised integral grows like L^(nu-1): fitted slope within +-0.2
-    lengths = np.array([16.0, 32.0, 64.0, 128.0])
-    vals = np.array([boundary_overlap(OverlapKernel("exponential", a=1.0), L, 2,
-                                      normalized=False) for L in lengths])
-    slope = np.polyfit(np.log(lengths), np.log(vals), 1)[0]
-    assert abs(slope - 1.0) <= 0.2
-
-
-def test_overlap_matches_brute_force_2d():
-    # independent oracle: direct 2D quadrature of the double integral
-    kern = OverlapKernel("exponential", a=1.0)
-    L = 3.0
-
-    # per-axis closed pieces checked against quadrature (kernel has a kink on
-    # the diagonal, so dblquad only reaches ~1e-7 relative)
-    a_axis = L * 2.0
-    b_axis, _ = integrate.dblquad(lambda y, x: math.exp(-abs(x - y)),
-                                  0, L, 0, L, epsabs=1e-10)
-    expect = a_axis ** 2 - b_axis ** 2
-    got = boundary_overlap(kern, L, 2, normalized=False)
-    assert got == pytest.approx(expect, rel=2e-6)
-
-
-def test_nonintegrable_kernel_rejected():
-    with pytest.raises(RegionError):
-        OverlapKernel("exponential", a=0.0)
-    with pytest.raises(RegionError):
-        OverlapKernel("powerlaw")

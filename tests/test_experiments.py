@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from ssflab.experiments import (
     run_cluster, run_cutoff_equivalence, run_kirsch_demo, run_locality,
     run_resolvent_power, run_subadditive, run_surface,
 )
-from ssflab.harness.parallel import make_pmap
 from ssflab.model import IntBox, SingleSiteProfile, SiteBox, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, constant_couplings, sample_couplings
@@ -71,7 +72,7 @@ def test_bulk_bitwise_reproducible():
 def test_bulk_reproducible_across_workers():
     cfg = bulk_config(realizations=4, schedule=(32, 64))
     serial = run_bulk_limit(cfg).to_json()
-    threaded = run_bulk_limit(cfg, make_pmap(4)).to_json()
+    threaded = run_bulk_limit(dataclasses.replace(cfg, workers=4)).to_json()
     assert serial == threaded
 
 

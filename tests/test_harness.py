@@ -192,7 +192,7 @@ def test_cli_seed_override_changes_digested_record(tmp_path):
 def test_selftest_healthy_build():
     lines = []
     assert run_selftest(0, out=lines.append) == 0
-    assert len(lines) == 10
+    assert len(lines) == 11
     assert all(ln.startswith("ok") for ln in lines)
 
 

@@ -86,6 +86,15 @@ def test_split_recombination_exact_large():
     assert np.all(p.values_flat() + m.values_flat() == f.values_flat())
 
 
+def test_shift_keeps_sign_split():
+    f = sample_couplings(DistributionSpec("uniform", low=-1, high=1),
+                         IntBox((-20,), (20,)), 6)
+    plus, minus = split_signs(f)
+    assert np.all(shift_field(plus, (5,)).values_flat() >= 0.0)
+    back = shift_field(shift_field(minus, (5,)), (-5,))
+    assert np.array_equal(back.values_flat(), minus.values_flat())
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**20), k=st.integers(-6, 6))
 def test_shift_equivariance_of_potentials(seed, k):

@@ -7,9 +7,9 @@ from ssflab.model import IntBox, SingleSiteProfile, assemble_hamiltonian, \
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import BumpFunction, ConstantFunction
 from ssflab.ssf import (
-    EnergyGrid, NormalizationError, OnSpectrumError, SSFSample,
+    EnergyGrid, OnSpectrumError, SSFSample,
     birman_krein_residual, exp_step_integral, invariance_residual,
-    laplace_functional, laplace_via_xi, midpoint_energy_grid, normalize,
+    laplace_functional, laplace_via_xi, midpoint_energy_grid,
     ssf_counting, xi_step_function,
 )
 
@@ -176,32 +176,6 @@ def test_exp_step_integral_against_quadrature():
     assert exact == pytest.approx(brute, abs=5e-4)
 
 
-# -- normalization -------------------------------------------------------------------
-
-def test_normalize_examples():
-    grid = EnergyGrid(np.array([-0.5]))
-    s = SSFSample(grid, np.array([-4]), "pair")
-    out = normalize(s, 8.0)
-    assert out.xi_normalized[0] == pytest.approx(-0.5)
-    assert out.normalization == "per_volume"
-    tagged = normalize(SSFSample(grid, np.array([3]), "pair"), 1.0)
-    assert tagged.xi_raw[0] == 3 and tagged.xi_normalized[0] == 3.0
-    with pytest.raises(NormalizationError):
-        normalize(out, 2.0)
-    with pytest.raises(NormalizationError):
-        normalize(s, 0.0)
-
-
-def test_sample_csv_rows():
-    grid = EnergyGrid(np.array([-0.5, 0.25]))
-    s = normalize(SSFSample(grid, np.array([-2, 1]), "p0"), 4.0, "per_area")
-    rows = s.csv_rows()
-    assert rows[0][0] == repr(-0.5)
-    assert rows[0][1] == -2
-    assert rows[0][3] == "per_area"
-    assert rows[1][4] == "p0"
-
-
 # -- invariance principle --------------------------------------------------------------
 
 def test_invariance_principle_counting():
@@ -209,16 +183,3 @@ def test_invariance_principle_counting():
     grid = off_spectrum_grid(h, h0, -1.0, 4.0, k=12)
     for lam in grid.values[::3]:
         assert invariance_residual(h, h0, 0.7, lam) == 0
-
-
-def test_energy_grid_with_distances():
-    h, h0 = alloy_pair(40, 18)
-    orc = (spectral.eig_all(h), spectral.eig_all(h0))
-    lam = 0.5 * (orc[0].eigenvalues[5] + orc[0].eigenvalues[6])
-    grid = EnergyGrid.with_distances([lam], h, h0, oracles=orc, pair_id="p")
-    expect = min(o.nearest_distance(lam) for o in orc)
-    assert grid.distances[0] == pytest.approx(expect)
-    assert grid.is_exact(scale=10.0) == (expect > 1e-9)
-    # without precomputed oracles the distances are found independently
-    grid2 = EnergyGrid.with_distances([lam], h, h0)
-    assert grid2.distances[0] == pytest.approx(expect, rel=1e-9)
