@@ -7,10 +7,9 @@ one-dimensional half-space hitting law is erfc(d / (2 sqrt(t))) and the
 Gaussian envelope reads 2 nu exp(-d^2 / (4 nu t)).
 
 Discrete-time detection alone underestimates hitting probabilities, so for
-half-space and slab geometries every step adds the analytic Brownian-bridge
-crossing probability (slabs combine the two one-sided face corrections per
-step); other geometries fall back to endpoint detection with a warning flag
-in the estimate.
+half-space geometries every step adds the analytic Brownian-bridge crossing
+probability; other geometries fall back to endpoint detection with a warning
+flag in the estimate.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class RegionSpec:
 
     kinds:
       * half_space(axis, threshold, side): B = {x : side*(x_axis - threshold) >= 0}
-      * slab_complement(axis, lo, hi):     B = {x : x_axis <= lo or x_axis >= hi}
       * box(lo, hi):                       the closed box
       * box_complement(lo, hi):            everything outside the open box
     """
@@ -52,13 +50,10 @@ class RegionSpec:
     hi: tuple = ()
 
     def __post_init__(self):
-        if self.kind in ("half_space", "slab_complement"):
+        if self.kind == "half_space":
             if self.axis < 0:
                 raise RegionError("axis must be >= 0")
-            if self.kind == "slab_complement":
-                if not (len(self.lo) == len(self.hi) == 1) or not self.lo[0] < self.hi[0]:
-                    raise RegionError("slab_complement needs scalar lo < hi")
-            if self.kind == "half_space" and self.side not in (+1, -1):
+            if self.side not in (+1, -1):
                 raise RegionError("half_space side must be +1 or -1")
         elif self.kind in ("box", "box_complement"):
             if len(self.lo) != len(self.hi) or not self.lo:
@@ -70,15 +65,13 @@ class RegionSpec:
 
     @property
     def bridge_supported(self) -> bool:
-        return self.kind in ("half_space", "slab_complement")
+        return self.kind == "half_space"
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Membership for an (m, nu) array of points."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.kind == "half_space":
             return self.side * (x[:, self.axis] - self.threshold) >= 0.0
-        if self.kind == "slab_complement":
-            return (x[:, self.axis] <= self.lo[0]) | (x[:, self.axis] >= self.hi[0])
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         inside = np.all((x >= lo) & (x <= hi), axis=1)
@@ -91,8 +84,6 @@ class RegionSpec:
             return 0.0
         if self.kind == "half_space":
             return float(self.side * (self.threshold - x[self.axis]))
-        if self.kind == "slab_complement":
-            return float(min(x[self.axis] - self.lo[0], self.hi[0] - x[self.axis]))
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         if self.kind == "box":
@@ -103,10 +94,6 @@ class RegionSpec:
 
 def half_space(axis: int, threshold: float, side: int = +1) -> RegionSpec:
     return RegionSpec("half_space", axis=axis, threshold=float(threshold), side=side)
-
-
-def slab_complement(axis: int, lo: float, hi: float) -> RegionSpec:
-    return RegionSpec("slab_complement", axis=axis, lo=(float(lo),), hi=(float(hi),))
 
 
 def box_region(lo, hi) -> RegionSpec:
@@ -153,7 +140,7 @@ def simulate_hitting(x, region: RegionSpec, t: float, paths: int = 100_000,
     """Estimate P_x{tau_B <= t} by direct path simulation.
 
     Starting inside B counts as an immediate hit (tau = 0 convention).  With
-    bridge=True and a half-space/slab geometry each step contributes the
+    bridge=True and a half-space geometry each step contributes the
     analytic crossing probability of the Brownian bridge between the step
     endpoints; per-path survival probabilities multiply, so bridge-corrected
     estimates dominate plain endpoint detection pathwise.
@@ -191,15 +178,10 @@ def simulate_hitting(x, region: RegionSpec, t: float, paths: int = 100_000,
             if use_bridge:
                 c = pos[:, region.axis]
                 d = new[:, region.axis]
-                if region.kind == "half_space":
-                    if region.side > 0:
-                        p_cross = _bridge_upper(c, d, region.threshold, step_dt)
-                    else:
-                        p_cross = _bridge_upper(-c, -d, -region.threshold, step_dt)
+                if region.side > 0:
+                    p_cross = _bridge_upper(c, d, region.threshold, step_dt)
                 else:
-                    p_lo = _bridge_upper(-c, -d, -region.lo[0], step_dt)
-                    p_hi = _bridge_upper(c, d, region.hi[0], step_dt)
-                    p_cross = 1.0 - (1.0 - p_lo) * (1.0 - p_hi)
+                    p_cross = _bridge_upper(-c, -d, -region.threshold, step_dt)
                 survive *= 1.0 - p_cross
             else:
                 survive *= ~region.contains(new)

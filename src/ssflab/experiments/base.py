@@ -35,7 +35,6 @@ class ExperimentConfig:
     seed: int = 0
     realizations: int = 1
     workers: int = 1
-    dense_limit: int = 4000
     dimension: int = 1
     spacing: float = 1.0
     distribution: DistributionSpec | None = None

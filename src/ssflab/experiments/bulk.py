@@ -36,8 +36,7 @@ def _xi_per_meas(config, ambient_factor, length, realization, lam_grid):
     ham = assemble_hamiltonian(grid, pot)
     h0 = free_hamiltonian(grid)
     meas = cut.count * h ** dim
-    xi = np.array([spectral.count_below(h0, lam) - spectral.count_below(ham, lam)
-                   for lam in lam_grid], dtype=np.int64)
+    xi = spectral.count_below(h0, lam_grid) - spectral.count_below(ham, lam_grid)
     return xi, meas
 
 
@@ -54,8 +53,7 @@ def _dirichlet_reference(config, ambient_factor, realization, lam_grid):
     box = SiteBox.centered(grid, lmax)
     restricted = dirichlet_restriction(ham, box)
     meas = box.measure
-    return np.array([spectral.count_below(restricted, lam) / meas
-                     for lam in lam_grid])
+    return spectral.count_below(restricted, lam_grid) / meas
 
 
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:

@@ -42,7 +42,6 @@ def _four_term_norm(config: ExperimentConfig, width: int, realization: int,
     lam1 = SiteBox(grid, lam.lo, (lam.lo[0] + side // 2 - 1, lam.hi[1]))
     lam2 = SiteBox(grid, (lam.lo[0] + side // 2, lam.lo[1]), lam.hi)
 
-    dl = config.dense_limit
     h0 = free_hamiltonian(grid)
     hv = assemble_hamiltonian(grid, assemble_potential(
         grid, profile, field, "sharp", lam, origin=origin))
@@ -50,9 +49,9 @@ def _four_term_norm(config: ExperimentConfig, width: int, realization: int,
         grid, profile, field, "sharp", lam1, origin=origin))
     h2 = assemble_hamiltonian(grid, assemble_potential(
         grid, profile, field, "sharp", lam2, origin=origin))
-    comb = (spectral.heat_semigroup(hv, t, dl) - spectral.heat_semigroup(h1, t, dl)
-            - spectral.heat_semigroup(h2, t, dl) + spectral.heat_semigroup(h0, t, dl))
-    return spectral.trace_norm(comb, dl), interface_measure(lam1, lam2)
+    comb = (spectral.heat_semigroup(hv, t) - spectral.heat_semigroup(h1, t)
+            - spectral.heat_semigroup(h2, t) + spectral.heat_semigroup(h0, t))
+    return spectral.trace_norm(comb), interface_measure(lam1, lam2)
 
 
 def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
@@ -86,9 +85,7 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     h12 = assemble_hamiltonian(grid, PotentialField(
         grid, v12, Provenance(profile.name, field.field_id(), "sharp-union")))
 
-    dl = config.dense_limit
-    spectra = [spectral.eig_all(x, dense_limit=dl).eigenvalues
-               for x in (h0, h1, h2, h12)]
+    spectra = [spectral.eig_all(x).eigenvalues for x in (h0, h1, h2, h12)]
     lo = min(s.min() for s in spectra) - 0.5
     hi = max(s.max() for s in spectra) + 0.5
     grid_lam = ssf.midpoint_energy_grid(spectra, lo, hi, max_points=240)

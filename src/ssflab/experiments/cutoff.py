@@ -37,9 +37,8 @@ def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int)
                                  origin=origin)
     h_sharp = assemble_hamiltonian(grid, pot_sharp)
     h_lat = assemble_hamiltonian(grid, pot_lat)
-    dl = config.dense_limit
-    tr_sharp = float(np.sum(g.value(spectral.eig_all(h_sharp, dense_limit=dl).eigenvalues)))
-    tr_lat = float(np.sum(g.value(spectral.eig_all(h_lat, dense_limit=dl).eigenvalues)))
+    tr_sharp = float(np.sum(g.value(spectral.eig_all(h_sharp).eigenvalues)))
+    tr_lat = float(np.sum(g.value(spectral.eig_all(h_lat).eigenvalues)))
     meas = site_box.measure
     return abs(tr_sharp - tr_lat) / meas
 

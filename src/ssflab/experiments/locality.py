@@ -38,9 +38,8 @@ def _one_realization(config: ExperimentConfig, realization: int):
     pot_full = assemble_potential(grid, profile, field, origin=origin)
     h_full = assemble_hamiltonian(grid, pot_full)
     h0 = free_hamiltonian(grid)
-    dl = config.dense_limit
-    diag_full = spectral.diag_of_function(h_full, g, dl)
-    diag_free = spectral.diag_of_function(h0, g, dl)
+    diag_full = spectral.diag_of_function(h_full, g)
+    diag_free = spectral.diag_of_function(h0, g)
 
     out = []
     for length in config.schedule:
@@ -48,7 +47,7 @@ def _one_realization(config: ExperimentConfig, realization: int):
         pot_cut = assemble_potential(grid, profile, field, "sharp", box,
                                      origin=origin)
         h_cut = assemble_hamiltonian(grid, pot_cut)
-        diag_cut = spectral.diag_of_function(h_cut, g, dl)
+        diag_cut = spectral.diag_of_function(h_cut, g)
         mask = box.mask()
         meas = box.measure
         t_inside = float(np.sum((diag_full - diag_cut)[mask])) / meas

@@ -43,8 +43,7 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
     ham = assemble_hamiltonian(grid, pot)
     dense = ham.to_dense()
 
-    lam_min = float(spectral.eig_all(ham, dense_limit=config.dense_limit)
-                    .eigenvalues[0])
+    lam_min = float(spectral.eig_all(ham).eigenvalues[0])
     if not e > -lam_min + 0.5:
         raise ExperimentError(
             f"E={e} too close to the spectrum (needs E > {-lam_min + 0.5})")
@@ -62,7 +61,7 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
         rc = _resolvent_power(dense[np.ix_(idx_c, idx_c)], e, m)
         decoupled[np.ix_(idx_c, idx_c)] = rc
     diff = full - decoupled
-    return spectral.trace_norm(diff, config.dense_limit), box.surface_measure
+    return spectral.trace_norm(diff), box.surface_measure
 
 
 def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:

@@ -38,8 +38,7 @@ def _f_lambda(config: ExperimentConfig, abs_box: IntBox, realization: int,
                              "lattice_sum", abs_box, origin=origin)
     ham = assemble_hamiltonian(grid, pot)
     h0 = free_hamiltonian(grid)
-    dl = config.dense_limit
-    return spectral.heat_trace(ham, t, dl) - spectral.heat_trace(h0, t, dl)
+    return spectral.heat_trace(ham, t) - spectral.heat_trace(h0, t)
 
 
 def _split(box: IntBox) -> tuple:

@@ -49,18 +49,17 @@ def _one_length(config: ExperimentConfig, line_len: int, realization: int,
     h0 = free_hamiltonian(grid)
 
     lam_grid = np.asarray(config.energies)
-    c0 = np.array([spectral.count_below(h0, lam) for lam in lam_grid])
-    cf = np.array([spectral.count_below(h_full, lam) for lam in lam_grid])
-    cm = np.array([spectral.count_below(h_minus, lam) for lam in lam_grid])
+    c0 = spectral.count_below(h0, lam_grid)
+    cf = spectral.count_below(h_full, lam_grid)
+    cm = spectral.count_below(h_minus, lam_grid)
     xi_full = c0 - cf
     xi_plus = cm - cf     # xi(lam; H, H0 + V-)
     xi_minus = c0 - cm    # xi(lam; H0 + V-, H0)
 
-    dl = config.dense_limit
     f_vals = []
     if config.times:
-        ev_h = spectral.eig_all(h_full, dense_limit=dl).eigenvalues
-        ev_0 = spectral.eig_all(h0, dense_limit=dl).eigenvalues
+        ev_h = spectral.eig_all(h_full).eigenvalues
+        ev_0 = spectral.eig_all(h0).eigenvalues
         for t in config.times:
             f_vals.append(float(np.sum(np.exp(-t * ev_h)) - np.sum(np.exp(-t * ev_0))))
     return xi_full, xi_plus, xi_minus, f_vals

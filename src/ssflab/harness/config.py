@@ -31,7 +31,6 @@ _SCHEMA = {
     "seed": "int",
     "realizations": "int",
     "workers": "int",
-    "dense_limit": "int",
     "grid.dimension": "int",
     "grid.spacing": "float",
     "distribution.kind": "str",
@@ -229,7 +228,6 @@ def parse_config(text: str) -> ExperimentConfig:
         seed=vals.get("seed", 0),
         realizations=vals.get("realizations", 1),
         workers=vals.get("workers", 1),
-        dense_limit=vals.get("dense_limit", 4000),
         dimension=vals.get("grid.dimension", 1),
         spacing=vals.get("grid.spacing", 1.0),
         distribution=distribution,

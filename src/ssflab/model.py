@@ -122,20 +122,6 @@ class Grid:
             acc *= n
         return tuple(reversed(s))
 
-    def index_of(self, coords) -> int:
-        coords = tuple(int(c) for c in coords)
-        for c, n in zip(coords, self.extents):
-            if not (0 <= c < n):
-                raise ModelError(f"coordinate {coords} outside grid {self.extents}")
-        return int(np.ravel_multi_index(coords, self.extents))
-
-    def coords_of(self, index: int) -> tuple:
-        return tuple(int(c) for c in np.unravel_index(int(index), self.extents))
-
-    def full_box(self) -> "SiteBox":
-        return SiteBox(self, (0,) * self.dimension,
-                       tuple(n - 1 for n in self.extents))
-
 
 def build_grid(dimension: int, spacing: float, extents) -> Grid:
     """Construct and validate a grid (canonical row-major site indexing)."""

@@ -8,8 +8,9 @@ symmetric-indefinite factorization.  Any near-breakdown (pivot below
 1e-12 * |H|) falls back to an eigenvalue-based count rather than silently
 approximating.
 
-The dense oracle (``eig_all``) backs every trace and matrix-function
-operation and sits behind a configurable size limit.
+The spectrum oracle (``eig_all``) backs every trace and matrix-function
+operation; the paths that form an n x n array are capped at DENSE_LIMIT
+sites.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _BREAKDOWN_REL = 1e-12
 
 
 class SizeLimitError(RuntimeError):
-    """Operation requires dense work beyond the configured size limit."""
+    """Operation requires dense work beyond DENSE_LIMIT sites."""
 
 
 class CountingError(RuntimeError):
@@ -96,10 +97,12 @@ def _sturm_count(d: np.ndarray, e: np.ndarray, lam: float, scale: float) -> int:
     return count
 
 
-def _banded_ldlt_count(band: np.ndarray, scale: float):
-    """Negative pivots of a no-pivot LDLT on a lower band; None on breakdown."""
+def _banded_ldlt_count(band: np.ndarray, lam: float, scale: float):
+    """Negative pivots of a no-pivot LDLT of (H - lam), H given by its lower
+    band; None on breakdown."""
     w, n = band.shape[0] - 1, band.shape[1]
     band = band.copy()
+    band[0] -= lam
     tol = _BREAKDOWN_REL * max(scale, 1.0)
     neg = 0
     for j in range(n):
@@ -116,6 +119,18 @@ def _banded_ldlt_count(band: np.ndarray, scale: float):
         for i in range(m):
             band[0:m - i, j + 1 + i] -= col[i:] * (col[i] * dpi)
     return neg
+
+
+def _banded_count(ham: Hamiltonian, band: np.ndarray, lam: float, scale: float) -> int:
+    res = _banded_ldlt_count(band, lam, scale)
+    if res is not None:
+        return res
+    lo, _ = _gershgorin_interval(ham)
+    try:
+        vals = sla.eigvals_banded(band, lower=True, select="v", select_range=(lo - 1.0, lam))
+        return int(np.searchsorted(np.sort(vals), lam, side="left"))
+    except Exception as exc:  # pragma: no cover - defensive
+        raise CountingError(f"banded count failed at lam={lam}") from exc
 
 
 def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
@@ -150,36 +165,7 @@ def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
     return neg
 
 
-def count_below(h, lam: float) -> int:
-    """Number of eigenvalues of H strictly below lam, without diagonalising.
-
-    Exact whenever lam keeps a relative distance ~1e-10 from the spectrum;
-    tests and experiments choose off-spectrum lam.  On factorization
-    breakdown the count falls back to an eigenvalue-range count and finally
-    raises CountingError instead of approximating.
-    """
-    if not np.isfinite(lam):
-        raise ValueError("lam must be finite")
-    scale = _scale_of(h)
-    kind, *payload = _as_structure(h)
-    if kind == "tridiag":
-        d, e = payload
-        return _sturm_count(d, e, lam, scale)
-    if kind == "banded":
-        ham: Hamiltonian = payload[0]
-        band = ham.band_lower()
-        band[0] = band[0] - lam
-        res = _banded_ldlt_count(band, scale)
-        if res is not None:
-            return res
-        lo, _ = _gershgorin_interval(ham)
-        try:
-            vals = sla.eigvals_banded(ham.band_lower(), lower=True,
-                                      select="v", select_range=(lo - 1.0, lam))
-            return int(np.searchsorted(np.sort(vals), lam, side="left"))
-        except Exception as exc:  # pragma: no cover - defensive
-            raise CountingError(f"banded count failed at lam={lam}") from exc
-    a = payload[0]
+def _dense_count(a: np.ndarray, lam: float, scale: float) -> int:
     res = _dense_ldl_count(a, lam, scale)
     if res is not None:
         return res
@@ -188,6 +174,37 @@ def count_below(h, lam: float) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         raise CountingError(f"dense count failed at lam={lam}") from exc
     return int(np.searchsorted(vals, lam, side="left"))
+
+
+def count_below(h, lam):
+    """Number of eigenvalues of H strictly below lam, without diagonalising.
+
+    lam is a scalar (the count is an int) or a 1D array of energies (the
+    counts are an int64 array); the operand is classified and its band
+    built once per call, not once per energy.  Exact whenever lam keeps a
+    relative distance ~1e-10 from the spectrum; tests and experiments choose
+    off-spectrum lam.  On factorization breakdown a count falls back to an
+    eigenvalue-range count and finally raises CountingError instead of
+    approximating.
+    """
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lam must be a scalar or a 1D array")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lam must be finite")
+    xs = lams.ravel()
+    scale = _scale_of(h)
+    kind, *payload = _as_structure(h)
+    if kind == "tridiag":
+        d, e = payload
+        counts = [_sturm_count(d, e, x, scale) for x in xs]
+    elif kind == "banded":
+        ham: Hamiltonian = payload[0]
+        band = ham.band_lower()
+        counts = [_banded_count(ham, band, x, scale) for x in xs]
+    else:
+        counts = [_dense_count(payload[0], x, scale) for x in xs]
+    return counts[0] if lams.ndim == 0 else np.array(counts, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +231,27 @@ def _free_spectrum(h: Hamiltonian) -> np.ndarray:
     return np.sort(total)
 
 
-def eig_all(h, need_vectors: bool = False, dense_limit: int = DENSE_LIMIT) -> SpectrumOracle:
+def _check_dense(n: int) -> None:
+    if n > DENSE_LIMIT:
+        raise SizeLimitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
+
+
+def eig_all(h, need_vectors: bool = False) -> SpectrumOracle:
     """Full spectrum of H, sorted ascending.
 
     Free Hamiltonians use the closed-form Dirichlet spectrum; 1D uses the
     tridiagonal solver; wide banded matrices without vector requests use the
-    banded solver; everything else is a dense eigensolve.
+    banded solver; everything else is a dense eigensolve.  Only the paths
+    that form an n x n array (eigenvectors, dense eigensolve) are capped at
+    DENSE_LIMIT sites.
     """
-    kind, *payload = _as_structure(h)
-    n = payload[0].shape[0] if kind == "tridiag" else (
-        payload[0].n if kind == "banded" else payload[0].shape[0])
-    if n > dense_limit:
-        raise SizeLimitError(f"n={n} exceeds dense limit {dense_limit}")
     if isinstance(h, Hamiltonian) and h.free and not need_vectors:
         return SpectrumOracle(_free_spectrum(h))
+    kind, *payload = _as_structure(h)
+    if kind == "banded" and not need_vectors and h.n > 512:
+        return SpectrumOracle(sla.eigvals_banded(h.band_lower(), lower=True))
+    if need_vectors or kind != "tridiag":
+        _check_dense(h.n if kind == "banded" else payload[0].shape[0])
     if kind == "tridiag":
         d, e = payload
         if d.shape[0] == 1:
@@ -237,13 +261,7 @@ def eig_all(h, need_vectors: bool = False, dense_limit: int = DENSE_LIMIT) -> Sp
             vals, vecs = sla.eigh_tridiagonal(d, e)
             return SpectrumOracle(vals, vecs)
         return SpectrumOracle(sla.eigh_tridiagonal(d, e, eigvals_only=True))
-    if kind == "banded":
-        ham: Hamiltonian = payload[0]
-        if not need_vectors and ham.n > 512:
-            return SpectrumOracle(sla.eigvals_banded(ham.band_lower(), lower=True))
-        a = ham.to_dense()
-    else:
-        a = payload[0]
+    a = h.to_dense() if kind == "banded" else payload[0]
     if need_vectors:
         vals, vecs = sla.eigh(a)
         return SpectrumOracle(vals, vecs)
@@ -254,29 +272,28 @@ def eig_all(h, need_vectors: bool = False, dense_limit: int = DENSE_LIMIT) -> Sp
 # heat semigroup, traces, norms
 
 
-def heat_trace(h, t: float, dense_limit: int = DENSE_LIMIT) -> float:
+def heat_trace(h, t: float) -> float:
     """tr exp(-tH) summed over the full spectrum."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    w = eig_all(h, dense_limit=dense_limit).eigenvalues
+    w = eig_all(h).eigenvalues
     return float(np.sum(np.exp(-t * w)))
 
 
-def heat_semigroup(h, t: float, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def heat_semigroup(h, t: float) -> np.ndarray:
     """Dense matrix exp(-tH), symmetric positive definite."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    orc = eig_all(h, need_vectors=True, dense_limit=dense_limit)
+    orc = eig_all(h, need_vectors=True)
     u, w = orc.vectors, orc.eigenvalues
     m = (u * np.exp(-t * w)) @ u.T
     return 0.5 * (m + m.T)
 
 
-def trace_norm(m: np.ndarray, dense_limit: int = DENSE_LIMIT) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values (for symmetric input: sum of |eigenvalues|)."""
     m = np.asarray(m, dtype=float)
-    if m.shape[0] > dense_limit:
-        raise SizeLimitError(f"n={m.shape[0]} exceeds dense limit {dense_limit}")
+    _check_dense(m.shape[0])
     if np.array_equal(m, m.T):
         return float(np.sum(np.abs(sla.eigvalsh(m))))
     return float(np.sum(sla.svdvals(m)))
@@ -360,9 +377,9 @@ class ConstantFunction:
 FUNCTION_FAMILY = (BumpFunction, ExpWeight, ConstantFunction)
 
 
-def diag_of_function(h, g, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def diag_of_function(h, g) -> np.ndarray:
     """Diagonal of g(H) without forming the full matrix."""
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must come from the built-in function family")
-    orc = eig_all(h, need_vectors=True, dense_limit=dense_limit)
+    orc = eig_all(h, need_vectors=True)
     return (orc.vectors ** 2) @ g.value(orc.eigenvalues)

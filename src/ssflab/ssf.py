@@ -21,6 +21,10 @@ from . import spectral
 from .spectral import FUNCTION_FAMILY
 
 
+# distance below which a grid energy counts as sitting on a spectrum
+_ON_SPECTRUM = 1e-10
+
+
 class OnSpectrumError(ValueError):
     """An energy grid point sits (numerically) on one of the spectra."""
 
@@ -36,7 +40,6 @@ class EnergyGrid:
 
     values: np.ndarray
     distances: np.ndarray | None = None
-    pair_id: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -87,7 +90,6 @@ class SSFSample:
 
     grid: EnergyGrid
     xi_raw: np.ndarray
-    pair_id: str
 
     def __post_init__(self):
         xi = np.asarray(self.xi_raw)
@@ -96,16 +98,15 @@ class SSFSample:
         object.__setattr__(self, "xi_raw", xi.astype(np.int64))
 
 
-def ssf_counting(h, h0, grid: EnergyGrid, require_exact: bool = True,
-                 scale: float = 1.0) -> SSFSample:
-    """xi(lam) = N(lam; H0) - N(lam; H) at every grid energy."""
-    if require_exact and grid.distances is not None:
-        bad = grid.values[grid.distances <= 1e-10 * max(scale, 1.0)]
+def ssf_counting(h, h0, grid: EnergyGrid) -> SSFSample:
+    """xi(lam) = N(lam; H0) - N(lam; H) at every grid energy; a grid that
+    records its distances to the spectra must keep them above 1e-10."""
+    if grid.distances is not None:
+        bad = grid.values[grid.distances <= _ON_SPECTRUM]
         if bad.size:
             raise OnSpectrumError(f"grid energies on spectrum: {bad.tolist()}")
-    xi = np.array([spectral.count_below(h0, lam) - spectral.count_below(h, lam)
-                   for lam in grid.values], dtype=np.int64)
-    return SSFSample(grid, xi, grid.pair_id or "pair")
+    xi = spectral.count_below(h0, grid.values) - spectral.count_below(h, grid.values)
+    return SSFSample(grid, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,7 @@ def exp_step_integral(t: float, x: np.ndarray, xi_k: np.ndarray) -> float:
 # identities
 
 
-def birman_krein_residual(h, h0, g, dense_limit: int = spectral.DENSE_LIMIT,
-                          oracles: tuple | None = None) -> float:
+def birman_krein_residual(h, h0, g, oracles: tuple | None = None) -> float:
     """Residual between the two exact evaluations of tr[g(H) - g(H0)].
 
     Path A sums g over both spectra; path B integrates g' against the xi
@@ -161,8 +161,8 @@ def birman_krein_residual(h, h0, g, dense_limit: int = spectral.DENSE_LIMIT,
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must be from the built-in family")
     if oracles is None:
-        orc_h = spectral.eig_all(h, dense_limit=dense_limit)
-        orc_h0 = spectral.eig_all(h0, dense_limit=dense_limit)
+        orc_h = spectral.eig_all(h)
+        orc_h0 = spectral.eig_all(h0)
     else:
         orc_h, orc_h0 = oracles
     path_a = float(np.sum(g.value(orc_h.eigenvalues))
@@ -172,23 +172,21 @@ def birman_krein_residual(h, h0, g, dense_limit: int = spectral.DENSE_LIMIT,
     return path_a - path_b
 
 
-def laplace_functional(h, h0, t: float, dense_limit: int = spectral.DENSE_LIMIT) -> float:
+def laplace_functional(h, h0, t: float) -> float:
     """F(t) = tr(exp(-tH) - exp(-tH0))."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    return (spectral.heat_trace(h, t, dense_limit=dense_limit)
-            - spectral.heat_trace(h0, t, dense_limit=dense_limit))
+    return spectral.heat_trace(h, t) - spectral.heat_trace(h0, t)
 
 
-def laplace_via_xi(h, h0, t: float, dense_limit: int = spectral.DENSE_LIMIT,
-                   oracles: tuple | None = None) -> float:
+def laplace_via_xi(h, h0, t: float, oracles: tuple | None = None) -> float:
     """The same functional through -t * integral exp(-lam t) xi(lam) dlam,
     evaluated with the exact step integral (independent path)."""
     if not t > 0.0:
         raise ValueError("t must be positive")
     if oracles is None:
-        orc_h = spectral.eig_all(h, dense_limit=dense_limit)
-        orc_h0 = spectral.eig_all(h0, dense_limit=dense_limit)
+        orc_h = spectral.eig_all(h)
+        orc_h0 = spectral.eig_all(h0)
     else:
         orc_h, orc_h0 = oracles
     x, xi_k = xi_step_function(orc_h.eigenvalues, orc_h0.eigenvalues)

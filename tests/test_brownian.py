@@ -6,7 +6,7 @@ import pytest
 from ssflab.brownian import (
     RegionError, box_complement, box_region,
     envelope_constant, gaussian_bound, half_space,
-    halfspace_exact, joint_bound_check, simulate_hitting, slab_complement,
+    halfspace_exact, joint_bound_check, simulate_hitting,
 )
 
 
@@ -16,9 +16,6 @@ def test_region_distances():
     hs = half_space(0, 2.0)
     assert hs.distance(np.array([0.0])) == 2.0
     assert hs.distance(np.array([3.0])) == 0.0
-    slab = slab_complement(0, -1.0, 1.0)
-    assert slab.distance(np.array([0.25])) == pytest.approx(0.75)
-    assert slab.distance(np.array([2.0])) == 0.0
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     assert box.distance(np.array([2.0, 0.0])) == pytest.approx(1.0)
     assert box.distance(np.array([2.0, 2.0])) == pytest.approx(math.sqrt(2.0))
@@ -92,13 +89,6 @@ def test_bridge_dominates_plain_pathwise():
         p = simulate_hitting(np.array([0.0]), half_space(0, 1.5), 1.0,
                              paths=5000, bridge=False, seed=seed)
         assert b.p_hat >= p.p_hat
-
-
-def test_slab_complement_bridge_supported():
-    est = simulate_hitting(np.array([0.0]), slab_complement(0, -1.0, 1.0), 0.5,
-                           paths=5000, bridge=True, seed=3)
-    assert est.bridge and not est.bridge_warning
-    assert 0.0 < est.p_hat < 1.0
 
 
 def test_mirrored_halfspace_same_law():

@@ -55,7 +55,7 @@ def test_bulk_requires_negative_energies():
 def test_energy_window_guards_upper_edge():
     # kirsch probes lam > 0; the discrete spectral edge max V + 4 nu/h^2 caps it
     cfg = ExperimentConfig(
-        experiment="kirsch", seed=1, dimension=2, dense_limit=400,
+        experiment="kirsch", seed=1, dimension=2,
         profile={"kind": "kirsch_patch", "amplitude": 8.0},
         schedule=(8, 12), energies=(50.0,), times=(1.0,))
     with pytest.raises(ExperimentError):
@@ -80,7 +80,7 @@ def test_bulk_reproducible_across_workers():
 
 def locality_config(**kw):
     base = dict(experiment="locality", seed=7, realizations=1, dimension=2,
-                dense_limit=1200, distribution=BERNOULLI, profile=WELL,
+                distribution=BERNOULLI, profile=WELL,
                 schedule=(6, 12), options={"margin": 6})
     base.update(kw)
     return ExperimentConfig(**base)
@@ -100,7 +100,7 @@ def test_locality_bump_below_spectrum_vanishes():
 
 
 def test_locality_small_run_traces_decay():
-    rec = run_locality(locality_config(schedule=(6, 12, 24), dense_limit=1600))
+    rec = run_locality(locality_config(schedule=(6, 12, 24)))
     m = dict(rec.series["inside_vs_L"])
     assert m[24] < m[6]
 
@@ -159,7 +159,7 @@ def test_cluster_degenerate_split_exactly_zero():
 def test_cluster_small_run():
     cfg = ExperimentConfig(
         experiment="cluster", seed=21, realizations=4, dimension=2,
-        dense_limit=1600, distribution=BERNOULLI, profile=WELL,
+        distribution=BERNOULLI, profile=WELL,
         schedule=(8, 16), times=(1.0, 4.0, 16.0),
         options={"box_side": 8, "margin": 6, "t": 2.0,
                  "additivity_sites": 200, "additivity_block": 32,
@@ -176,7 +176,6 @@ def test_cluster_t_decay_with_nonnegative_potential():
     # gap takes over, so the decay to zero only shows beyond the buildup peak
     cfg = ExperimentConfig(
         experiment="cluster", seed=4, realizations=1, dimension=2,
-        dense_limit=1600,
         distribution=DistributionSpec("bernoulli", p=0.5, values=(0.0, 1.0)),
         profile={"kind": "point", "amplitude": 1.0},
         schedule=(8, 16), times=(4.0, 16.0, 64.0, 256.0),
@@ -196,7 +195,7 @@ def test_cluster_t_decay_with_nonnegative_potential():
 def test_subadditive_zero_potential():
     cfg = ExperimentConfig(
         experiment="subadditive", seed=13, realizations=1, dimension=2,
-        dense_limit=2000, distribution=constant_couplings(0.0), profile=WELL,
+        distribution=constant_couplings(0.0), profile=WELL,
         schedule=(8, 16), options={"margin": 5, "t": 1.0})
     rec = run_subadditive(cfg)
     assert rec.aggregates["calibrated_C"] == 0.0
@@ -206,7 +205,7 @@ def test_subadditive_zero_potential():
 def test_subadditive_small_run_inequalities():
     cfg = ExperimentConfig(
         experiment="subadditive", seed=13, realizations=2, dimension=2,
-        dense_limit=2600, distribution=BERNOULLI, profile=WELL,
+        distribution=BERNOULLI, profile=WELL,
         schedule=(8, 16, 32), options={"margin": 5, "t": 1.0})
     rec = run_subadditive(cfg)
     assert rec.passed, rec.hard_failures
@@ -217,7 +216,6 @@ def test_subadditive_small_run_inequalities():
 
 def surface_config(**kw):
     base = dict(experiment="surface", seed=5, realizations=2, dimension=2,
-                dense_limit=4000,
                 distribution=DistributionSpec("bernoulli", p=0.5,
                                               values=(-6.0, 6.0)),
                 profile={"kind": "point", "amplitude": 1.0},
@@ -249,7 +247,7 @@ def test_surface_transverse_requirement():
 # -- kirsch ------------------------------------------------------------------------
 
 def kirsch_config(**kw):
-    base = dict(experiment="kirsch", seed=1, dimension=2, dense_limit=1200,
+    base = dict(experiment="kirsch", seed=1, dimension=2,
                 profile={"kind": "kirsch_patch", "amplitude": 8.0},
                 schedule=(8, 16, 32),
                 energies=tuple(np.arange(0.25, 6.01, 0.25) + 0.013),
@@ -292,7 +290,7 @@ def test_resolvent_full_box_difference_zero():
 def test_resolvent_small_run():
     cfg = ExperimentConfig(
         experiment="resolvent", seed=17, realizations=2, dimension=2,
-        dense_limit=1600, distribution=BERNOULLI,
+        distribution=BERNOULLI,
         profile={"kind": "point", "amplitude": -0.4},
         schedule=(8, 16), options={"box_side": 8, "margin": 6,
                                    "e_values": (1.0, 2.0, 4.0), "e_main": 2.0})
@@ -304,7 +302,7 @@ def test_resolvent_small_run():
 def test_resolvent_condition_check():
     cfg = ExperimentConfig(
         experiment="resolvent", seed=17, realizations=1, dimension=2,
-        dense_limit=1600, distribution=BERNOULLI,
+        distribution=BERNOULLI,
         profile={"kind": "point", "amplitude": -3.0},
         schedule=(8, 16), options={"box_side": 8, "margin": 6,
                                    "e_values": (2.0,), "e_main": 2.0})

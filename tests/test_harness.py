@@ -1,8 +1,10 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from ssflab.experiments import RUNNERS
 from ssflab.harness.cli import main
 from ssflab.harness.config import ConfigError, config_digest, parse_config
 from ssflab.harness.parallel import parallel_map
@@ -21,6 +23,8 @@ energies = -0.5
 """
 
 SMALL_BULK = MINIMAL_BULK + "seed = 11\nrealizations = 4\n"
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -52,6 +56,11 @@ def test_unknown_key_is_error():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL_BULK + "grid.fancy = 3\n")
     assert any("unknown key" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_config_parses(path):
+    assert parse_config(path.read_text()).experiment in RUNNERS
 
 
 def test_all_violations_reported_not_just_first():

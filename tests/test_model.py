@@ -24,21 +24,22 @@ def alloy(grid, seed=0, amplitude=-1.0, realization=0):
 def test_build_grid_1d_smallest():
     g = build_grid(1, 1.0, 5)
     assert g.n_sites == 5
-    assert [g.index_of((i,)) for i in range(5)] == [0, 1, 2, 3, 4]
+    assert SiteBox(g, (0,), (4,)).indices().tolist() == [0, 1, 2, 3, 4]
 
 
 def test_full_box_measure_with_spacing():
     g = build_grid(2, 0.5, (8, 8))
     assert g.n_sites == 64
-    assert g.full_box().measure == pytest.approx(64 * 0.25)
+    assert SiteBox(g, (0, 0), (7, 7)).measure == pytest.approx(64 * 0.25)
 
 
 def test_row_major_indexing_axis0_slowest():
     g = build_grid(2, 1.0, (3, 4))
     for i in range(3):
         for j in range(4):
-            assert g.index_of((i, j)) == 4 * i + j
-    assert g.coords_of(6) == (1, 2)
+            assert SiteBox(g, (i, j), (i, j)).indices().tolist() == [4 * i + j]
+    # a 2x2 sub-box lists its sites row by row: axis 1 runs fastest
+    assert SiteBox(g, (1, 2), (2, 3)).indices().tolist() == [6, 7, 10, 11]
 
 
 @pytest.mark.parametrize("dim,spacing,extents", [
@@ -226,7 +227,7 @@ def test_grid_mismatch_rejected():
 def test_dirichlet_restriction_identity_and_block():
     g = build_grid(1, 1.0, 5)
     h = free_hamiltonian(g)
-    same = dirichlet_restriction(h, g.full_box())
+    same = dirichlet_restriction(h, SiteBox(g, (0,), (4,)))
     assert np.array_equal(same.to_dense(), h.to_dense())
     block = dirichlet_restriction(h, SiteBox(g, (1,), (3,)))
     assert np.array_equal(block.to_dense(), h.to_dense()[1:4, 1:4])

@@ -3,12 +3,14 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from ssflab.model import IntBox, SingleSiteProfile, assemble_hamiltonian, \
-    assemble_potential, build_grid, free_hamiltonian
+from ssflab import spectral
+from ssflab.model import Hamiltonian, IntBox, SingleSiteProfile, \
+    assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import (
-    BumpFunction, ConstantFunction, ExpWeight, SizeLimitError, _as_structure,
-    count_below, diag_of_function, eig_all, heat_semigroup, heat_trace, trace_norm,
+    DENSE_LIMIT, BumpFunction, ConstantFunction, ExpWeight, SizeLimitError,
+    _as_structure, count_below, diag_of_function, eig_all, heat_semigroup,
+    heat_trace, trace_norm,
 )
 
 
@@ -84,6 +86,41 @@ def test_unit_axes_count_matches_oracle(extents, seed):
 def test_count_below_rejects_nonfinite():
     with pytest.raises(ValueError):
         count_below(np.eye(3), float("nan"))
+    with pytest.raises(ValueError):
+        count_below(np.eye(3), np.array([0.5, np.inf]))
+    with pytest.raises(ValueError):
+        count_below(np.eye(3), np.zeros((2, 2)))
+
+
+def _check_batched_count(h, w, seed, k):
+    """count_below on an array of sorted off-spectrum energies (gap midpoints
+    of the oracle spectrum w, and points outside it)."""
+    gaps = np.diff(w) > 1e-6 * max(1.0, float(np.abs(w).max()))
+    offs = np.concatenate([[w[0] - 1.0], 0.5 * (w[:-1] + w[1:])[gaps], [w[-1] + 1.0]])
+    rng = np.random.default_rng(seed)
+    lams = np.sort(rng.choice(offs, size=min(k, offs.size), replace=False))
+    counts = count_below(h, lams)
+    assert counts.dtype == np.int64 and counts.shape == lams.shape
+    assert counts.tolist() == [count_below(h, lam) for lam in lams]
+    assert counts.tolist() == np.searchsorted(w, lams, side="left").tolist()
+    assert np.all(np.diff(counts) >= 0)
+    for scalar in (float(lams[0]), lams[0], lams[0:1].reshape(())):
+        assert type(count_below(h, scalar)) is int
+
+
+@settings(max_examples=30, deadline=None)
+@given(extents=st.lists(st.sampled_from([1, 2, 3, 5, 7]), min_size=1, max_size=3),
+       seed=st.integers(0, 10**6), k=st.integers(1, 6))
+def test_batched_count_alloy(extents, seed, k):
+    h = alloy_hamiltonian(tuple(extents), seed, amplitude=-2.0)
+    _check_batched_count(h, sla.eigvalsh(h.to_dense()), seed, k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 10**6), k=st.integers(1, 6))
+def test_batched_count_dense(n, seed, k):
+    a = random_symmetric(np.random.default_rng(seed), n)
+    _check_batched_count(a, sla.eigvalsh(a), seed, k)
 
 
 # -- full spectra ---------------------------------------------------------------
@@ -114,10 +151,26 @@ def test_eig_all_vector_residuals():
         assert np.linalg.norm(r) <= 1e-8 * scale
 
 
-def test_dense_limit_enforced():
-    h = free_hamiltonian(build_grid(1, 1.0, 100))
-    with pytest.raises(SizeLimitError):
-        eig_all(h, dense_limit=50)
+def test_size_cap_only_on_dense_paths(monkeypatch):
+    # the closed form and the banded solver form no n x n array: no cap
+    free = free_hamiltonian(build_grid(2, 1.0, (100, 50)))
+    assert free.n > DENSE_LIMIT
+    assert eig_all(free).eigenvalues.shape == (5000,)
+    strip = alloy_hamiltonian((1000, 5), 4, amplitude=-2.0)
+    vals = eig_all(strip).eigenvalues
+    assert vals.shape == (5000,) and np.all(np.diff(vals) >= 0.0)
+    lams = np.array([vals[0] - 1.0, 0.5 * (vals[2499] + vals[2500]), vals[-1] + 1.0])
+    assert count_below(strip, lams).tolist() == [0, 2500, 5000]
+
+    # eigenvectors above the cap are refused before any dense work
+    def dense_work(*args, **kwargs):
+        raise AssertionError("dense work above the cap")
+    monkeypatch.setattr(spectral.sla, "eigh", dense_work)
+    monkeypatch.setattr(spectral.sla, "eigh_tridiagonal", dense_work)
+    monkeypatch.setattr(Hamiltonian, "to_dense", dense_work)
+    for h in (free, strip, free_hamiltonian(build_grid(1, 1.0, DENSE_LIMIT + 1))):
+        with pytest.raises(SizeLimitError):
+            eig_all(h, need_vectors=True)
 
 
 # -- heat semigroup -------------------------------------------------------------

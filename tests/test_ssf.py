@@ -92,7 +92,7 @@ def test_positive_potential_monotonicity():
 def test_xi_vanishes_outside_both_spectra():
     h, h0 = alloy_pair(50, 7)
     grid = EnergyGrid(np.array([-50.0, 50.0]))
-    s = ssf_counting(h, h0, grid, require_exact=False)
+    s = ssf_counting(h, h0, grid)
     assert np.all(s.xi_raw == 0)
 
 
