@@ -26,6 +26,8 @@ class RegionError(ValueError):
 
 
 _PATH_BLOCK = 4096  # fixed partition of paths into RNG blocks
+_N_STEPS = 512      # time steps per path, each of length t / _N_STEPS
+_EPS = 1.0          # eps of the joint bound's envelope constant C_eps
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +136,20 @@ def _bridge_upper(x0, x1, level, dt):
     return np.where(a <= 0.0, 1.0, np.exp(-a / dt))
 
 
+def _path_blocks(t: float, paths: int, seed: int) -> list:
+    """Check t and paths, then split the paths into fixed blocks: one
+    (size, generator) pair per block, on a Philox stream keyed by (seed, block)."""
+    if not t > 0.0:
+        raise RegionError("t must be positive")
+    if paths < 1000:
+        raise RegionError("need at least 1e3 paths")
+    return [(min(_PATH_BLOCK, paths - start),
+             np.random.Generator(np.random.Philox(key=(seed << 20) + start // _PATH_BLOCK)))
+            for start in range(0, paths, _PATH_BLOCK)]
+
+
 def simulate_hitting(x, region: RegionSpec, t: float, paths: int = 100_000,
-                     dt: float | None = None, bridge: bool = True,
-                     seed: int = 0) -> HittingEstimate:
+                     bridge: bool = True, seed: int = 0) -> HittingEstimate:
     """Estimate P_x{tau_B <= t} by direct path simulation.
 
     Starting inside B counts as an immediate hit (tau = 0 convention).  With
@@ -147,33 +160,22 @@ def simulate_hitting(x, region: RegionSpec, t: float, paths: int = 100_000,
     """
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    if not t > 0.0:
-        raise RegionError("t must be positive")
-    if dt is None:
-        dt = t / 512.0
-    if dt > t / 10.0 + 1e-15:
-        raise RegionError("dt must be at most t/10")
-    if paths < 1000:
-        raise RegionError("need at least 1e3 paths")
+    blocks = _path_blocks(t, paths, seed)
+    step_dt = t / _N_STEPS
 
     if region.contains(x[None, :])[0]:
-        return HittingEstimate(1.0, 0.0, paths, dt, bridge, False,
+        return HittingEstimate(1.0, 0.0, paths, step_dt, bridge, False,
                                tuple(x), t, region)
 
     warn = bridge and not region.bridge_supported
     use_bridge = bridge and region.bridge_supported
-    n_steps = max(int(math.ceil(t / dt - 1e-12)), 10)
-    step_dt = t / n_steps
     sigma = math.sqrt(2.0 * step_dt)
 
     total = 0.0
-    for block_start in range(0, paths, _PATH_BLOCK):
-        m = min(_PATH_BLOCK, paths - block_start)
-        rng = np.random.Generator(
-            np.random.Philox(key=(seed << 20) + block_start // _PATH_BLOCK))
+    for m, rng in blocks:
         pos = np.tile(x, (m, 1))
         survive = np.ones(m)
-        for _ in range(n_steps):
+        for _ in range(_N_STEPS):
             new = pos + sigma * rng.standard_normal((m, nu))
             if use_bridge:
                 c = pos[:, region.axis]
@@ -226,40 +228,29 @@ def envelope_constant(eps: float, nu: int) -> float:
 
 
 def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
-                      dt: float | None = None, seed: int = 0,
-                      eps: float = 1.0) -> dict:
+                      seed: int = 0) -> dict:
     """Monte Carlo both sides of the joint expectation bound
 
         E_x{chi_B(X_t); tau_{B^c} <= t} <= sqrt(P_x{tau_{B^c} <= t}) * envelope
 
-    with envelope 1 inside the box and C_eps exp(-d^2/(2(4+eps)t)) outside.
+    with envelope 1 inside the box and C_eps exp(-d^2/(2(4+eps)t)) outside,
+    eps = 1.
     Returns the raw estimates, the analytic right side and a 3-sigma verdict.
     """
     if box_b.kind != "box":
         raise RegionError("joint bound expects a box region")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    if not t > 0.0:
-        raise RegionError("t must be positive")
-    if dt is None:
-        dt = t / 512.0
-    if paths < 1000:
-        raise RegionError("need at least 1e3 paths")
+    blocks = _path_blocks(t, paths, seed)
     comp = box_complement(box_b.lo, box_b.hi)
-
-    n_steps = max(int(math.ceil(t / dt - 1e-12)), 10)
-    step_dt = t / n_steps
-    sigma = math.sqrt(2.0 * step_dt)
+    sigma = math.sqrt(2.0 * (t / _N_STEPS))
 
     hits_exit = 0
     hits_joint = 0
-    for block_start in range(0, paths, _PATH_BLOCK):
-        m = min(_PATH_BLOCK, paths - block_start)
-        rng = np.random.Generator(
-            np.random.Philox(key=(seed << 20) + block_start // _PATH_BLOCK))
+    for m, rng in blocks:
         pos = np.tile(x, (m, 1))
         exited = comp.contains(pos)
-        for _ in range(n_steps):
+        for _ in range(_N_STEPS):
             pos = pos + sigma * rng.standard_normal((m, nu))
             exited |= comp.contains(pos)
         in_b = box_b.contains(pos)
@@ -272,7 +263,7 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     if d == 0.0:
         env = 1.0
     else:
-        env = envelope_constant(eps, nu) * math.exp(-d * d / (2.0 * (4.0 + eps) * t))
+        env = envelope_constant(_EPS, nu) * math.exp(-d * d / (2.0 * (4.0 + _EPS) * t))
     rhs = math.sqrt(p_exit) * env
     lhs_se = math.sqrt(max(lhs * (1 - lhs), 1e-12) / paths)
     exit_se = math.sqrt(max(p_exit * (1 - p_exit), 1e-12) / paths)
@@ -282,7 +273,7 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
         "lhs": lhs, "lhs_stderr": lhs_se,
         "p_exit": p_exit, "p_exit_stderr": exit_se,
         "envelope": env, "rhs": rhs, "rhs_stderr": rhs_se,
-        "eps": eps, "c_eps": envelope_constant(eps, nu),
+        "eps": _EPS, "c_eps": envelope_constant(_EPS, nu),
         "distance": d, "paths": paths, "t": t,
         "holds_3sigma": lhs - 3.0 * lhs_se <= rhs + 3.0 * rhs_se,
     }

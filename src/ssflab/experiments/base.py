@@ -70,7 +70,7 @@ class ExperimentConfig:
             return SingleSiteProfile.exponential(amp, decay, self.dimension,
                                                  self.spacing)
         if kind == "kirsch_patch":
-            return SingleSiteProfile.patch(amp * _KIRSCH_PATCH, "kirsch_patch")
+            return SingleSiteProfile.patch(amp * _KIRSCH_PATCH)
         raise ExperimentError(f"unknown profile kind {kind!r}")
 
     def canonical(self) -> dict:

@@ -128,15 +128,14 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
                       gap <= 3.0 * pooled + 1e-15, gap, 3.0 * pooled,
                       "disjoint realization blocks agree within 3 sigma")
 
-    if config.opt("check_ambient", True):
-        xi_a, meas = _xi_per_meas(config, factor, last, 0, lam_grid)
-        xi_b, _ = _xi_per_meas(config, 2 * factor, last, 0, lam_grid)
-        shift = float(np.abs(xi_a - xi_b).max() / meas)
-        rec.aggregates["ambient_doubling_shift"] = shift
-        if shift > dev_tol:
-            raise ExperimentError(
-                f"ambient box too small: doubling shifts xi/meas by {shift}")
-        rec.add_check("ambient_adequate", "hard", True, shift, dev_tol,
-                      "doubling the ambient box leaves xi/meas unchanged within tolerance")
+    xi_a, meas = _xi_per_meas(config, factor, last, 0, lam_grid)
+    xi_b, _ = _xi_per_meas(config, 2 * factor, last, 0, lam_grid)
+    shift = float(np.abs(xi_a - xi_b).max() / meas)
+    rec.aggregates["ambient_doubling_shift"] = shift
+    if shift > dev_tol:
+        raise ExperimentError(
+            f"ambient box too small: doubling shifts xi/meas by {shift}")
+    rec.add_check("ambient_adequate", "hard", True, shift, dev_tol,
+                  "doubling the ambient box leaves xi/meas unchanged within tolerance")
 
     return rec

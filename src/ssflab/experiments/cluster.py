@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import PotentialField, Provenance, SiteBox, \
+from ..model import PotentialField, SiteBox, \
     assemble_hamiltonian, assemble_potential, free_hamiltonian, interface_measure
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
@@ -82,8 +82,7 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     h1, h2 = mk(b1), mk(b2)
     v12 = assemble_potential(grid, profile, field, "sharp", b1, origin=origin).values \
         + assemble_potential(grid, profile, field, "sharp", b2, origin=origin).values
-    h12 = assemble_hamiltonian(grid, PotentialField(
-        grid, v12, Provenance(profile.name, field.field_id(), "sharp-union")))
+    h12 = assemble_hamiltonian(grid, PotentialField(grid, v12))
 
     spectra = [spectral.eig_all(x).eigenvalues for x in (h0, h1, h2, h12)]
     lo = min(s.min() for s in spectra) - 0.5

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import spectral
+from .. import spectral, ssf
 from ..harness.parallel import parallel_map
 from ..model import SiteBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
@@ -37,10 +37,9 @@ def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int)
                                  origin=origin)
     h_sharp = assemble_hamiltonian(grid, pot_sharp)
     h_lat = assemble_hamiltonian(grid, pot_lat)
-    tr_sharp = float(np.sum(g.value(spectral.eig_all(h_sharp).eigenvalues)))
-    tr_lat = float(np.sum(g.value(spectral.eig_all(h_lat).eigenvalues)))
-    meas = site_box.measure
-    return abs(tr_sharp - tr_lat) / meas
+    diff = ssf.trace_difference(spectral.eig_all(h_sharp).eigenvalues,
+                                spectral.eig_all(h_lat).eigenvalues, g)
+    return abs(diff) / site_box.measure
 
 
 def run_cutoff_equivalence(config: ExperimentConfig) -> ResultRecord:

@@ -58,11 +58,9 @@ def run_kirsch_demo(config: ExperimentConfig) -> ResultRecord:
                - np.searchsorted(ev1, lam_grid, side="left"))
         merged = np.sort(np.concatenate([ev0, ev1]))
         dists = np.array([np.min(np.abs(merged - lam)) for lam in lam_grid])
-        psi_trace, psi_step = [], []
-        x, xi_k = ssf.xi_step_function(ev1, ev0)
-        for t in config.times:
-            psi_trace.append(float(np.sum(np.exp(-t * ev1)) - np.sum(np.exp(-t * ev0))))
-            psi_step.append(-t * ssf.exp_step_integral(t, x, xi_k))
+        gs = [spectral.ExpWeight(t) for t in config.times]
+        psi_trace = [ssf.trace_difference(ev1, ev0, g) for g in gs]
+        psi_step = [ssf.xi_integral(ev1, ev0, g) for g in gs]
         return phi, dists, psi_trace, psi_step
 
     results = parallel_map(one, config.schedule, config.workers)

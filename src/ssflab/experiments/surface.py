@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import spectral
+from .. import spectral, ssf
 from ..harness.parallel import parallel_map
 from ..model import IntBox, build_grid
 from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
@@ -60,8 +60,8 @@ def _one_length(config: ExperimentConfig, line_len: int, realization: int,
     if config.times:
         ev_h = spectral.eig_all(h_full).eigenvalues
         ev_0 = spectral.eig_all(h0).eigenvalues
-        for t in config.times:
-            f_vals.append(float(np.sum(np.exp(-t * ev_h)) - np.sum(np.exp(-t * ev_0))))
+        f_vals = [ssf.trace_difference(ev_h, ev_0, spectral.ExpWeight(t))
+                  for t in config.times]
     return xi_full, xi_plus, xi_minus, f_vals
 
 

@@ -11,7 +11,6 @@ Exit codes: 0 all hard checks pass, 1 hard-check or runtime failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -55,7 +54,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        config = parse_config(text)
+        config = parse_config(text, {"seed": args.seed, "workers": args.workers})
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -64,11 +63,6 @@ def main(argv=None) -> int:
         print(f"config error: config declares experiment={config.experiment!r}, "
               f"subcommand is {args.command!r}", file=sys.stderr)
         return 2
-
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
 
     digest = config_digest(text)
     outdir = args.out / config.experiment

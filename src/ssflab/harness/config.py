@@ -69,7 +69,6 @@ _SCHEMA = {
     "options.additivity_sites": "int",
     "options.additivity_block": "int",
     "options.additivity_gap": "int",
-    "options.check_ambient": "bool",
     "options.check_transverse": "bool",
     "options.paths": "int",
     "options.bridge": "bool",
@@ -167,9 +166,11 @@ def _build_distribution(vals: dict, violations: list):
     return None
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate the config grammar; raises ConfigError listing every
-    violated constraint, not just the first."""
+    violated constraint, not just the first.  ``overrides`` (key -> value,
+    None skipped) replace parsed values before validation, so command-line
+    overrides pass the same checks as the config keys."""
     violations: list = []
     raw = _parse_lines(text, violations)
 
@@ -182,6 +183,7 @@ def parse_config(text: str) -> ExperimentConfig:
             vals[key] = _coerce(_SCHEMA[key], rawval)
         except ValueError as exc:
             violations.append(f"{key}: {exc}")
+    vals.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
     experiment = vals.get("experiment")
     if experiment is None:
@@ -198,6 +200,8 @@ def parse_config(text: str) -> ExperimentConfig:
         violations.append("grid.spacing: must be positive")
     if "grid.dimension" in vals and vals["grid.dimension"] not in (1, 2, 3):
         violations.append("grid.dimension: must be 1, 2 or 3")
+    if "seed" in vals and not 0 <= vals["seed"] < 2 ** 64:
+        violations.append("seed: must be in [0, 2**64)")
     if "realizations" in vals and vals["realizations"] < 1:
         violations.append("realizations: must be >= 1")
     if "workers" in vals and vals["workers"] < 1:

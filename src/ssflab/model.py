@@ -241,7 +241,6 @@ class SingleSiteProfile:
     values: np.ndarray
     offset: tuple
     decay_rate: float | None = None
-    name: str = "profile"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -263,18 +262,17 @@ class SingleSiteProfile:
         return self.decay_rate is None
 
     @classmethod
-    def point(cls, amplitude: float, dim: int, name: str = "point") -> "SingleSiteProfile":
-        return cls(np.full((1,) * dim, float(amplitude)), (0,) * dim, None, name)
+    def point(cls, amplitude: float, dim: int) -> "SingleSiteProfile":
+        return cls(np.full((1,) * dim, float(amplitude)), (0,) * dim)
 
     @classmethod
-    def patch(cls, values, name: str = "patch") -> "SingleSiteProfile":
+    def patch(cls, values) -> "SingleSiteProfile":
         v = np.asarray(values, dtype=float)
-        off = tuple(-(n // 2) for n in v.shape)
-        return cls(v, off, None, name)
+        return cls(v, tuple(-(n // 2) for n in v.shape))
 
     @classmethod
     def exponential(cls, amplitude: float, decay: float, dim: int,
-                    spacing: float = 1.0, name: str = "exp") -> "SingleSiteProfile":
+                    spacing: float = 1.0) -> "SingleSiteProfile":
         """f(r) = amplitude * exp(-decay * |r|), truncated where
         |f| < 1e-14 * |amplitude| (bounded patch, negligible error)."""
         if not decay > 0:
@@ -285,7 +283,7 @@ class SingleSiteProfile:
         dist = np.sqrt(np.sum((pts * spacing) ** 2.0, axis=-1))
         vals = amplitude * np.exp(-decay * dist)
         vals[np.abs(vals) < _TAIL_TRUNCATION * abs(amplitude)] = 0.0
-        return cls(vals, (-radius,) * dim, decay, name)
+        return cls(vals, (-radius,) * dim, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +291,11 @@ class SingleSiteProfile:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    profile_id: str
-    coupling_id: str
-    cutoff: str
-
-
-@dataclass(frozen=True)
 class PotentialField:
-    """Per-site potential values over a grid, with assembly provenance."""
+    """Per-site potential values over a grid."""
 
     grid: Grid
     values: np.ndarray
-    provenance: Provenance
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -315,7 +305,7 @@ class PotentialField:
 
     @classmethod
     def zero(cls, grid: Grid) -> "PotentialField":
-        return cls(grid, np.zeros(grid.n_sites), Provenance("zero", "none", "none"))
+        return cls(grid, np.zeros(grid.n_sites))
 
 
 def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
@@ -394,16 +384,9 @@ def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
         flat = np.ravel_multi_index(pos[ok].T, grid.extents)
         np.add.at(values, flat, alpha[ok] * f)
 
-    cutoff_desc = "none"
     if cutoff_mode == "sharp":
         values = values * cutoff_box.mask()
-        cutoff_desc = f"sharp[{cutoff_box.lo}..{cutoff_box.hi}]"
-    elif cutoff_mode == "lattice_sum":
-        b = cutoff_box.bounds if isinstance(cutoff_box, SiteBox) else cutoff_box
-        cutoff_desc = f"lattice_sum[{b.lo}..{b.hi}]"
-
-    return PotentialField(grid, values,
-                          Provenance(profile.name, couplings.field_id(), cutoff_desc))
+    return PotentialField(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +405,6 @@ class Hamiltonian:
     grid: Grid
     diag: np.ndarray
     free: bool = False
-    potential_id: str = "none"
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
@@ -486,9 +468,7 @@ def assemble_hamiltonian(grid: Grid, potential: PotentialField) -> Hamiltonian:
         raise ModelError("potential was assembled on a different grid")
     v = potential.values
     diag = 2.0 * grid.dimension / grid.spacing ** 2 + v
-    return Hamiltonian(grid, diag, free=bool(np.all(v == 0.0)),
-                       potential_id=potential.provenance.profile_id
-                       + "/" + potential.provenance.cutoff)
+    return Hamiltonian(grid, diag, free=bool(np.all(v == 0.0)))
 
 
 def free_hamiltonian(grid: Grid) -> Hamiltonian:
@@ -504,5 +484,4 @@ def dirichlet_restriction(h: Hamiltonian, box: SiteBox) -> Hamiltonian:
     if box.grid != h.grid:
         raise ModelError("box lives on a different grid")
     sub = Grid(h.grid.dimension, h.grid.spacing, box.extents)
-    return Hamiltonian(sub, h.diag[box.indices()], free=h.free,
-                       potential_id=h.potential_id + f"|D[{box.lo}..{box.hi}]")
+    return Hamiltonian(sub, h.diag[box.indices()], free=h.free)

@@ -170,11 +170,6 @@ class CouplingField:
             raise FieldError("sign must be -1, 0 or +1")
         object.__setattr__(self, "shift", tuple(int(s) for s in shift))
 
-    def field_id(self) -> str:
-        tag = {0: "", 1: "|plus", -1: "|minus"}[self.sign]
-        return (f"{self.spec.describe()}|seed={self.seed}"
-                f"|real={self.realization}|shift={self.shift}{tag}")
-
     def values_at(self, coords) -> np.ndarray:
         """Coupling values at absolute anchor coordinates (m, dim)."""
         coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))

@@ -5,10 +5,11 @@ For a finite pair (H, H0) the spectral shift function is
     xi(lam) = N(lam; H0) - N(lam; H),
 
 an integer step function whose jumps sit exactly at the eigenvalues of the
-two operators.  All integrals against xi (the finite-dimensional
-Birman-Krein identity, the Laplace-transform functional) are therefore
-evaluated exactly as step-function sums over the merged spectra -- never by
-generic quadrature -- which removes quadrature error from every tolerance.
+two operators.  Integrals against xi (the finite-dimensional Birman-Krein
+identity tr[g(H) - g(H0)] = integral g' xi, and with g = exp(-t lam) the
+Laplace-transform functional) are therefore evaluated exactly as
+step-function sums over the merged spectra -- never by generic quadrature --
+which removes quadrature error from every tolerance.
 """
 
 from __future__ import annotations
@@ -130,67 +131,37 @@ def xi_step_function(eigs_h: np.ndarray, eigs_h0: np.ndarray):
     return x, (n0 - n).astype(np.int64)
 
 
-def step_integral_against(g, x: np.ndarray, xi_k: np.ndarray) -> float:
-    """Exact integral of g'(lam) * xi(lam): sum xi_k (g(x_{k+1}) - g(x_k))."""
+# ---------------------------------------------------------------------------
+# the trace identity tr[g(H) - g(H0)] = integral g'(lam) xi(lam) dlam
+
+
+def trace_difference(ev_h: np.ndarray, ev_h0: np.ndarray, g) -> float:
+    """tr[g(H) - g(H0)] as a sum of g over the two spectra."""
+    return float(np.sum(g.value(ev_h)) - np.sum(g.value(ev_h0)))
+
+
+def xi_integral(ev_h: np.ndarray, ev_h0: np.ndarray, g) -> float:
+    """Exact integral of g'(lam) * xi(lam) over the line: the step sum
+    sum_k xi_k (g(x_{k+1}) - g(x_k)) over the merged spectra."""
+    x, xi_k = xi_step_function(ev_h, ev_h0)
     if xi_k.size == 0:
         return 0.0
     gv = g.value(x)
     return float(np.sum(xi_k * (gv[1:] - gv[:-1])))
 
 
-def exp_step_integral(t: float, x: np.ndarray, xi_k: np.ndarray) -> float:
-    """Exact integral of exp(-lam t) * xi(lam) over the line."""
-    if xi_k.size == 0:
-        return 0.0
-    ex = np.exp(-t * x)
-    return float(np.sum(xi_k * (ex[:-1] - ex[1:])) / t)
-
-
-# ---------------------------------------------------------------------------
-# identities
-
-
-def birman_krein_residual(h, h0, g, oracles: tuple | None = None) -> float:
+def birman_krein_residual(h, h0, g) -> float:
     """Residual between the two exact evaluations of tr[g(H) - g(H0)].
 
-    Path A sums g over both spectra; path B integrates g' against the xi
-    step function (piecewise-exact, jumps at the merged eigenvalues).  In
-    exact arithmetic the two coincide; the residual is pure rounding and the
-    contract bounds it by 1e-8 * n * max|g'|.
+    In exact arithmetic ``trace_difference`` and ``xi_integral`` coincide;
+    the residual is pure rounding and the contract bounds it by
+    1e-8 * n * max|g'|.
     """
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must be from the built-in family")
-    if oracles is None:
-        orc_h = spectral.eig_all(h)
-        orc_h0 = spectral.eig_all(h0)
-    else:
-        orc_h, orc_h0 = oracles
-    path_a = float(np.sum(g.value(orc_h.eigenvalues))
-                   - np.sum(g.value(orc_h0.eigenvalues)))
-    x, xi_k = xi_step_function(orc_h.eigenvalues, orc_h0.eigenvalues)
-    path_b = step_integral_against(g, x, xi_k)
-    return path_a - path_b
-
-
-def laplace_functional(h, h0, t: float) -> float:
-    """F(t) = tr(exp(-tH) - exp(-tH0))."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    return spectral.heat_trace(h, t) - spectral.heat_trace(h0, t)
-
-
-def laplace_via_xi(h, h0, t: float, oracles: tuple | None = None) -> float:
-    """The same functional through -t * integral exp(-lam t) xi(lam) dlam,
-    evaluated with the exact step integral (independent path)."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if oracles is None:
-        orc_h = spectral.eig_all(h)
-        orc_h0 = spectral.eig_all(h0)
-    else:
-        orc_h, orc_h0 = oracles
-    x, xi_k = xi_step_function(orc_h.eigenvalues, orc_h0.eigenvalues)
-    return -t * exp_step_integral(t, x, xi_k)
+    ev_h = spectral.eig_all(h).eigenvalues
+    ev_h0 = spectral.eig_all(h0).eigenvalues
+    return trace_difference(ev_h, ev_h0, g) - xi_integral(ev_h, ev_h0, g)
 
 
 def invariance_residual(h, h0, t: float, lam: float) -> int:

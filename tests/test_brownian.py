@@ -109,9 +109,14 @@ def test_box_falls_back_with_warning():
 
 def test_dt_and_path_preconditions():
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([0.0]), half_space(0, 1.0), 1.0, paths=1000, dt=0.5)
-    with pytest.raises(RegionError):
         simulate_hitting(np.array([0.0]), half_space(0, 1.0), 1.0, paths=10)
+    # the checks run before the start-inside shortcut
+    with pytest.raises(RegionError):
+        simulate_hitting(np.array([2.0]), half_space(0, 1.0), 1.0, paths=10)
+    with pytest.raises(RegionError):
+        simulate_hitting(np.array([2.0]), half_space(0, 1.0), 0.0)
+    with pytest.raises(RegionError):
+        joint_bound_check(np.zeros(2), box_region((-1.0, -1.0), (1.0, 1.0)), 0.0)
 
 
 def test_simulation_deterministic_in_seed():

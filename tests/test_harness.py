@@ -58,6 +58,14 @@ def test_unknown_key_is_error():
     assert any("unknown key" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL_BULK + f"seed = {seed}\n")
+    assert any(v.startswith("seed") for v in err.value.violations)
+    assert parse_config(MINIMAL_BULK + f"seed = {2 ** 64 - 1}\n").seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
 def test_shipped_config_parses(path):
     assert parse_config(path.read_text()).experiment in RUNNERS
@@ -161,6 +169,16 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["bulk-limit", str(cfg), "--out", str(tmp_path / "o")]) == 2
     missing = tmp_path / "nothere.cfg"
     assert main(["bulk-limit", str(missing), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("override", [("--seed", "-1"), ("--seed", str(2 ** 64)),
+                                      ("--workers", "0")],
+                         ids=["seed-negative", "seed-2^64", "workers-0"])
+def test_cli_overrides_checked_like_config_keys(override, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_BULK)
+    assert main(["bulk-limit", str(cfg), "--out", str(tmp_path / "o"), *override]) == 2
+    assert override[0].lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_subcommand_mismatch_exit_2(tmp_path):

@@ -124,7 +124,7 @@ def test_sharp_cutoff_idempotent():
                              IntBox((0,), (19,)), 3)
     prof = SingleSiteProfile.point(-1.0, 1)
     once = assemble_potential(g, prof, field, "sharp", box)
-    twice = PotentialField(g, once.values * box.mask(), once.provenance)
+    twice = PotentialField(g, once.values * box.mask())
     assert np.array_equal(once.values, twice.values)
 
 

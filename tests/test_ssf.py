@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssflab import spectral
 from ssflab.model import IntBox, SingleSiteProfile, assemble_hamiltonian, \
     assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
-from ssflab.spectral import BumpFunction, ConstantFunction
+from ssflab.spectral import BumpFunction, ConstantFunction, ExpWeight
 from ssflab.ssf import (
     EnergyGrid, OnSpectrumError, SSFSample,
-    birman_krein_residual, exp_step_integral, invariance_residual,
-    laplace_functional, laplace_via_xi, midpoint_energy_grid,
-    ssf_counting, xi_step_function,
+    birman_krein_residual, invariance_residual, midpoint_energy_grid,
+    ssf_counting, trace_difference, xi_integral, xi_step_function,
 )
 
 
@@ -66,9 +66,8 @@ def test_rank_one_interlacing():
     h0 = free_hamiltonian(g)
     bump = np.zeros(40)
     bump[17] = 1.0
-    from ssflab.model import PotentialField, Provenance
-    h = assemble_hamiltonian(g, PotentialField(g, 2.5 * bump,
-                                               Provenance("rank1", "-", "none")))
+    from ssflab.model import PotentialField
+    h = assemble_hamiltonian(g, PotentialField(g, 2.5 * bump))
     grid = off_spectrum_grid(h, h0, -0.5, 7.5, k=60)
     s = ssf_counting(h, h0, grid)
     assert np.all((s.xi_raw == 0) | (s.xi_raw == 1))
@@ -141,38 +140,64 @@ def test_xi_step_function_integer_values():
     assert x.shape[0] == xi_k.shape[0] + 1
 
 
-# -- Laplace functional -------------------------------------------------------------
+# -- trace identity ----------------------------------------------------------------
+
+def spectra(h, h0):
+    return spectral.eig_all(h).eigenvalues, spectral.eig_all(h0).eigenvalues
+
+
+@settings(max_examples=40, deadline=None)
+@given(extents=st.sampled_from([(30,), (64,), (1, 20), (6, 7), (9, 5)]),
+       seed=st.integers(0, 10**6), amplitude=st.sampled_from([-1.5, -0.5, 0.8]),
+       g=st.one_of(st.builds(BumpFunction, st.floats(-2.0, 1.0), st.just(3.0)),
+                   st.builds(ExpWeight, st.floats(0.1, 2.0)),
+                   st.builds(ConstantFunction, st.floats(-3.0, 3.0))))
+def test_trace_identity_alloys(extents, seed, amplitude, g):
+    grid = build_grid(len(extents), 1.0, extents)
+    window = IntBox((0,) * len(extents), tuple(n - 1 for n in extents))
+    field = sample_couplings(DistributionSpec("uniform", low=0.0, high=1.0),
+                             window, seed)
+    pot = assemble_potential(grid, SingleSiteProfile.point(amplitude, len(extents)), field)
+    ev_h, ev_h0 = spectra(assemble_hamiltonian(grid, pot), free_hamiltonian(grid))
+    tr, xi = trace_difference(ev_h, ev_h0, g), xi_integral(ev_h, ev_h0, g)
+    lo, hi = min(ev_h[0], ev_h0[0]), max(ev_h[-1], ev_h0[-1])
+    dmax = float(np.max(np.abs(g.derivative(np.linspace(lo, hi, 4097)))))
+    assert abs(tr - xi) <= 1e-8 * grid.n_sites * dmax
+    assert trace_difference(ev_h0, ev_h, g) == -tr
+    assert xi_integral(ev_h0, ev_h, g) == -xi
+
 
 def test_laplace_zero_potential():
     _, h0 = alloy_pair(30, 13)
+    ev0 = spectral.eig_all(h0).eigenvalues
     for t in (0.5, 1.0, 2.0):
-        assert laplace_functional(h0, h0, t) == 0.0
+        assert trace_difference(ev0, ev0, ExpWeight(t)) == 0.0
+        assert xi_integral(ev0, ev0, ExpWeight(t)) == 0.0
 
 
 def test_laplace_positive_for_wells():
     h, h0 = alloy_pair(60, 14, amplitude=-1.0)   # V <= 0, levels move down
-    assert laplace_functional(h, h0, 1.0) > 0.0
+    assert trace_difference(*spectra(h, h0), ExpWeight(1.0)) > 0.0
 
 
 def test_laplace_identity_paths_agree():
-    h, h0 = alloy_pair(300, 15)
+    ev_h, ev_h0 = spectra(*alloy_pair(300, 15))
     for t in (0.5, 1.0, 2.0):
-        a = laplace_functional(h, h0, t)
-        b = laplace_via_xi(h, h0, t)
+        a = trace_difference(ev_h, ev_h0, ExpWeight(t))
+        b = xi_integral(ev_h, ev_h0, ExpWeight(t))
         assert abs(a - b) <= 1e-8 * max(abs(a), abs(b))
 
 
-def test_exp_step_integral_against_quadrature():
-    # independent oracle: brute-force quadrature of exp(-lam t) xi(lam)
+def test_xi_integral_against_quadrature():
+    # independent oracle: brute-force quadrature of g'(lam) xi(lam), g = exp(-t lam)
     h, h0 = alloy_pair(20, 16)
-    ev, ev0 = spectral.eig_all(h).eigenvalues, spectral.eig_all(h0).eigenvalues
-    x, xi_k = xi_step_function(ev, ev0)
-    t = 0.8
-    exact = exp_step_integral(t, x, xi_k)
-    lam = np.linspace(x[0], x[-1], 400001)
+    ev, ev0 = spectra(h, h0)
+    g = ExpWeight(0.8)
+    exact = xi_integral(ev, ev0, g)
+    lam = np.linspace(min(ev[0], ev0[0]), max(ev[-1], ev0[-1]), 400001)
     xi_vals = (np.searchsorted(ev0, lam, side="right")
                - np.searchsorted(ev, lam, side="right"))
-    brute = np.trapezoid(np.exp(-t * lam) * xi_vals, lam)
+    brute = np.trapezoid(g.derivative(lam) * xi_vals, lam)
     assert exact == pytest.approx(brute, abs=5e-4)
 
 
