@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ..experiments import RUNNERS, ExperimentError
 from . import outputs
-from .config import EXPERIMENTS, ConfigError, config_digest, parse_config
+from .config import EXPERIMENTS, ConfigError, config_digest, parse_config, seed_violations
 from .selftest import run_selftest
 
 
@@ -44,6 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "selftest":
+        bad = seed_violations(args.seed)
+        if bad:
+            print(str(ConfigError(bad)), file=sys.stderr)
+            return 2
         return run_selftest(args.seed)
 
     started = datetime.now(timezone.utc)

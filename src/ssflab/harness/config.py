@@ -166,6 +166,11 @@ def _build_distribution(vals: dict, violations: list):
     return None
 
 
+def seed_violations(seed: int) -> list:
+    """Seeds (config key, ``--seed``, ``selftest``) are unsigned 64-bit."""
+    return [] if 0 <= seed < 2 ** 64 else ["seed: must be in [0, 2**64)"]
+
+
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate the config grammar; raises ConfigError listing every
     violated constraint, not just the first.  ``overrides`` (key -> value,
@@ -200,8 +205,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         violations.append("grid.spacing: must be positive")
     if "grid.dimension" in vals and vals["grid.dimension"] not in (1, 2, 3):
         violations.append("grid.dimension: must be 1, 2 or 3")
-    if "seed" in vals and not 0 <= vals["seed"] < 2 ** 64:
-        violations.append("seed: must be in [0, 2**64)")
+    if "seed" in vals:
+        violations += seed_violations(vals["seed"])
     if "realizations" in vals and vals["realizations"] < 1:
         violations.append("realizations: must be >= 1")
     if "workers" in vals and vals["workers"] < 1:

@@ -16,11 +16,12 @@ from ..model import IntBox, SiteBox, assemble_hamiltonian, assemble_potential, \
 from ..randomfield import DistributionSpec, sample_couplings, shift_field, split_signs
 
 
-def _alloy_1d(n: int, seed: int, amplitude: float = -1.0):
-    grid = build_grid(1, 1.0, n)
-    window = IntBox((0,), (n - 1,))
+def _alloy(extents: tuple, seed: int):
+    dim = len(extents)
+    grid = build_grid(dim, 1.0, extents)
+    window = IntBox((0,) * dim, tuple(n - 1 for n in extents))
     field = sample_couplings(DistributionSpec("bernoulli", p=0.5), window, seed)
-    pot = assemble_potential(grid, SingleSiteProfile.point(amplitude, 1), field)
+    pot = assemble_potential(grid, SingleSiteProfile.point(-1.0, dim), field)
     return free_hamiltonian(grid), assemble_hamiltonian(grid, pot)
 
 
@@ -35,10 +36,13 @@ def _checks(seed: int):
     def counting_vs_oracle():
         a = rng.standard_normal((40, 40))
         a = 0.5 * (a + a.T)
-        w = spectral.eig_all(a).eigenvalues
-        lams = rng.uniform(w.min() - 0.5, w.max() + 0.5, size=8)
-        return np.array_equal(spectral.count_below(a, lams),
-                              np.searchsorted(w, lams, side="left"))
+        ok = True
+        for op in (a, _alloy((200,), seed + 6)[1], _alloy((24, 6), seed + 7)[1]):
+            w = spectral.eig_all(op).eigenvalues
+            lams = rng.uniform(w.min() - 0.5, w.max() + 0.5, size=8)
+            ok &= np.array_equal(spectral.count_below(op, lams),
+                                 np.searchsorted(w, lams, side="left"))
+        return ok
 
     def sign_split():
         f = sample_couplings(DistributionSpec("uniform", low=-1, high=1),
@@ -53,13 +57,13 @@ def _checks(seed: int):
         return bool(np.all(g.values_flat() == f.values_flat()))
 
     def birman_krein():
-        h0, h = _alloy_1d(80, seed)
+        h0, h = _alloy((80,), seed)
         g = spectral.BumpFunction(-1.0, 0.5)
         res = ssf.birman_krein_residual(h, h0, g)
         return abs(res) <= 1e-8 * 80 * g.max_abs_derivative()
 
     def laplace_identity():
-        h0, h = _alloy_1d(60, seed + 1)
+        h0, h = _alloy((60,), seed + 1)
         ev_h, ev_h0 = (spectral.eig_all(x).eigenvalues for x in (h, h0))
         g = spectral.ExpWeight(1.0)
         a = ssf.trace_difference(ev_h, ev_h0, g)
@@ -68,27 +72,27 @@ def _checks(seed: int):
 
     def invariance_principle():
         # xi(lam; H, H0) = -xi(exp(-t lam); exp(-tH), exp(-tH0)) off the spectra
-        h0, h = _alloy_1d(30, seed + 5)
+        h0, h = _alloy((30,), seed + 5)
         spectra = [spectral.eig_all(x).eigenvalues for x in (h, h0)]
         grid = ssf.midpoint_energy_grid(spectra, -1.5, 4.5, max_points=8)
         return all(ssf.invariance_residual(h, h0, 0.7, lam) == 0 for lam in grid.values)
 
     def semigroup_property():
-        h0, h = _alloy_1d(30, seed + 2)
+        h0, h = _alloy((30,), seed + 2)
         e1 = spectral.heat_semigroup(h, 0.7)
         e2 = spectral.heat_semigroup(h, 0.3)
         e3 = spectral.heat_semigroup(h, 1.0)
         return np.max(np.abs(e1 @ e2 - e3)) <= 1e-10 * np.max(np.abs(e3))
 
     def domination():
-        h0, h = _alloy_1d(30, seed + 3)   # V <= 0, so exp(-tH) >= exp(-tH0)
+        h0, h = _alloy((30,), seed + 3)   # V <= 0, so exp(-tH) >= exp(-tH0)
         f = rng.uniform(0.1, 1.0, size=30)
         lhs = spectral.heat_semigroup(h0, 0.8) @ f
         rhs = spectral.heat_semigroup(h, 0.8) @ f
         return bool(np.all(lhs <= rhs + 1e-12))
 
     def interlacing():
-        h0, h = _alloy_1d(50, seed + 4)
+        h0, h = _alloy((50,), seed + 4)
         box = SiteBox(h.grid, (10,), (39,))
         wa = spectral.eig_all(h).eigenvalues
         wb = spectral.eig_all(dirichlet_restriction(h, box)).eigenvalues

@@ -1,12 +1,12 @@
 """Eigenvalue counting, spectra, heat semigroups, matrix functions and norms.
 
-Counting never diagonalises: chain Hamiltonians (1D, or one axis longer
-than one site) use the Sturm/LDLT sign recurrence on the tridiagonal, other
-grid Hamiltonians use a no-pivot banded LDLT (Sylvester inertia of
-H - lambda), and plain symmetric matrices go through the LAPACK
-symmetric-indefinite factorization.  Any near-breakdown (pivot below
-1e-12 * |H|) falls back to an eigenvalue-based count rather than silently
-approximating.
+Counting never diagonalises H; one kernel per operand kind runs all energies
+of a call.  Chains (1D, or one axis longer than one site) run the Sturm
+recurrence on Python float lists, other grid Hamiltonians a block-Schur
+elimination over slices with one batched ``eigh`` per slice, plain symmetric
+matrices the LAPACK symmetric-indefinite factorization.  A near-breakdown
+(pivot below 1e-12 * |H|) falls back to an eigenvalue-based count
+(``eigvals_banded`` over a range on grids) rather than silently approximating.
 
 The spectrum oracle (``eig_all``) backs every trace and matrix-function
 operation; the paths that form an n x n array are capped at DENSE_LIMIT
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .model import Hamiltonian
+from .model import Hamiltonian, build_grid
 
 DENSE_LIMIT = 4000
 _BREAKDOWN_REL = 1e-12
@@ -61,76 +61,66 @@ def _scale_of(h) -> float:
     return float(np.max(np.abs(a))) * a.shape[0] if a.size else 1.0
 
 
-def _gershgorin_interval(h) -> tuple:
-    if isinstance(h, Hamiltonian):
-        r = 2.0 * h.grid.dimension / h.grid.spacing ** 2
-        return float(h.diag.min() - r), float(h.diag.max() + r)
-    a = np.asarray(h, dtype=float)
-    r = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-    d = np.diag(a)
-    return float(np.min(d - r)), float(np.max(d + r))
-
-
 # ---------------------------------------------------------------------------
 # counting
 
 
-def _sturm_count(d: np.ndarray, e: np.ndarray, lam: float, scale: float) -> int:
-    """Negative pivots of the LDLT of (T - lam) for a tridiagonal T.
-
-    Exact zero pivots are replaced by +pivmin: an eigenvalue sitting exactly
-    at lam is then not counted, which realises the strictly-below convention.
-    """
+def _sturm_counts(d: np.ndarray, e: np.ndarray, lams: np.ndarray, scale: float) -> list:
+    """Negative pivots of the LDLT of (T - lam) for a tridiagonal T, per lam,
+    on Python floats.  Exact zero pivots are replaced by +pivmin: an eigenvalue
+    sitting exactly at lam is then not counted (strictly below)."""
     pivmin = max(scale, 1.0) * 2.3e-308
-    count = 0
-    q = d[0] - lam
-    if q == 0.0:
-        q = pivmin
-    if q < 0.0:
-        count += 1
-    for i in range(1, d.shape[0]):
-        q = (d[i] - lam) - e[i - 1] * e[i - 1] / q
+    d0, rest, e2s = float(d[0]), d[1:].tolist(), (e * e).tolist()
+    counts = []
+    for lam in lams.tolist():
+        q = d0 - lam
         if q == 0.0:
             q = pivmin
-        if q < 0.0:
-            count += 1
-    return count
+        count = 1 if q < 0.0 else 0
+        for di, e2 in zip(rest, e2s):
+            q = (di - lam) - e2 / q
+            if q == 0.0:
+                q = pivmin
+            if q < 0.0:
+                count += 1
+        counts.append(count)
+    return counts
 
 
-def _banded_ldlt_count(band: np.ndarray, lam: float, scale: float):
-    """Negative pivots of a no-pivot LDLT of (H - lam), H given by its lower
-    band; None on breakdown."""
-    w, n = band.shape[0] - 1, band.shape[1]
-    band = band.copy()
-    band[0] -= lam
+def _schur_counts(ham: Hamiltonian, lams: np.ndarray, scale: float) -> list:
+    """Negative eigenvalues of (H - lam) per lam, by elimination over the slices
+    along the first non-unit axis.  Slices couple through offdiag * I, so the
+    Schur complements are S_k = T_k - lam - offdiag^2 S_{k-1}^{-1}, and
+    #neg(H - lam) = sum_k #neg(S_k) (Haynsworth).  One batched ``eigh`` per
+    slice gives the inertia and the inverse of S_k; an energy at which some S_k
+    is within 1e-12 * |H| of singular is counted by ``eigvals_banded``."""
+    ext = ham.grid.extents
+    sub = ext[next(a for a, n in enumerate(ext) if n > 1) + 1:]
+    m = math.prod(sub)
+    inner = Hamiltonian(build_grid(len(sub), ham.grid.spacing, sub), np.zeros(m)).to_dense()
     tol = _BREAKDOWN_REL * max(scale, 1.0)
-    neg = 0
-    for j in range(n):
-        dpi = band[0, j]
-        if abs(dpi) < tol:
-            return None
-        if dpi < 0.0:
-            neg += 1
-        m = min(w, n - 1 - j)
-        if m == 0:
-            continue
-        col = band[1:m + 1, j] / dpi
-        # rank-1 update of the trailing band block
-        for i in range(m):
-            band[0:m - i, j + 1 + i] -= col[i:] * (col[i] * dpi)
-    return neg
-
-
-def _banded_count(ham: Hamiltonian, band: np.ndarray, lam: float, scale: float) -> int:
-    res = _banded_ldlt_count(band, lam, scale)
-    if res is not None:
-        return res
-    lo, _ = _gershgorin_interval(ham)
-    try:
-        vals = sla.eigvals_banded(band, lower=True, select="v", select_range=(lo - 1.0, lam))
-        return int(np.searchsorted(np.sort(vals), lam, side="left"))
-    except Exception as exc:  # pragma: no cover - defensive
-        raise CountingError(f"banded count failed at lam={lam}") from exc
+    counts = np.zeros(lams.size, dtype=np.int64)
+    live = np.arange(lams.size)
+    shift = lams[:, None, None] * np.eye(m)
+    sinv = 0.0
+    for dk in ham.diag.reshape(-1, m):
+        w, v = np.linalg.eigh(inner + np.diag(dk) - shift - ham.offdiag ** 2 * sinv)
+        ok = np.all(np.abs(w) >= tol, axis=1)
+        if not ok.all():
+            live, w, v, shift = live[ok], w[ok], v[ok], shift[ok]
+        counts[live] += np.count_nonzero(w < 0.0, axis=1)
+        sinv = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
+    broken = np.setdiff1d(np.arange(lams.size), live)
+    if broken.size:
+        band = ham.band_lower()
+        for i in broken:
+            try:  # the spectrum lies inside [-scale, scale] (Gershgorin)
+                vals = sla.eigvals_banded(band, lower=True, select="v",
+                                          select_range=(-scale - 1.0, lams[i]))
+            except (sla.LinAlgError, ValueError) as exc:  # pragma: no cover - defensive
+                raise CountingError(f"banded count failed at lam={lams[i]}") from exc
+            counts[i] = np.searchsorted(np.sort(vals), lams[i], side="left")
+    return counts.tolist()
 
 
 def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
@@ -180,8 +170,8 @@ def count_below(h, lam):
     """Number of eigenvalues of H strictly below lam, without diagonalising.
 
     lam is a scalar (the count is an int) or a 1D array of energies (the
-    counts are an int64 array); the operand is classified and its band
-    built once per call, not once per energy.  Exact whenever lam keeps a
+    counts are an int64 array); the operand is classified once per call and
+    one kernel counts all the energies.  Exact whenever lam keeps a
     relative distance ~1e-10 from the spectrum; tests and experiments choose
     off-spectrum lam.  On factorization breakdown a count falls back to an
     eigenvalue-range count and finally raises CountingError instead of
@@ -196,12 +186,9 @@ def count_below(h, lam):
     scale = _scale_of(h)
     kind, *payload = _as_structure(h)
     if kind == "tridiag":
-        d, e = payload
-        counts = [_sturm_count(d, e, x, scale) for x in xs]
+        counts = _sturm_counts(*payload, xs, scale)
     elif kind == "banded":
-        ham: Hamiltonian = payload[0]
-        band = ham.band_lower()
-        counts = [_banded_count(ham, band, x, scale) for x in xs]
+        counts = _schur_counts(payload[0], xs, scale)
     else:
         counts = [_dense_count(payload[0], x, scale) for x in xs]
     return counts[0] if lams.ndim == 0 else np.array(counts, dtype=np.int64)

@@ -5,10 +5,12 @@ here; the campaigns execute exactly the shipped config files, so a passing
 suite certifies the same runs the CLI performs.
 """
 
+import hashlib
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from ssflab import spectral, ssf
@@ -18,8 +20,13 @@ from ssflab.harness.config import parse_config
 from ssflab.model import IntBox, SingleSiteProfile, assemble_hamiltonian, \
     assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
+from test_golden import FINGERPRINT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of the surface record's to_json(), compared only in the numpy/scipy
+# environment of test_golden.FINGERPRINT (BLAS-thread-invariant)
+SURFACE_RECORD_SHA256 = "4d26085433f7408415758f277a16331f76baedd8e773061ada2d456c8f752d3a"
 
 
 def report(num, name, passed, budget, elapsed, detail=""):
@@ -148,10 +155,14 @@ def test_criterion_08_surface_states():
     chain = next(c for c in rec.checks if c["name"] == "chain_rule_exact")
     conv = next(c for c in rec.checks if c["name"] == "per_length_convergence")
     ok = rec.passed and chain["passed"] and conv["passed"]
+    pinned = {"numpy": np.__version__, "scipy": scipy.__version__} == FINGERPRINT
+    if pinned:
+        ok &= hashlib.sha256(rec.to_json().encode()).hexdigest() == SURFACE_RECORD_SHA256
     report(8, "surface states per unit length", ok,
            900.0, time.monotonic() - t0,
            f"chain rule exact={chain['passed']}, "
-           f"relative change={conv['value']:.4f} <= 0.05")
+           f"relative change={conv['value']:.4f} <= 0.05, "
+           f"record digest {'pinned' if pinned else 'not compared'}")
 
 
 def test_criterion_09_cutoff_equivalence():

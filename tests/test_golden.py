@@ -1,9 +1,9 @@
-"""Golden SHA-256 digests of the outputs of two shipped configs.
+"""Golden SHA-256 digests of the outputs of three shipped configs.
 
-bulk_small and cutoff compute only integer counts and tridiagonal spectra,
-so their bytes do not depend on the BLAS thread count.  Eigen-derived floats
-can still differ across numpy/scipy builds, so the digests are compared only
-in the environment they were recorded in.
+bulk_small, bulk_acceptance and cutoff compute only integer counts and
+tridiagonal spectra, so their bytes do not depend on the BLAS thread count.
+Eigen-derived floats can still differ across numpy/scipy builds, so the
+digests are compared only in the environment they were recorded in.
 """
 
 import hashlib
@@ -21,6 +21,9 @@ FINGERPRINT = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 # config -> (experiment, raw.csv digest, result.json digest)
 GOLDEN = {
+    "bulk_acceptance": ("bulk-limit",
+                        "9e73665fd217fcbeb6a3fe53c3f22c906612068ac39674186bbfdd8291a393e7",
+                        "fa8a9789c90bcd9441fc1d5b25580ea64ebe9f2ca4ab6a6e6b0e5701f68f87ad"),
     "bulk_small": ("bulk-limit",
                    "d830dd26330ae7f6593554bc64f5a34c3bdacaffee9592d21bf8474397094645",
                    "a83dc157153346bd05937275ad55d4f3b1c9f08f41e57a6300691d0496715e37"),

@@ -223,6 +223,13 @@ def test_selftest_healthy_build():
     assert all(ln.startswith("ok") for ln in lines)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["negative", "2^64"])
+def test_selftest_seed_outside_64_bits_exit_2(seed, capsys):
+    assert main(["selftest", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and captured.out == ""
+
+
 def test_plot_series_two_columns(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_BULK)
     out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ssflab import spectral
 from ssflab.model import Hamiltonian, IntBox, SingleSiteProfile, \
@@ -114,6 +114,44 @@ def _check_batched_count(h, w, seed, k):
 def test_batched_count_alloy(extents, seed, k):
     h = alloy_hamiltonian(tuple(extents), seed, amplitude=-2.0)
     _check_batched_count(h, sla.eigvalsh(h.to_dense()), seed, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(extents=st.one_of(st.tuples(st.integers(2, 12), st.integers(2, 9)),
+                         st.tuples(st.integers(1, 12), st.integers(2, 9),
+                                   st.integers(2, 5))),
+       spacing=st.sampled_from([1.0, 0.5]), seed=st.integers(0, 10**6),
+       k=st.integers(1, 30))
+@example(extents=(1, 6, 8), spacing=1.0, seed=0, k=30)
+@example(extents=(12, 9, 5), spacing=0.5, seed=1, k=30)
+def test_schur_count_alloy(extents, spacing, seed, k):
+    # slices along the first non-unit axis: (1, 6, 8) is a 6-slice strip of 8
+    h = alloy_hamiltonian(extents, seed, amplitude=-2.0, spacing=spacing)
+    assert _as_structure(h)[0] == "banded"
+    _check_batched_count(h, sla.eigvalsh(h.to_dense()), seed, k)
+
+
+def test_schur_breakdown_falls_back_to_banded_range_count(monkeypatch):
+    # lam = an eigenvalue of the first slice T_0 makes S_0 = T_0 - lam singular
+    h = alloy_hamiltonian((6, 5), 3, amplitude=-2.0)
+    t0 = h.to_dense()[:5, :5]
+    w = sla.eigvalsh(h.to_dense())
+    gap = lambda x: np.min(np.abs(w - x))
+    lam = max(sla.eigvalsh(t0), key=gap)
+    assert gap(lam) > 1e-3
+    calls = []
+    real = sla.eigvals_banded
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["select_range"][1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigvals_banded", counted)
+    lams = np.array([w[0] - 1.0, lam, 0.5 * (w[14] + w[15])])
+    expected = np.searchsorted(w, lams, side="left").tolist()
+    assert count_below(h, lams).tolist() == expected
+    assert calls == [lam]
+    assert count_below(h, lam) == expected[1] and calls == [lam, lam]
 
 
 @settings(max_examples=30, deadline=None)
