@@ -10,6 +10,9 @@ Discrete-time detection alone underestimates hitting probabilities, so for
 half-space geometries every step adds the analytic Brownian-bridge crossing
 probability; other geometries fall back to endpoint detection with a warning
 flag in the estimate.
+
+One call estimates many regions from one draw of the counter-based paths
+(Philox keyed by seed and block), each bitwise as if simulated alone.
 """
 
 from __future__ import annotations
@@ -117,23 +120,12 @@ class HittingEstimate:
     p_hat: float
     stderr: float
     paths: int
-    dt: float
     bridge: bool
     bridge_warning: bool
-    x: tuple
-    t: float
-    region: RegionSpec
 
     def __post_init__(self):
         if not (0.0 <= self.p_hat <= 1.0):
             raise RegionError("estimate outside [0, 1]")
-
-
-def _bridge_upper(x0, x1, level, dt):
-    """P(bridge from x0 to x1 crosses the level from below within one step);
-    increments have variance 2*dt, so the exponent is -(b-x0)(b-x1)/dt."""
-    a = (level - x0) * (level - x1)
-    return np.where(a <= 0.0, 1.0, np.exp(-a / dt))
 
 
 def _path_blocks(t: float, paths: int, seed: int) -> list:
@@ -148,52 +140,53 @@ def _path_blocks(t: float, paths: int, seed: int) -> list:
             for start in range(0, paths, _PATH_BLOCK)]
 
 
-def simulate_hitting(x, region: RegionSpec, t: float, paths: int = 100_000,
-                     bridge: bool = True, seed: int = 0) -> HittingEstimate:
-    """Estimate P_x{tau_B <= t} by direct path simulation.
+def simulate_hitting(x, regions, t: float, paths: int = 100_000,
+                     bridge: bool = True, seed: int = 0) -> list:
+    """Estimate P_x{tau_B <= t} for each region B in ``regions`` by direct
+    path simulation, one HittingEstimate per region; all share the paths.
 
     Starting inside B counts as an immediate hit (tau = 0 convention).  With
     bridge=True and a half-space geometry each step contributes the
-    analytic crossing probability of the Brownian bridge between the step
-    endpoints; per-path survival probabilities multiply, so bridge-corrected
-    estimates dominate plain endpoint detection pathwise.
+    analytic crossing probability exp(-a/dt), a = (b - x0)(b - x1), of the
+    Brownian bridge between the step endpoints; per-path survival
+    probabilities multiply, so bridge-corrected estimates dominate plain
+    endpoint detection pathwise.  Only steps with a < 40 dt are evaluated:
+    otherwise exp(-a/dt) <= exp(-40) < 2^-54, so 1 - exp(-a/dt) rounds to
+    exactly 1.0 and the survival product is bitwise unchanged.
     """
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
     blocks = _path_blocks(t, paths, seed)
     step_dt = t / _N_STEPS
-
-    if region.contains(x[None, :])[0]:
-        return HittingEstimate(1.0, 0.0, paths, step_dt, bridge, False,
-                               tuple(x), t, region)
-
-    warn = bridge and not region.bridge_supported
-    use_bridge = bridge and region.bridge_supported
     sigma = math.sqrt(2.0 * step_dt)
+    # a start inside B is a hit at tau = 0 and needs no paths
+    totals = {k: 0.0 for k, r in enumerate(regions) if not r.contains(x[None, :])[0]}
 
-    total = 0.0
-    for m, rng in blocks:
+    for m, rng in blocks if totals else ():
         pos = np.tile(x, (m, 1))
-        survive = np.ones(m)
+        survive = {k: np.ones(m) for k in totals}
         for _ in range(_N_STEPS):
             new = pos + sigma * rng.standard_normal((m, nu))
-            if use_bridge:
-                c = pos[:, region.axis]
-                d = new[:, region.axis]
-                if region.side > 0:
-                    p_cross = _bridge_upper(c, d, region.threshold, step_dt)
+            for k, s in survive.items():
+                r = regions[k]
+                if bridge and r.bridge_supported:
+                    # flipping the signs of b, x0 and x1 (side -1) leaves a
+                    # bitwise unchanged, so one formula serves both sides
+                    a = (r.threshold - pos[:, r.axis]) * (r.threshold - new[:, r.axis])
+                    idx = np.flatnonzero(a < 40.0 * step_dt)
+                    a = a[idx]
+                    s[idx] *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / step_dt))
                 else:
-                    p_cross = _bridge_upper(-c, -d, -region.threshold, step_dt)
-                survive *= 1.0 - p_cross
-            else:
-                survive *= ~region.contains(new)
+                    s *= ~r.contains(new)
             pos = new
-        total += float(np.sum(1.0 - survive))
+        for k, s in survive.items():
+            totals[k] += float(np.sum(1.0 - s))
 
-    p_hat = min(max(total / paths, 0.0), 1.0)
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / paths)
-    return HittingEstimate(p_hat, stderr, paths, step_dt, use_bridge, warn,
-                           tuple(x), t, region)
+    p_hats = [min(max(totals[k] / paths, 0.0), 1.0) if k in totals else 1.0
+              for k in range(len(regions))]
+    return [HittingEstimate(p, math.sqrt(p * (1.0 - p) / paths), paths,
+                            bridge and r.bridge_supported, bridge and not r.bridge_supported)
+            for p, r in zip(p_hats, regions)]
 
 
 def gaussian_bound(x, region: RegionSpec, t: float, nu: int) -> float:
@@ -242,17 +235,20 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
     blocks = _path_blocks(t, paths, seed)
-    comp = box_complement(box_b.lo, box_b.hi)
+    lo, hi = np.asarray(box_b.lo), np.asarray(box_b.hi)
     sigma = math.sqrt(2.0 * (t / _N_STEPS))
 
     hits_exit = 0
     hits_joint = 0
     for m, rng in blocks:
         pos = np.tile(x, (m, 1))
-        exited = comp.contains(pos)
+        # a path has left the open box iff its running extremes have
+        low, high = pos.copy(), pos.copy()
         for _ in range(_N_STEPS):
             pos = pos + sigma * rng.standard_normal((m, nu))
-            exited |= comp.contains(pos)
+            np.minimum(low, pos, out=low)
+            np.maximum(high, pos, out=high)
+        exited = np.any(low < lo, axis=1) | np.any(high > hi, axis=1)
         in_b = box_b.contains(pos)
         hits_exit += int(np.sum(exited))
         hits_joint += int(np.sum(exited & in_b))

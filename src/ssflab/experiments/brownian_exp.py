@@ -9,6 +9,8 @@ configurations of the joint expectation bound are verified alongside.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .. import brownian as br
@@ -27,23 +29,24 @@ def run_brownian(config: ExperimentConfig) -> ResultRecord:
 
     rec = ResultRecord("brownian", config.seed, config.digest())
 
-    combos = [(d, t, nu) for d in distances for t in times for nu in nus]
+    # one path draw per (t, nu) serves every distance; rows keep (d, t, nu) order
+    pairs = [(t, nu) for t in times for nu in nus]
 
-    def one(combo):
-        d, t, nu = combo
+    def one(pair):
+        t, nu = pair
         x = np.zeros(nu)
-        region = br.half_space(0, d)
-        est = br.simulate_hitting(x, region, t, paths=paths, bridge=bridge,
-                                  seed=config.seed)
-        bound = br.gaussian_bound(x, region, t, nu)
-        exact = br.halfspace_exact(d, t)
-        return est, bound, exact
+        regions = [br.half_space(0, d) for d in distances]
+        ests = br.simulate_hitting(x, regions, t, paths=paths, bridge=bridge,
+                                   seed=config.seed)
+        return [(est, br.gaussian_bound(x, r, t, nu), br.halfspace_exact(d, t))
+                for d, r, est in zip(distances, regions, ests)]
 
-    results = parallel_map(one, combos, config.workers)
+    results = dict(zip(pairs, parallel_map(one, pairs, config.workers)))
 
     bound_ok = True
     exact_ok = True
-    for (d, t, nu), (est, bound, exact) in zip(combos, results):
+    for (i, d), t, nu in itertools.product(enumerate(distances), times, nus):
+        est, bound, exact = results[(t, nu)][i]
         rec.rows.append({
             "x": 0.0, "d": d, "t": t, "nu": nu,
             "p_hat": est.p_hat, "stderr": est.stderr, "bound": bound,

@@ -128,7 +128,7 @@ def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
     shifted = a - lam * np.eye(a.shape[0])
     try:
         _, dmat, _ = sla.ldl(shifted, lower=True)
-    except Exception:
+    except (sla.LinAlgError, ValueError):
         return None
     tol = _BREAKDOWN_REL * max(scale, 1.0)
     n = a.shape[0]
@@ -161,7 +161,7 @@ def _dense_count(a: np.ndarray, lam: float, scale: float) -> int:
         return res
     try:
         vals = sla.eigvalsh(a)
-    except Exception as exc:  # pragma: no cover - defensive
+    except (sla.LinAlgError, ValueError) as exc:  # pragma: no cover - defensive
         raise CountingError(f"dense count failed at lam={lam}") from exc
     return int(np.searchsorted(vals, lam, side="left"))
 

@@ -27,6 +27,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # SHA-256 of the surface record's to_json(), compared only in the numpy/scipy
 # environment of test_golden.FINGERPRINT (BLAS-thread-invariant)
 SURFACE_RECORD_SHA256 = "4d26085433f7408415758f277a16331f76baedd8e773061ada2d456c8f752d3a"
+# SHA-256 of the brownian record's to_json() in the same environment; the
+# record holds no linear algebra, so its bytes do not depend on the BLAS
+# thread count
+BROWNIAN_RECORD_SHA256 = "c160e688b1ff71d66f367bb325c75ed46f3c9e9db2f5631f08f2279fc91bc309"
 
 
 def report(num, name, passed, budget, elapsed, detail=""):
@@ -144,9 +148,13 @@ def test_criterion_07_brownian_bounds():
     rec = run_config("brownian")
     ok = rec.passed
     bad = [r for r in rec.rows if r["p_hat"] + 3 * r["stderr"] > r["bound"]]
+    pinned = {"numpy": np.__version__, "scipy": scipy.__version__} == FINGERPRINT
+    if pinned:
+        ok &= hashlib.sha256(rec.to_json().encode()).hexdigest() == BROWNIAN_RECORD_SHA256
     report(7, "hitting bounds (envelope + 1D law)", ok and not bad,
            300.0, time.monotonic() - t0,
-           f"{len(rec.rows)} grid points, envelope violations={len(bad)}")
+           f"{len(rec.rows)} grid points, envelope violations={len(bad)}, "
+           f"record digest {'pinned' if pinned else 'not compared'}")
 
 
 def test_criterion_08_surface_states():

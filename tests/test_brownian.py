@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ssflab import brownian as br
 from ssflab.brownian import (
     RegionError, box_complement, box_region,
     envelope_constant, gaussian_bound, half_space,
@@ -59,13 +60,13 @@ def test_gaussian_bound_rejects_inside():
 # -- hitting simulation -----------------------------------------------------------
 
 def test_start_inside_hits_immediately():
-    est = simulate_hitting(np.array([3.0]), half_space(0, 2.0), 1.0, paths=1000)
+    est, = simulate_hitting(np.array([3.0]), [half_space(0, 2.0)], 1.0, paths=1000)
     assert est.p_hat == 1.0 and est.stderr == 0.0
 
 
 def test_halfspace_estimate_matches_exact():
-    est = simulate_hitting(np.array([0.0]), half_space(0, 2.0), 1.0,
-                           paths=40000, bridge=True, seed=11)
+    est, = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], 1.0,
+                            paths=40000, bridge=True, seed=11)
     exact = halfspace_exact(2.0, 1.0)
     assert abs(est.p_hat - exact) <= 3.0 * est.stderr
     assert est.stderr == pytest.approx(
@@ -75,8 +76,8 @@ def test_halfspace_estimate_matches_exact():
 def test_monotone_in_time_up_to_noise():
     vals = []
     for t in (0.25, 1.0, 4.0):
-        est = simulate_hitting(np.array([0.0]), half_space(0, 2.0), t,
-                               paths=20000, bridge=True, seed=5)
+        est, = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], t,
+                                paths=20000, bridge=True, seed=5)
         vals.append((est.p_hat, est.stderr))
     for (p1, s1), (p2, s2) in zip(vals, vals[1:]):
         assert p2 >= p1 - 3.0 * math.hypot(s1, s2)
@@ -84,47 +85,99 @@ def test_monotone_in_time_up_to_noise():
 
 def test_bridge_dominates_plain_pathwise():
     for seed in (0, 1, 2):
-        b = simulate_hitting(np.array([0.0]), half_space(0, 1.5), 1.0,
-                             paths=5000, bridge=True, seed=seed)
-        p = simulate_hitting(np.array([0.0]), half_space(0, 1.5), 1.0,
-                             paths=5000, bridge=False, seed=seed)
+        b, = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], 1.0,
+                              paths=5000, bridge=True, seed=seed)
+        p, = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], 1.0,
+                              paths=5000, bridge=False, seed=seed)
         assert b.p_hat >= p.p_hat
 
 
 def test_mirrored_halfspace_same_law():
-    up = simulate_hitting(np.array([0.0]), half_space(0, 1.5, side=+1), 1.0,
-                          paths=20000, bridge=True, seed=6)
-    down = simulate_hitting(np.array([0.0]), half_space(0, -1.5, side=-1), 1.0,
-                            paths=20000, bridge=True, seed=7)
+    up, = simulate_hitting(np.array([0.0]), [half_space(0, 1.5, side=+1)], 1.0,
+                           paths=20000, bridge=True, seed=6)
+    down, = simulate_hitting(np.array([0.0]), [half_space(0, -1.5, side=-1)], 1.0,
+                             paths=20000, bridge=True, seed=7)
     assert abs(up.p_hat - down.p_hat) <= 3.0 * math.hypot(up.stderr, down.stderr)
     exact = halfspace_exact(1.5, 1.0)
     assert abs(down.p_hat - exact) <= 3.0 * down.stderr
 
 
 def test_box_falls_back_with_warning():
-    est = simulate_hitting(np.array([2.0, 0.0]), box_region((-1.0, -1.0), (1.0, 1.0)),
-                           0.5, paths=2000, bridge=True, seed=4)
+    est, = simulate_hitting(np.array([2.0, 0.0]), [box_region((-1.0, -1.0), (1.0, 1.0))],
+                            0.5, paths=2000, bridge=True, seed=4)
     assert est.bridge_warning and not est.bridge
 
 
 def test_dt_and_path_preconditions():
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([0.0]), half_space(0, 1.0), 1.0, paths=10)
+        simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], 1.0, paths=10)
     # the checks run before the start-inside shortcut
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([2.0]), half_space(0, 1.0), 1.0, paths=10)
+        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], 1.0, paths=10)
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([2.0]), half_space(0, 1.0), 0.0)
+        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], 0.0)
     with pytest.raises(RegionError):
         joint_bound_check(np.zeros(2), box_region((-1.0, -1.0), (1.0, 1.0)), 0.0)
 
 
 def test_simulation_deterministic_in_seed():
-    a = simulate_hitting(np.array([0.0]), half_space(0, 1.0), 1.0,
-                         paths=4000, seed=9)
-    b = simulate_hitting(np.array([0.0]), half_space(0, 1.0), 1.0,
-                         paths=4000, seed=9)
+    a, = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], 1.0,
+                          paths=4000, seed=9)
+    b, = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], 1.0,
+                          paths=4000, seed=9)
     assert a.p_hat == b.p_hat
+
+
+def _reference_p_hat(x, region, t, paths, seed, bridge=True):
+    """One region alone, every bridge factor evaluated on every path and step,
+    side -1 mirrored onto side +1."""
+    dt = t / br._N_STEPS
+    total = 0.0
+    for m, rng in br._path_blocks(t, paths, seed):
+        pos = np.tile(x, (m, 1))
+        survive = np.ones(m)
+        for _ in range(br._N_STEPS):
+            new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, x.shape[0]))
+            if bridge:
+                c, d = region.side * pos[:, region.axis], region.side * new[:, region.axis]
+                a = (region.side * region.threshold - c) * (region.side * region.threshold - d)
+                survive *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / dt))
+            else:
+                survive *= ~region.contains(new)
+            pos = new
+        total += float(np.sum(1.0 - survive))
+    return min(max(total / paths, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_shared_paths_equal_separate_calls(nu):
+    x = np.zeros(nu)
+    regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1),
+               half_space(0, -0.5)]  # the last one holds the start
+    shared = simulate_hitting(x, regions, 0.5, paths=5000, seed=3)
+    for r, est in zip(regions, shared):
+        alone, = simulate_hitting(x, [r], 0.5, paths=5000, seed=3)
+        assert est == alone
+    assert shared[2].p_hat == 1.0 and shared[2].stderr == 0.0
+    assert 0.0 < shared[0].p_hat < 1.0 and 0.0 < shared[1].p_hat < 1.0
+    # the skip of unit bridge factors is exact
+    for r, est in zip(regions[:2], shared):
+        assert est.p_hat == _reference_p_hat(x, r, 0.5, 5000, 3)
+
+
+def test_list_form_endpoint_detection_and_box_fallback():
+    x = np.array([2.0, 0.0])
+    box = box_region((-1.0, -1.0), (1.0, 1.0))
+    regions = [half_space(0, 3.0), box, half_space(1, -1.0, side=-1)]
+    plain = simulate_hitting(x, regions, 0.5, paths=2000, bridge=False, seed=4)
+    assert not any(e.bridge or e.bridge_warning for e in plain)
+    for r, est in zip(regions, plain):
+        assert est.p_hat == _reference_p_hat(x, r, 0.5, 2000, 4, bridge=False)
+    bridged = simulate_hitting(x, regions, 0.5, paths=2000, bridge=True, seed=4)
+    assert [(e.bridge, e.bridge_warning) for e in bridged] == [
+        (True, False), (False, True), (True, False)]
+    assert bridged[1].p_hat == plain[1].p_hat
+    assert all(b.p_hat >= p.p_hat for b, p in zip(bridged, plain))
 
 
 # -- joint bound ---------------------------------------------------------------------
@@ -151,3 +204,22 @@ def test_joint_bound_inside_and_outside():
     assert outside["distance"] == pytest.approx(1.0)
     assert outside["c_eps"] == pytest.approx(5.0 ** 0.5)
     assert outside["holds_3sigma"]
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0), (2.0, 0.0)])
+def test_joint_bound_running_extremes_match_per_step_test(start):
+    x = np.array(start)
+    box = box_region((-1.0, -1.0), (1.0, 1.0))
+    comp = box_complement(box.lo, box.hi)
+    out = joint_bound_check(x, box, 0.5, paths=2000, seed=5)
+    hits_exit = hits_joint = 0
+    for m, rng in br._path_blocks(0.5, 2000, 5):
+        pos = np.tile(x, (m, 1))
+        exited = comp.contains(pos)
+        for _ in range(br._N_STEPS):
+            pos = pos + math.sqrt(2.0 * (0.5 / br._N_STEPS)) * rng.standard_normal((m, 2))
+            exited |= comp.contains(pos)
+        hits_exit += int(np.sum(exited))
+        hits_joint += int(np.sum(exited & box.contains(pos)))
+    assert (out["lhs"], out["p_exit"]) == (hits_joint / 2000, hits_exit / 2000)
+    assert 0 < hits_joint < hits_exit
