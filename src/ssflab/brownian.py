@@ -44,7 +44,6 @@ class RegionSpec:
     kinds:
       * half_space(axis, threshold, side): B = {x : side*(x_axis - threshold) >= 0}
       * box(lo, hi):                       the closed box
-      * box_complement(lo, hi):            everything outside the open box
     """
 
     kind: str
@@ -60,7 +59,7 @@ class RegionSpec:
                 raise RegionError("axis must be >= 0")
             if self.side not in (+1, -1):
                 raise RegionError("half_space side must be +1 or -1")
-        elif self.kind in ("box", "box_complement"):
+        elif self.kind == "box":
             if len(self.lo) != len(self.hi) or not self.lo:
                 raise RegionError("box needs matching lo/hi tuples")
             if any(a >= b for a, b in zip(self.lo, self.hi)):
@@ -79,8 +78,7 @@ class RegionSpec:
             return self.side * (x[:, self.axis] - self.threshold) >= 0.0
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
-        inside = np.all((x >= lo) & (x <= hi), axis=1)
-        return inside if self.kind == "box" else ~inside
+        return np.all((x >= lo) & (x <= hi), axis=1)
 
     def distance(self, x) -> float:
         """Closed-form Euclidean distance from x to the region."""
@@ -89,12 +87,9 @@ class RegionSpec:
             return 0.0
         if self.kind == "half_space":
             return float(self.side * (self.threshold - x[self.axis]))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        if self.kind == "box":
-            gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-            return float(np.sqrt(np.sum(gap ** 2)))
-        return float(np.min(np.minimum(x - lo, hi - x)))
+        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
+        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        return float(np.sqrt(np.sum(gap ** 2)))
 
 
 def half_space(axis: int, threshold: float, side: int = +1) -> RegionSpec:
@@ -103,10 +98,6 @@ def half_space(axis: int, threshold: float, side: int = +1) -> RegionSpec:
 
 def box_region(lo, hi) -> RegionSpec:
     return RegionSpec("box", lo=tuple(map(float, lo)), hi=tuple(map(float, hi)))
-
-
-def box_complement(lo, hi) -> RegionSpec:
-    return RegionSpec("box_complement", lo=tuple(map(float, lo)), hi=tuple(map(float, hi)))
 
 
 # ---------------------------------------------------------------------------

@@ -168,35 +168,21 @@ def fit_loglog(xs, ys) -> dict:
             "stderr": stderr, "points": len(xs)}
 
 
-def centered_absolute_box(length: int, dim: int = 1) -> IntBox:
-    """Integer box of the given side length centered at the absolute origin."""
-    lo = -(length // 2)
-    return IntBox((lo,) * dim, (lo + length - 1,) * dim)
-
-
-def centered_rect_box(side: int, width: int) -> IntBox:
-    """2D integer box of side x width sites centered at the absolute origin."""
-    lo0 = -(side // 2)
-    lo1 = -(width // 2)
-    return IntBox((lo0, lo1), (lo0 + side - 1, lo1 + width - 1))
-
-
-def center_origin(grid) -> tuple:
-    return tuple(e // 2 for e in grid.extents)
-
-
-def absolute_site_window(grid) -> IntBox:
-    """All grid sites as an absolute window (origin at the grid center)."""
-    half = center_origin(grid)
-    return IntBox(tuple(-c for c in half),
-                  tuple(e - 1 - c for e, c in zip(grid.extents, half)))
+def centered_box(extents) -> IntBox:
+    """Integer box with the given extents centered at the absolute origin."""
+    lo = tuple(-(e // 2) for e in extents)
+    return IntBox(lo, tuple(a + e - 1 for a, e in zip(lo, extents)))
 
 
 def ambient_for(box: IntBox, margin: int, spacing: float) -> tuple:
-    """(grid, origin) embedding an absolute box with the given margin."""
+    """(grid, origin, window) embedding an absolute box with the given margin;
+    window is the box padded by the margin, i.e. every grid site in absolute
+    coordinates."""
     extents = tuple(e + 2 * margin for e in box.extents)
     origin = tuple(margin - lo for lo in box.lo)
-    return build_grid(box.dim, spacing, extents), origin
+    window = IntBox(tuple(lo - margin for lo in box.lo),
+                    tuple(hi + margin for hi in box.hi))
+    return build_grid(box.dim, spacing, extents), origin, window
 
 
 def gershgorin_window_check(energies, v_values: np.ndarray, dim: int, spacing: float):

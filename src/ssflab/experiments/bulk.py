@@ -18,42 +18,40 @@ from ..model import SiteBox, assemble_hamiltonian, assemble_potential, \
     dirichlet_restriction, free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_absolute_box, gershgorin_window_check, \
-    mean_and_var
+    ambient_for, centered_box, gershgorin_window_check, mean_and_var
 
 
-def _xi_per_meas(config, ambient_factor, length, realization, lam_grid):
-    """xi(lam)/meas(Lambda) for one cutoff length and realization."""
+def _ambient(config, ambient_factor, lam_grid):
+    """(grid, origin, window, N(lam; H0)) of the ambient box, counted once."""
+    side = ambient_factor * max(config.schedule)
+    grid, origin, window = ambient_for(centered_box((side,) * config.dimension), 0,
+                                       config.spacing)
+    return grid, origin, window, spectral.count_below(free_hamiltonian(grid), lam_grid)
+
+
+def _xi_per_meas(config, ambient, field, length, lam_grid):
+    """(xi(lam), meas(Lambda)) for one cutoff length and coupling field."""
     dim, h = config.dimension, config.spacing
-    lmax = max(config.schedule)
-    window = centered_absolute_box(ambient_factor * lmax, dim)
-    grid, origin = ambient_for(window, 0, h)
-    profile = config.build_profile()
-    cut = centered_absolute_box(length, dim)
-    field = sample_couplings(config.distribution, window, config.seed, realization)
-    pot = assemble_potential(grid, profile, field, "lattice_sum", cut, origin=origin)
+    grid, origin, _, c0 = ambient
+    cut = centered_box((length,) * dim)
+    pot = assemble_potential(grid, config.build_profile(), field, "lattice_sum", cut,
+                             origin=origin)
     gershgorin_window_check(lam_grid, pot.values, dim, h)
-    ham = assemble_hamiltonian(grid, pot)
-    h0 = free_hamiltonian(grid)
-    meas = cut.count * h ** dim
-    xi = spectral.count_below(h0, lam_grid) - spectral.count_below(ham, lam_grid)
-    return xi, meas
+    xi = c0 - spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
+    return xi, cut.count * h ** dim
 
 
-def _dirichlet_reference(config, ambient_factor, realization, lam_grid):
-    """-N(lam) proxy: Dirichlet counting per volume at the largest box."""
-    dim, h = config.dimension, config.spacing
-    lmax = max(config.schedule)
-    window = centered_absolute_box(ambient_factor * lmax, dim)
-    grid, origin = ambient_for(window, 0, h)
-    profile = config.build_profile()
+def _one_realization(config, ambient, realization, lam_grid):
+    """xi per volume for every length, then the -N(lam) proxy: Dirichlet
+    counting per volume at the largest box, all on one field draw."""
+    grid, origin, window, _ = ambient
     field = sample_couplings(config.distribution, window, config.seed, realization)
-    pot = assemble_potential(grid, profile, field, origin=origin)
-    ham = assemble_hamiltonian(grid, pot)
-    box = SiteBox.centered(grid, lmax)
-    restricted = dirichlet_restriction(ham, box)
-    meas = box.measure
-    return spectral.count_below(restricted, lam_grid) / meas
+    xis = [_xi_per_meas(config, ambient, field, length, lam_grid)
+           for length in config.schedule]
+    pot = assemble_potential(grid, config.build_profile(), field, origin=origin)
+    box = SiteBox.centered(grid, max(config.schedule))
+    restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
+    return xis, spectral.count_below(restricted, lam_grid) / box.measure
 
 
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
@@ -71,20 +69,18 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     lam_grid = np.asarray(config.energies)
     reals = range(config.realizations)
 
-    per_length = {}
+    ambient = _ambient(config, factor, lam_grid)
+    results = parallel_map(lambda r: _one_realization(config, ambient, r, lam_grid),
+                           reals, config.workers)
+    per_length = {length: [xis[k] for xis, _ in results]
+                  for k, length in enumerate(config.schedule)}
     for length in config.schedule:
-        results = parallel_map(
-            lambda r, L=length: _xi_per_meas(config, factor, L, r, lam_grid),
-            reals, config.workers)
-        per_length[length] = results
-        for r, (xi, meas) in zip(reals, results):
+        for r, (xi, meas) in zip(reals, per_length[length]):
             for lam, x in zip(lam_grid, xi):
                 rec.rows.append({"L": length, "realization": r, "lam": float(lam),
                                  "xi": int(x), "xi_per_meas": float(x / meas)})
 
-    refs = parallel_map(lambda r: _dirichlet_reference(config, factor, r, lam_grid),
-                        reals, config.workers)
-    ref_n = np.mean(np.stack(refs, axis=0), axis=0)
+    ref_n = np.mean(np.stack([ref for _, ref in results], axis=0), axis=0)
     for i, lam in enumerate(lam_grid):
         rec.aggregates[f"reference_N[{lam}]"] = float(ref_n[i])
 
@@ -128,8 +124,11 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
                       gap <= 3.0 * pooled + 1e-15, gap, 3.0 * pooled,
                       "disjoint realization blocks agree within 3 sigma")
 
-    xi_a, meas = _xi_per_meas(config, factor, last, 0, lam_grid)
-    xi_b, _ = _xi_per_meas(config, 2 * factor, last, 0, lam_grid)
+    xi_a, meas = per_length[last][0]
+    wide = _ambient(config, 2 * factor, lam_grid)
+    _, _, window, _ = wide
+    field = sample_couplings(config.distribution, window, config.seed, 0)
+    xi_b, _ = _xi_per_meas(config, wide, field, last, lam_grid)
     shift = float(np.abs(xi_a - xi_b).max() / meas)
     rec.aggregates["ambient_doubling_shift"] = shift
     if shift > dev_tol:

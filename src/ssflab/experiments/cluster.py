@@ -17,40 +17,40 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import PotentialField, SiteBox, \
+from ..model import PotentialField, SingleSiteProfile, SiteBox, \
     assemble_hamiltonian, assemble_potential, free_hamiltonian, interface_measure
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    absolute_site_window, ambient_for, center_origin, centered_absolute_box, \
-    centered_rect_box, fit_loglog
+    ambient_for, centered_box, fit_loglog
 
 
-def _four_term_norm(config: ExperimentConfig, width: int, realization: int,
-                    t: float) -> tuple:
-    dim, h = config.dimension, config.spacing
+def _geometry(config: ExperimentConfig, width: int, t: float) -> tuple:
+    """(grid, origin, window, (Lambda, Lambda_1, Lambda_2), exp(-tH0)) for one
+    width: everything of the four-term combination but the field."""
     margin = int(config.opt("margin", 8))
     side = int(config.opt("box_side", 8))
     if side % 2:
         raise ExperimentError("box_side must be even for the hyperplane split")
-    grid, _ = ambient_for(centered_rect_box(side, width), margin, h)
-    origin = center_origin(grid)
-    field = sample_couplings(config.distribution, absolute_site_window(grid),
-                             config.seed, realization)
-    profile = config.build_profile()
-
+    grid, origin, window = ambient_for(centered_box((side, width)), margin,
+                                       config.spacing)
     lam = SiteBox.centered(grid, (side, width))
     lam1 = SiteBox(grid, lam.lo, (lam.lo[0] + side // 2 - 1, lam.hi[1]))
     lam2 = SiteBox(grid, (lam.lo[0] + side // 2, lam.lo[1]), lam.hi)
+    return grid, origin, window, (lam, lam1, lam2), \
+        spectral.heat_semigroup(free_hamiltonian(grid), t)
 
-    h0 = free_hamiltonian(grid)
-    hv = assemble_hamiltonian(grid, assemble_potential(
-        grid, profile, field, "sharp", lam, origin=origin))
-    h1 = assemble_hamiltonian(grid, assemble_potential(
-        grid, profile, field, "sharp", lam1, origin=origin))
-    h2 = assemble_hamiltonian(grid, assemble_potential(
-        grid, profile, field, "sharp", lam2, origin=origin))
-    comb = (spectral.heat_semigroup(hv, t) - spectral.heat_semigroup(h1, t)
-            - spectral.heat_semigroup(h2, t) + spectral.heat_semigroup(h0, t))
+
+def _four_term_norm(config: ExperimentConfig, geometry, realization: int,
+                    t: float) -> tuple:
+    grid, origin, window, (lam, lam1, lam2), s0 = geometry
+    field = sample_couplings(config.distribution, window, config.seed, realization)
+    profile = config.build_profile()
+
+    def semigroup(box):
+        return spectral.heat_semigroup(assemble_hamiltonian(grid, assemble_potential(
+            grid, profile, field, "sharp", box, origin=origin)), t)
+
+    comb = semigroup(lam) - semigroup(lam1) - semigroup(lam2) + s0
     return spectral.trace_norm(comb), interface_measure(lam1, lam2)
 
 
@@ -60,12 +60,10 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     sites = int(config.opt("additivity_sites", 320))
     block = int(config.opt("additivity_block", 48))
     gap = int(config.opt("additivity_gap", 32))
-    grid, _ = ambient_for(centered_absolute_box(sites, 1), 0, h)
-    origin = center_origin(grid)
-    field = sample_couplings(config.distribution, absolute_site_window(grid),
-                             config.seed, 1000 + realization)
+    grid, origin, window = ambient_for(centered_box((sites,)), 0, h)
+    field = sample_couplings(config.distribution, window, config.seed,
+                             1000 + realization)
     # the additivity instance is one-dimensional regardless of the 2D campaign
-    from ..model import SingleSiteProfile
     profile = SingleSiteProfile.point(float(config.profile.get("amplitude", -1.0)), 1)
 
     half_gap = gap // 2
@@ -108,7 +106,8 @@ def run_cluster(config: ExperimentConfig) -> ResultRecord:
     norms = []
     interfaces = []
     for width in config.schedule:
-        vals = parallel_map(lambda r, w=width: _four_term_norm(config, w, r, t),
+        geometry = _geometry(config, width, t)
+        vals = parallel_map(lambda r: _four_term_norm(config, geometry, r, t),
                             reals, config.workers)
         mean = float(np.mean([v for v, _ in vals]))
         interfaces.append(vals[0][1])
@@ -127,7 +126,9 @@ def run_cluster(config: ExperimentConfig) -> ResultRecord:
 
     times = sorted(config.times)
     if len(times) >= 2:
-        tn = [_four_term_norm(config, config.schedule[-1], 0, tt)[0] for tt in times]
+        last = config.schedule[-1]
+        tn = [_four_term_norm(config, _geometry(config, last, tt), 0, tt)[0]
+              for tt in times]
         rec.aggregates["norm_vs_t"] = dict(zip(map(str, times), tn))
         # decay toward t -> infinity needs positive spectra, i.e. V >= 0
         smin, smax = config.distribution.support_bounds()

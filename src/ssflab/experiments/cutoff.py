@@ -16,21 +16,19 @@ from ..harness.parallel import parallel_map
 from ..model import SiteBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    absolute_site_window, ambient_for, center_origin, centered_absolute_box
+    ambient_for, centered_box
 
 
 def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int) -> float:
     dim, h = config.dimension, config.spacing
     margin = int(config.opt("margin", 24))
     lmax = max(config.schedule)
-    grid, _ = ambient_for(centered_absolute_box(lmax, dim), margin, h)
-    origin = center_origin(grid)
-    field = sample_couplings(config.distribution, absolute_site_window(grid),
-                             config.seed, realization)
+    grid, origin, window = ambient_for(centered_box((lmax,) * dim), margin, h)
+    field = sample_couplings(config.distribution, window, config.seed, realization)
     g = spectral.BumpFunction(float(config.opt("bump_lo", -2.5)),
                               float(config.opt("bump_hi", 1.0)))
     site_box = SiteBox.centered(grid, length)
-    abs_box = centered_absolute_box(length, dim)
+    abs_box = centered_box((length,) * dim)
     pot_sharp = assemble_potential(grid, profile, field, "sharp", site_box,
                                    origin=origin)
     pot_lat = assemble_potential(grid, profile, field, "lattice_sum", abs_box,

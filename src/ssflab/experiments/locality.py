@@ -19,27 +19,16 @@ from ..model import SiteBox, assemble_hamiltonian, assemble_potential, \
     free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    absolute_site_window, ambient_for, center_origin, centered_absolute_box, \
-    fit_loglog
+    ambient_for, centered_box, fit_loglog
 
 
-def _one_realization(config: ExperimentConfig, realization: int):
-    dim, h = config.dimension, config.spacing
-    margin = int(config.opt("margin", 12))
-    lmax = max(config.schedule)
-    window = centered_absolute_box(lmax, dim)
-    grid, _ = ambient_for(window, margin, h)
-    origin = center_origin(grid)
-    field = sample_couplings(config.distribution, absolute_site_window(grid),
-                             config.seed, realization)
+def _one_realization(config: ExperimentConfig, grid, origin, window, g,
+                     diag_free, realization: int):
+    field = sample_couplings(config.distribution, window, config.seed, realization)
     profile = config.build_profile()
-    g = spectral.BumpFunction(float(config.opt("bump_lo", -1.0)),
-                              float(config.opt("bump_hi", 2.0)))
     pot_full = assemble_potential(grid, profile, field, origin=origin)
     h_full = assemble_hamiltonian(grid, pot_full)
-    h0 = free_hamiltonian(grid)
     diag_full = spectral.diag_of_function(h_full, g)
-    diag_free = spectral.diag_of_function(h0, g)
 
     out = []
     for length in config.schedule:
@@ -63,8 +52,16 @@ def run_locality(config: ExperimentConfig) -> ResultRecord:
         raise ExperimentError("locality needs at least two box sizes")
 
     rec = ResultRecord("locality", config.seed, config.digest())
-    results = parallel_map(lambda r: _one_realization(config, r),
-                           range(config.realizations), config.workers)
+    margin = int(config.opt("margin", 12))
+    grid, origin, window = ambient_for(
+        centered_box((max(config.schedule),) * config.dimension), margin,
+        config.spacing)
+    g = spectral.BumpFunction(float(config.opt("bump_lo", -1.0)),
+                              float(config.opt("bump_hi", 2.0)))
+    diag_free = spectral.diag_of_function(free_hamiltonian(grid), g)
+    results = parallel_map(
+        lambda r: _one_realization(config, grid, origin, window, g, diag_free, r),
+        range(config.realizations), config.workers)
 
     sched = list(config.schedule)
     t1 = np.zeros((config.realizations, len(sched)))

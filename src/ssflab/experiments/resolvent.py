@@ -17,8 +17,7 @@ from ..harness.parallel import parallel_map
 from ..model import SiteBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    absolute_site_window, ambient_for, center_origin, centered_rect_box, \
-    fit_loglog
+    ambient_for, centered_box, fit_loglog
 
 
 def _resolvent_power(a: np.ndarray, e: float, m: int) -> np.ndarray:
@@ -35,10 +34,8 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
     margin = int(config.opt("margin", 8))
     side = int(config.opt("box_side", 8))
     m = int(config.opt("power", 2))
-    grid, _ = ambient_for(centered_rect_box(side, width), margin, h)
-    origin = center_origin(grid)
-    field = sample_couplings(config.distribution, absolute_site_window(grid),
-                             config.seed, realization)
+    grid, origin, window = ambient_for(centered_box((side, width)), margin, h)
+    field = sample_couplings(config.distribution, window, config.seed, realization)
     pot = assemble_potential(grid, config.build_profile(), field, origin=origin)
     ham = assemble_hamiltonian(grid, pot)
     dense = ham.to_dense()

@@ -18,7 +18,7 @@ from ..model import IntBox
 from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, mean_and_var
+    ambient_for, centered_box, mean_and_var
 
 
 def _boundary_measure(box: IntBox, h: float) -> float:
@@ -30,9 +30,7 @@ def _f_lambda(config: ExperimentConfig, abs_box: IntBox, realization: int,
     """Heat-trace functional of the box potential on its own padded ambient."""
     h = config.spacing
     margin = int(config.opt("margin", 6))
-    grid, origin = ambient_for(abs_box, margin, h)
-    window = IntBox(tuple(lo - margin for lo in abs_box.lo),
-                    tuple(hi + margin for hi in abs_box.hi))
+    grid, origin, window = ambient_for(abs_box, margin, h)
     field = sample_couplings(config.distribution, window, config.seed, realization)
     pot = assemble_potential(grid, config.build_profile(), field,
                              "lattice_sum", abs_box, origin=origin)
@@ -66,7 +64,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     per_l = {}
     split_rows = []
     for length in config.schedule:
-        box = IntBox((-(length // 2),) * 2, (length - length // 2 - 1,) * 2)
+        box = centered_box((length, length))
         b1, b2 = _split(box)
         iface = length * h  # common surface of the two halves
 
@@ -97,7 +95,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     ok_sub, ok_super = True, True
     for row in split_rows:
         length = row["L"]
-        box = IntBox((-(length // 2),) * 2, (length - length // 2 - 1,) * 2)
+        box = centered_box((length, length))
         b1, b2 = _split(box)
         half_c = 0.5 * c_cal
         fp = row["F"] + half_c * _boundary_measure(box, h)

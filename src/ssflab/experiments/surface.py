@@ -13,28 +13,26 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import IntBox, build_grid
-from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
+from ..model import assemble_hamiltonian, assemble_potential, build_grid, \
+    free_hamiltonian
 from ..randomfield import sample_couplings, split_signs
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    mean_and_var
+    centered_box, mean_and_var
 
 
 def _strip(config: ExperimentConfig, line_len: int, transverse: int):
+    """(grid, origin, transverse anchor, line window, N(lam; H0)) of one strip."""
     margin = int(config.opt("margin", 16))
-    extents = (line_len + 2 * margin, transverse)
-    grid = build_grid(2, config.spacing, extents)
-    origin = (margin + line_len // 2,)
-    trans = (transverse // 2,)
-    window = IntBox((-(line_len // 2),), (line_len - line_len // 2 - 1,))
-    return grid, origin, trans, window
+    grid = build_grid(2, config.spacing, (line_len + 2 * margin, transverse))
+    c0 = spectral.count_below(free_hamiltonian(grid), np.asarray(config.energies))
+    return grid, (margin + line_len // 2,), (transverse // 2,), \
+        centered_box((line_len,)), c0
 
 
-def _one_length(config: ExperimentConfig, line_len: int, realization: int,
-                transverse: int | None = None):
-    """Counts, chain-rule split and Laplace functional for one line cutoff."""
-    transverse = transverse or int(config.opt("transverse", 11))
-    grid, origin, trans, window = _strip(config, line_len, transverse)
+def _one_length(config: ExperimentConfig, strip, realization: int, times):
+    """Counts, chain-rule split and Laplace functional at the given times for
+    one line cutoff."""
+    grid, origin, trans, window, c0 = strip
     profile = config.build_profile()
     field = sample_couplings(config.distribution, window, config.seed, realization)
     _, minus = split_signs(field)  # the chain rule splits through H0 + V_minus
@@ -46,10 +44,8 @@ def _one_length(config: ExperimentConfig, line_len: int, realization: int,
 
     h_full = ham(field)
     h_minus = ham(minus)
-    h0 = free_hamiltonian(grid)
 
     lam_grid = np.asarray(config.energies)
-    c0 = spectral.count_below(h0, lam_grid)
     cf = spectral.count_below(h_full, lam_grid)
     cm = spectral.count_below(h_minus, lam_grid)
     xi_full = c0 - cf
@@ -57,11 +53,11 @@ def _one_length(config: ExperimentConfig, line_len: int, realization: int,
     xi_minus = c0 - cm    # xi(lam; H0 + V-, H0)
 
     f_vals = []
-    if config.times:
+    if times:
         ev_h = spectral.eig_all(h_full).eigenvalues
-        ev_0 = spectral.eig_all(h0).eigenvalues
+        ev_0 = spectral.eig_all(free_hamiltonian(grid)).eigenvalues
         f_vals = [ssf.trace_difference(ev_h, ev_0, spectral.ExpWeight(t))
-                  for t in config.times]
+                  for t in times]
     return xi_full, xi_plus, xi_minus, f_vals
 
 
@@ -86,8 +82,11 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     per_len_mean = []
     per_len_var = []
     for line_len in config.schedule:
-        vals = parallel_map(lambda r, L=line_len: _one_length(config, L, r),
+        strip = _strip(config, line_len, transverse)
+        vals = parallel_map(lambda r: _one_length(config, strip, r, config.times),
                             reals, config.workers)
+        if line_len == config.schedule[0]:
+            base = vals[0][0][star]
         meas1 = line_len * h
         per_real = []
         for r, (xi_full, xi_plus, xi_minus, f_vals) in zip(reals, vals):
@@ -121,8 +120,8 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
 
     if config.opt("check_transverse", True):
         l0 = config.schedule[0]
-        base = _one_length(config, l0, 0)[0][star]
-        wide = _one_length(config, l0, 0, transverse=2 * transverse + 1)[0][star]
+        wide_strip = _strip(config, l0, 2 * transverse + 1)
+        wide = _one_length(config, wide_strip, 0, ())[0][star]
         meas1 = l0 * h
         shift = abs(base - wide) / meas1
         denom = max(abs(base) / meas1, 1e-300)

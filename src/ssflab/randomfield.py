@@ -186,9 +186,6 @@ class CouplingField:
         """All window values in row-major window order."""
         return self.values_at(self.window.coords())
 
-    def value(self, j) -> float:
-        return float(self.values_at(np.asarray([j]))[0])
-
 
 def sample_couplings(spec: DistributionSpec, window: IntBox,
                      seed: int, realization: int = 0) -> CouplingField:

@@ -124,35 +124,20 @@ def _schur_counts(ham: Hamiltonian, lams: np.ndarray, scale: float) -> list:
 
 
 def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
-    """Inertia of (A - lam) via the LAPACK symmetric-indefinite factorization."""
+    """Inertia of (A - lam) via the LAPACK symmetric-indefinite factorization.
+
+    D is block diagonal with 1x1 and 2x2 blocks, so the eigenvalues of the
+    tridiagonal matrix made of its diagonal and subdiagonal are those of its
+    blocks."""
     shifted = a - lam * np.eye(a.shape[0])
     try:
         _, dmat, _ = sla.ldl(shifted, lower=True)
+        ev = sla.eigvalsh_tridiagonal(np.diag(dmat), np.diag(dmat, -1))
     except (sla.LinAlgError, ValueError):
         return None
-    tol = _BREAKDOWN_REL * max(scale, 1.0)
-    n = a.shape[0]
-    neg = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and dmat[i + 1, i] != 0.0:
-            blk = dmat[i:i + 2, i:i + 2]
-            tr, det = blk[0, 0] + blk[1, 1], blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            disc = math.sqrt(max(tr * tr - 4.0 * det, 0.0))
-            for ev in ((tr - disc) / 2.0, (tr + disc) / 2.0):
-                if abs(ev) < tol:
-                    return None
-                if ev < 0.0:
-                    neg += 1
-            i += 2
-        else:
-            piv = dmat[i, i]
-            if abs(piv) < tol:
-                return None
-            if piv < 0.0:
-                neg += 1
-            i += 1
-    return neg
+    if np.any(np.abs(ev) < _BREAKDOWN_REL * max(scale, 1.0)):
+        return None
+    return int(np.count_nonzero(ev < 0.0))
 
 
 def _dense_count(a: np.ndarray, lam: float, scale: float) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from ssflab import brownian as br
 from ssflab.brownian import (
-    RegionError, box_complement, box_region,
+    RegionError, box_region,
     envelope_constant, gaussian_bound, half_space,
     halfspace_exact, joint_bound_check, simulate_hitting,
 )
@@ -20,8 +20,6 @@ def test_region_distances():
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     assert box.distance(np.array([2.0, 0.0])) == pytest.approx(1.0)
     assert box.distance(np.array([2.0, 2.0])) == pytest.approx(math.sqrt(2.0))
-    comp = box_complement((-1.0, -1.0), (1.0, 1.0))
-    assert comp.distance(np.array([0.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_degenerate_box_rejected():
@@ -210,15 +208,14 @@ def test_joint_bound_inside_and_outside():
 def test_joint_bound_running_extremes_match_per_step_test(start):
     x = np.array(start)
     box = box_region((-1.0, -1.0), (1.0, 1.0))
-    comp = box_complement(box.lo, box.hi)
     out = joint_bound_check(x, box, 0.5, paths=2000, seed=5)
     hits_exit = hits_joint = 0
     for m, rng in br._path_blocks(0.5, 2000, 5):
         pos = np.tile(x, (m, 1))
-        exited = comp.contains(pos)
+        exited = ~box.contains(pos)
         for _ in range(br._N_STEPS):
             pos = pos + math.sqrt(2.0 * (0.5 / br._N_STEPS)) * rng.standard_normal((m, 2))
-            exited |= comp.contains(pos)
+            exited |= ~box.contains(pos)
         hits_exit += int(np.sum(exited))
         hits_joint += int(np.sum(exited & box.contains(pos)))
     assert (out["lhs"], out["p_exit"]) == (hits_joint / 2000, hits_exit / 2000)

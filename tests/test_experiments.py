@@ -9,6 +9,7 @@ from ssflab.experiments import (
     run_cluster, run_cutoff_equivalence, run_kirsch_demo, run_locality,
     run_resolvent_power, run_subadditive, run_surface,
 )
+from ssflab.experiments.base import ambient_for, centered_box
 from ssflab.model import IntBox, SingleSiteProfile, SiteBox, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, constant_couplings, sample_couplings
@@ -328,3 +329,22 @@ def test_brownian_small_sweep():
 def test_schedule_must_increase():
     with pytest.raises(ExperimentError):
         bulk_config(schedule=(64, 64))
+
+
+@pytest.mark.parametrize("extents", [(7,), (8,), (8, 5), (5, 16), (3, 4, 6)])
+@pytest.mark.parametrize("margin", [0, 3, 4])
+def test_ambient_box_geometry(extents, margin):
+    box = centered_box(extents)
+    # the box as the campaigns used to build it inline
+    assert box == IntBox(tuple(-(e // 2) for e in extents),
+                         tuple(e - e // 2 - 1 for e in extents))
+    grid, origin, window = ambient_for(box, margin, 1.0)
+    # origin at the grid center, window = every grid site in absolute coordinates
+    half = tuple(e // 2 for e in grid.extents)
+    assert origin == half
+    assert window == IntBox(tuple(-c for c in half),
+                            tuple(e - 1 - c for e, c in zip(grid.extents, half)))
+    # window coordinates shifted by origin enumerate the sites in row-major order
+    sites = window.coords() + np.asarray(origin)
+    assert np.array_equal(np.ravel_multi_index(tuple(sites.T), grid.extents),
+                          np.arange(grid.n_sites))

@@ -1,12 +1,17 @@
-"""Golden SHA-256 digests of the outputs of three shipped configs.
+"""Golden SHA-256 digests of campaign outputs.
 
 bulk_small, bulk_acceptance and cutoff compute only integer counts and
 tridiagonal spectra, so their bytes do not depend on the BLAS thread count.
+locality and cluster run dense eigensolves whose last bits do, so they run
+in a subprocess with one BLAS thread, at the size the benchmark runs them.
 Eigen-derived floats can still differ across numpy/scipy builds, so the
 digests are compared only in the environment they were recorded in.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,3 +48,68 @@ def test_golden_digests(name, tmp_path):
     out = tmp_path / experiment
     digest = lambda f: hashlib.sha256((out / f).read_bytes()).hexdigest()
     assert (digest("raw.csv"), digest("result.json")) == (raw_digest, result_digest)
+
+
+# locality.cfg and cluster.cfg at benchmark size: two realizations, boxes 8
+# and 16, margin 4, constant coupling 1
+PINNED_TEXT = {
+    "locality": """experiment = locality
+seed = 1
+realizations = 2
+grid.dimension = 2
+grid.spacing = 1.0
+distribution.kind = constant
+distribution.value = 1
+profile.kind = point
+profile.amplitude = -1.0
+schedule = 8, 16
+options.margin = 4
+options.bump_lo = -1.0
+options.bump_hi = 2.0
+""",
+    "cluster": """experiment = cluster
+seed = 1
+realizations = 2
+grid.dimension = 2
+grid.spacing = 1.0
+distribution.kind = constant
+distribution.value = 1
+profile.kind = point
+profile.amplitude = -1.0
+schedule = 8, 16
+options.box_side = 8
+options.margin = 4
+options.t = 2.0
+options.additivity_sites = 320
+options.additivity_block = 48
+options.additivity_gap = 32
+""",
+}
+
+# experiment -> (raw.csv digest, result.json digest), one BLAS thread
+PINNED = {
+    "locality": ("e6b1fd941f550979d240d14fa2a0721f6082223d2c464c7f00c0279fc66eb138",
+                 "9cdfc6db37be3c911e6f3ba03c13ebc26ec3c34b5bf7f5bb41ca67b87194475e"),
+    "cluster": ("d39009a98d179485a167c9e68964ed346266e50a27097e4df76ed8aa5037af73",
+                "e84f44d222024e3052484caebe4526f7ea72313b0dc042a41492af5fe7381ae1"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED))
+def test_golden_digests_one_blas_thread(experiment, tmp_path):
+    here = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if here != FINGERPRINT:
+        pytest.skip(f"digests recorded with {FINGERPRINT}, this environment has {here}")
+    cfg = tmp_path / f"{experiment}.cfg"
+    cfg.write_text(PINNED_TEXT[experiment])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ssflab.harness.cli", experiment,
+                           str(cfg), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "out" / experiment
+    digest = lambda f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+    assert (digest("raw.csv"), digest("result.json")) == PINNED[experiment]

@@ -30,7 +30,7 @@ def test_window_extension_stability(seed, realization, site, extra):
                              IntBox((site,), (site,)), seed, realization)
     big = sample_couplings(DistributionSpec("uniform", low=-2, high=2),
                            IntBox((site - extra,), (site + extra,)), seed, realization)
-    assert small.value((site,)) == big.value((site,))
+    assert small.values_at([(site,)])[0] == big.values_at([(site,)])[0]
 
 
 def test_bitwise_determinism_across_calls():
@@ -48,7 +48,7 @@ def test_shift_identity_and_group_action():
     g = shift_field(shift_field(f, (3,)), (-3,))
     assert np.array_equal(g.values_flat(), f.values_flat())
     s = shift_field(f, (2,))
-    assert s.value((2,)) == f.value((0,))
+    assert s.values_at([(2,)])[0] == f.values_at([(0,)])[0]
 
 
 def test_shift_statistics_unchanged_3_sigma():

@@ -154,6 +154,22 @@ def test_schur_breakdown_falls_back_to_banded_range_count(monkeypatch):
     assert count_below(h, lam) == expected[1] and calls == [lam, lam]
 
 
+def test_dense_ldl_count_with_2x2_blocks():
+    # indefinite shifts of random symmetric matrices pivot with 2x2 blocks of D
+    rng = np.random.default_rng(31)
+    blocks = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        a = random_symmetric(rng, n)
+        w = sla.eigvalsh(a)
+        lam = 0.5 * (w[n // 2 - 1] + w[n // 2])
+        _, d, _ = sla.ldl(a - lam * np.eye(n), lower=True)
+        blocks += bool(np.any(np.diag(d, -1) != 0.0))
+        count = spectral._dense_ldl_count(a, lam, float(np.abs(a).sum(axis=1).max()))
+        assert count == int(np.searchsorted(w, lam, side="left"))
+    assert blocks >= 10
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 10**6), k=st.integers(1, 6))
 def test_batched_count_dense(n, seed, k):
