@@ -22,20 +22,20 @@ from .base import ExperimentConfig, ExperimentError, ResultRecord, \
 
 
 def _ambient(config, ambient_factor, lam_grid):
-    """(grid, origin, window, N(lam; H0)) of the ambient box, counted once."""
+    """(grid, origin, window, profile, N(lam; H0)) of the ambient box, once."""
     side = ambient_factor * max(config.schedule)
     grid, origin, window = ambient_for(centered_box((side,) * config.dimension), 0,
                                        config.spacing)
-    return grid, origin, window, spectral.count_below(free_hamiltonian(grid), lam_grid)
+    return grid, origin, window, config.build_profile(), \
+        spectral.count_below(free_hamiltonian(grid), lam_grid)
 
 
 def _xi_per_meas(config, ambient, field, length, lam_grid):
     """(xi(lam), meas(Lambda)) for one cutoff length and coupling field."""
     dim, h = config.dimension, config.spacing
-    grid, origin, _, c0 = ambient
+    grid, origin, _, profile, c0 = ambient
     cut = centered_box((length,) * dim)
-    pot = assemble_potential(grid, config.build_profile(), field, "lattice_sum", cut,
-                             origin=origin)
+    pot = assemble_potential(grid, profile, field, "lattice_sum", cut, origin=origin)
     gershgorin_window_check(lam_grid, pot.values, dim, h)
     xi = c0 - spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
     return xi, cut.count * h ** dim
@@ -44,11 +44,11 @@ def _xi_per_meas(config, ambient, field, length, lam_grid):
 def _one_realization(config, ambient, realization, lam_grid):
     """xi per volume for every length, then the -N(lam) proxy: Dirichlet
     counting per volume at the largest box, all on one field draw."""
-    grid, origin, window, _ = ambient
+    grid, origin, window, profile, _ = ambient
     field = sample_couplings(config.distribution, window, config.seed, realization)
     xis = [_xi_per_meas(config, ambient, field, length, lam_grid)
            for length in config.schedule]
-    pot = assemble_potential(grid, config.build_profile(), field, origin=origin)
+    pot = assemble_potential(grid, profile, field, origin=origin)
     box = SiteBox.centered(grid, max(config.schedule))
     restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
     return xis, spectral.count_below(restricted, lam_grid) / box.measure
@@ -126,8 +126,7 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
 
     xi_a, meas = per_length[last][0]
     wide = _ambient(config, 2 * factor, lam_grid)
-    _, _, window, _ = wide
-    field = sample_couplings(config.distribution, window, config.seed, 0)
+    field = sample_couplings(config.distribution, wide[2], config.seed, 0)
     xi_b, _ = _xi_per_meas(config, wide, field, last, lam_grid)
     shift = float(np.abs(xi_a - xi_b).max() / meas)
     rec.aggregates["ambient_doubling_shift"] = shift

@@ -86,10 +86,9 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     lo = min(s.min() for s in spectra) - 0.5
     hi = max(s.max() for s in spectra) + 0.5
     grid_lam = ssf.midpoint_energy_grid(spectra, lo, hi, max_points=240)
-    xi = {}
-    for name, ham in (("h1", h1), ("h2", h2), ("h12", h12)):
-        xi[name] = ssf.ssf_counting(ham, h0, grid_lam).xi_raw
-    defect = np.abs(xi["h12"] - xi["h1"] - xi["h2"])
+    # xi_12 - xi_1 - xi_2 = (N_1 - N_12) - (N_0 - N_2): four counts, not six
+    defect = np.abs(ssf.ssf_counting(h12, h1, grid_lam).xi_raw
+                    - ssf.ssf_counting(h2, h0, grid_lam).xi_raw)
     return int(defect.max())
 
 

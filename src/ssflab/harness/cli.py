@@ -26,16 +26,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ssflab",
         description="Spectral-shift laboratory for random lattice operators")
     sub = parser.add_subparsers(dest="command", required=True)
+    # one shared parent: every add_argument builds a help formatter
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config", type=Path, help="config file (key = value grammar)")
+    common.add_argument("--seed", type=int, default=None, help="override master seed")
+    common.add_argument("--out", type=Path, default=Path("ssflab-out"),
+                        help="output directory root")
+    common.add_argument("--workers", type=int, default=None, help="override worker count")
+    common.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="raw table format")
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} campaign")
-        p.add_argument("config", type=Path, help="config file (key = value grammar)")
-        p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--out", type=Path, default=Path("ssflab-out"),
-                       help="output directory root")
-        p.add_argument("--workers", type=int, default=None,
-                       help="override worker count")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="raw table format")
+        sub.add_parser(name, help=f"run the {name} campaign", parents=[common])
     st = sub.add_parser("selftest", help="run the module invariant battery")
     st.add_argument("--seed", type=int, default=0)
     return parser

@@ -57,7 +57,7 @@ class IntBox:
 
     @property
     def count(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)
 
     @property
     def boundary_site_count(self) -> int:
@@ -111,7 +111,7 @@ class Grid:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)
 
     @property
     def strides(self) -> tuple:
@@ -164,7 +164,7 @@ class SiteBox:
 
     @property
     def site_count(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)
 
     @property
     def measure(self) -> float:

@@ -8,13 +8,14 @@ matrices the LAPACK symmetric-indefinite factorization.  A near-breakdown
 (pivot below 1e-12 * |H|) falls back to an eigenvalue-based count
 (``eigvals_banded`` over a range on grids) rather than silently approximating.
 
-The spectrum oracle (``eig_all``) backs every trace and matrix-function
-operation; the paths that form an n x n array are capped at DENSE_LIMIT
-sites.
+The spectrum oracle (``eig_all``) backs the traces and matrix functions but
+those of free operators, which use the per-axis sine modes; the paths that
+form an n x n array are capped at DENSE_LIMIT sites.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,16 +192,26 @@ class SpectrumOracle:
     vectors: np.ndarray | None = None
 
 
-def _free_spectrum(h: Hamiltonian) -> np.ndarray:
-    """Analytic Dirichlet spectrum of the free discrete Laplacian."""
-    parts = []
+def _axis_modes(h: Hamiltonian, need_vectors: bool = True) -> list:
+    """Per-axis Dirichlet pairs (mu_a, Psi_a) of the chains whose Kronecker sum
+    is H0: Psi_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)), jk reduced mod 2(n+1)."""
+    modes = []
     for n_a in h.grid.extents:
         k = np.arange(1, n_a + 1)
-        parts.append((2.0 - 2.0 * np.cos(k * np.pi / (n_a + 1))) / h.grid.spacing ** 2)
-    total = parts[0]
-    for p in parts[1:]:
-        total = np.add.outer(total, p).ravel()
-    return np.sort(total)
+        mu = (2.0 - 2.0 * np.cos(k * np.pi / (n_a + 1))) / h.grid.spacing ** 2
+        psi = None
+        if need_vectors:
+            _check_dense(n_a)
+            jk = np.outer(k, k) % (2 * n_a + 2)
+            psi = math.sqrt(2.0 / (n_a + 1)) * np.sin(jk * np.pi / (n_a + 1))
+        modes.append((mu, psi))
+    return modes
+
+
+def _free_spectrum(h: Hamiltonian) -> np.ndarray:
+    """Analytic Dirichlet spectrum of the free discrete Laplacian."""
+    mus = [mu for mu, _ in _axis_modes(h, need_vectors=False)]
+    return np.sort(functools.reduce(np.add.outer, mus).ravel())
 
 
 def _check_dense(n: int) -> None:
@@ -235,7 +246,9 @@ def eig_all(h, need_vectors: bool = False) -> SpectrumOracle:
         return SpectrumOracle(sla.eigh_tridiagonal(d, e, eigvals_only=True))
     a = h.to_dense() if kind == "banded" else payload[0]
     if need_vectors:
-        vals, vecs = sla.eigh(a)
+        # divide and conquer; overwrite only a matrix built here (symmetric: a.T = a)
+        own = kind == "banded"
+        vals, vecs = sla.eigh(a.T if own else a, overwrite_a=own, driver="evd")
         return SpectrumOracle(vals, vecs)
     return SpectrumOracle(sla.eigvalsh(a))
 
@@ -256,9 +269,14 @@ def heat_semigroup(h, t: float) -> np.ndarray:
     """Dense matrix exp(-tH), symmetric positive definite."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    orc = eig_all(h, need_vectors=True)
-    u, w = orc.vectors, orc.eigenvalues
-    m = (u * np.exp(-t * w)) @ u.T
+    if isinstance(h, Hamiltonian) and h.free:
+        # H0 is a Kronecker sum: exp(-tH0) = kron of the axis semigroups, axis 0 first
+        _check_dense(h.n)
+        pairs = [(psi, mu) for mu, psi in _axis_modes(h)]
+    else:
+        orc = eig_all(h, need_vectors=True)
+        pairs = [(orc.vectors, orc.eigenvalues)]
+    m = functools.reduce(np.kron, [(u * np.exp(-t * w)) @ u.T for u, w in pairs])
     return 0.5 * (m + m.T)
 
 
@@ -311,10 +329,6 @@ class BumpFunction:
         xs = np.linspace(self.a, self.b, 4097)
         return float(np.max(np.abs(self.derivative(xs))))
 
-    @property
-    def support(self) -> tuple:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class ExpWeight:
@@ -353,5 +367,12 @@ def diag_of_function(h, g) -> np.ndarray:
     """Diagonal of g(H) without forming the full matrix."""
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must come from the built-in function family")
+    if isinstance(h, Hamiltonian) and h.free:
+        # g(mu_1 + mu_2 + ...) contracted with Psi_a o Psi_a one axis at a time
+        mus, psis = zip(*_axis_modes(h))
+        out = g.value(functools.reduce(np.add.outer, mus))
+        for psi in psis:  # contracts the leading axis and appends the site axis
+            out = np.tensordot(out, psi ** 2, axes=(0, 1))
+        return out.ravel()
     orc = eig_all(h, need_vectors=True)
     return (orc.vectors ** 2) @ g.value(orc.eigenvalues)

@@ -55,9 +55,6 @@ class EnergyGrid:
                 raise ValueError("distances shape mismatch")
             object.__setattr__(self, "distances", d)
 
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
 
 def midpoint_energy_grid(spectra, lo: float, hi: float, max_points: int = 200) -> EnergyGrid:
     """Off-spectrum grid by construction: midpoints of the gaps of the merged
@@ -75,8 +72,10 @@ def midpoint_energy_grid(spectra, lo: float, hi: float, max_points: int = 200) -
     if vals.size > max_points:
         take = np.linspace(0, vals.size - 1, max_points).round().astype(int)
         vals = vals[np.unique(take)]
-    dists = np.array([np.min(np.abs(merged - v)) if merged.size else np.inf
-                      for v in vals])
+    dists = np.full(vals.size, np.inf)
+    if merged.size:  # the nearest point of the sorted spectra is a neighbour
+        near = merged[np.clip(np.searchsorted(merged, vals) + [[-1], [0]], 0, merged.size - 1)]
+        dists = np.abs(near - vals).min(axis=0)
     return EnergyGrid(vals, dists)
 
 

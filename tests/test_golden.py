@@ -88,10 +88,10 @@ options.additivity_gap = 32
 
 # experiment -> (raw.csv digest, result.json digest), one BLAS thread
 PINNED = {
-    "locality": ("e6b1fd941f550979d240d14fa2a0721f6082223d2c464c7f00c0279fc66eb138",
-                 "9cdfc6db37be3c911e6f3ba03c13ebc26ec3c34b5bf7f5bb41ca67b87194475e"),
-    "cluster": ("d39009a98d179485a167c9e68964ed346266e50a27097e4df76ed8aa5037af73",
-                "e84f44d222024e3052484caebe4526f7ea72313b0dc042a41492af5fe7381ae1"),
+    "locality": ("5aaceca8413e49d55b3e97d5a2f751e843c197994b89bd4e5d1147dfa75c3526",
+                 "c510837327c438352e4121330b83e33d90a5585102849f73278fd5565e112824"),
+    "cluster": ("bc12b4f9e3525504160fc4c07e29f294a2dee1bc25c3f014796b3d0c0bcc0181",
+                "98af525555b783f695ec0f2c41e998cfdd267b85001017c59b06cba7b4637ef2"),
 }
 
 

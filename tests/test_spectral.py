@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
 from ssflab import spectral
-from ssflab.model import Hamiltonian, IntBox, SingleSiteProfile, \
+from ssflab.model import Hamiltonian, IntBox, SingleSiteProfile, SiteBox, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import (
@@ -203,6 +203,55 @@ def test_eig_all_vector_residuals():
     for k in range(0, 50, 7):
         r = dense @ orc.vectors[:, k] - orc.eigenvalues[k] * orc.vectors[:, k]
         assert np.linalg.norm(r) <= 1e-8 * scale
+
+
+def _degenerate_24x24():
+    """Symmetric boxes with clustered spectra: free, free + constant, and a
+    constant well on the centred 8x8 box."""
+    grid = build_grid(2, 1.0, (24, 24))
+    free = free_hamiltonian(grid)
+    cut = np.zeros(grid.n_sites)
+    cut[SiteBox.centered(grid, 8).indices()] = -1.0
+    return free, Hamiltonian(grid, free.diag + 0.5), Hamiltonian(grid, free.diag + cut)
+
+
+@pytest.mark.parametrize("which", range(3), ids=["free", "constant", "centred_cut"])
+def test_eig_all_vectors_on_degenerate_spectra(which):
+    h = _degenerate_24x24()[which]
+    orc = eig_all(h, need_vectors=True)
+    u, w, a = orc.vectors, orc.eigenvalues, h.to_dense()
+    scale = np.abs(a).sum(axis=1).max()
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.linalg.norm(u.T @ u - np.eye(h.n), 2) <= 1e-12
+    assert np.linalg.norm(a @ u - u * w, 2) <= 1e-12 * scale
+
+
+def test_eig_all_leaves_caller_matrix_unchanged():
+    rng = np.random.default_rng(7)
+    a = random_symmetric(rng, 40)
+    fortran = np.asfortranarray(a)
+    kept = a.copy()
+    for m in (a, fortran):
+        for vectors in (False, True):
+            eig_all(m, need_vectors=vectors)
+            heat_semigroup(m, 0.3)
+            assert np.array_equal(m, kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(extents=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       spacing=st.sampled_from([1.0, 0.5, 1.3]), t=st.floats(0.05, 3.0),
+       lo=st.floats(-1.0, 4.0), width=st.floats(0.5, 6.0))
+@example(extents=[1, 6], spacing=0.5, t=1.0, lo=-1.0, width=3.0)
+@example(extents=[4, 1, 5], spacing=1.3, t=0.3, lo=0.0, width=2.0)
+@example(extents=[1, 1, 1], spacing=1.0, t=1.0, lo=1.0, width=3.0)
+def test_free_closed_forms_match_dense(extents, spacing, t, lo, width):
+    h = free_hamiltonian(build_grid(len(extents), spacing, tuple(extents)))
+    dense = h.to_dense()
+    assert np.max(np.abs(heat_semigroup(h, t) - heat_semigroup(dense, t))) <= 1e-13
+    for g in (BumpFunction(lo / spacing ** 2, (lo + width) / spacing ** 2),
+              ExpWeight(t), ConstantFunction(0.7)):
+        assert np.max(np.abs(diag_of_function(h, g) - diag_of_function(dense, g))) <= 1e-13
 
 
 def test_size_cap_only_on_dense_paths(monkeypatch):

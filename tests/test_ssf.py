@@ -44,6 +44,20 @@ def test_midpoint_grid_is_off_spectrum():
     assert np.all(grid.distances > 1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       max_points=st.integers(1, 60))
+def test_midpoint_grid_distances_match_loop(seed, sizes, max_points):
+    # two-decimal spectra repeat values and put points exactly at lo and hi
+    rng = np.random.default_rng(seed)
+    spectra = [np.round(rng.uniform(-1.5, 2.5, n), 2) for n in sizes]
+    grid = midpoint_energy_grid(spectra, -1.0, 2.0, max_points)
+    merged = np.sort(np.concatenate(spectra))
+    merged = merged[(merged >= -1.0) & (merged <= 2.0)]
+    loop = [np.min(np.abs(merged - v)) if merged.size else np.inf for v in grid.values]
+    assert np.array_equal(grid.distances, loop)
+
+
 def test_on_spectrum_grid_rejected():
     h, h0 = alloy_pair(20, 2)
     lam = spectral.eig_all(h).eigenvalues[3]
