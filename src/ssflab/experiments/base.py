@@ -14,13 +14,26 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from ..model import IntBox, SingleSiteProfile, build_grid
+from ..model import Grid, IntBox, SingleSiteProfile
 from ..randomfield import DistributionSpec
 
 
 class ExperimentError(RuntimeError):
     """A validated precondition failed while running an experiment."""
 
+
+# experiment -> tolerance name -> default; a config's tolerances override these
+DEFAULT_TOLERANCES = {
+    "bulk-limit": {"bulk_deviation": 0.02, "variance_slack": 1.2},
+    "locality": {"slope_low": -1.3, "slope_high": -0.7},
+    "cutoff": {},
+    "cluster": {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
+    "subadditive": {},
+    "surface": {"relative_change": 0.05, "transverse_tol": 0.05},
+    "kirsch": {"dual_rel": 1e-8},
+    "resolvent": {"slope_low": 0.7, "slope_high": 1.3},
+    "brownian": {},
+}
 
 _KIRSCH_PATCH = np.array([[0.25, 0.5, 0.25],
                           [0.5, 1.0, 0.5],
@@ -54,8 +67,10 @@ class ExperimentConfig:
         if self.realizations < 1:
             raise ExperimentError("realizations must be >= 1")
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        if name in self.tolerances:
+            return float(self.tolerances[name])
+        return float(DEFAULT_TOLERANCES[self.experiment][name])
 
     def opt(self, name: str, default):
         return self.options.get(name, default)
@@ -168,21 +183,11 @@ def fit_loglog(xs, ys) -> dict:
             "stderr": stderr, "points": len(xs)}
 
 
-def centered_box(extents) -> IntBox:
-    """Integer box with the given extents centered at the absolute origin."""
-    lo = tuple(-(e // 2) for e in extents)
-    return IntBox(lo, tuple(a + e - 1 for a, e in zip(lo, extents)))
-
-
-def ambient_for(box: IntBox, margin: int, spacing: float) -> tuple:
-    """(grid, origin, window) embedding an absolute box with the given margin;
-    window is the box padded by the margin, i.e. every grid site in absolute
-    coordinates."""
-    extents = tuple(e + 2 * margin for e in box.extents)
-    origin = tuple(margin - lo for lo in box.lo)
-    window = IntBox(tuple(lo - margin for lo in box.lo),
-                    tuple(hi + margin for hi in box.hi))
-    return build_grid(box.dim, spacing, extents), origin, window
+def ambient_for(box: IntBox, margin: int, spacing: float) -> Grid:
+    """Grid over the box padded by the margin, in the box's absolute
+    coordinates; ``grid.box`` is the window a coupling field must cover."""
+    padded = box.padded(margin)
+    return Grid(box.dim, float(spacing), padded.extents, padded.lo)
 
 
 def gershgorin_window_check(energies, v_values: np.ndarray, dim: int, spacing: float):

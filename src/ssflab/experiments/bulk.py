@@ -14,44 +14,43 @@ import numpy as np
 
 from .. import spectral
 from ..harness.parallel import parallel_map
-from ..model import SiteBox, assemble_hamiltonian, assemble_potential, \
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
     dirichlet_restriction, free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_box, gershgorin_window_check, mean_and_var
+    ambient_for, gershgorin_window_check, mean_and_var
 
 
 def _ambient(config, ambient_factor, lam_grid):
-    """(grid, origin, window, profile, N(lam; H0)) of the ambient box, once."""
+    """(grid, profile, N(lam; H0)) of the ambient box, once."""
     side = ambient_factor * max(config.schedule)
-    grid, origin, window = ambient_for(centered_box((side,) * config.dimension), 0,
-                                       config.spacing)
-    return grid, origin, window, config.build_profile(), \
+    grid = ambient_for(IntBox.centered((side,) * config.dimension), 0, config.spacing)
+    return grid, config.build_profile(), \
         spectral.count_below(free_hamiltonian(grid), lam_grid)
 
 
 def _xi_per_meas(config, ambient, field, length, lam_grid):
     """(xi(lam), meas(Lambda)) for one cutoff length and coupling field."""
     dim, h = config.dimension, config.spacing
-    grid, origin, _, profile, c0 = ambient
-    cut = centered_box((length,) * dim)
-    pot = assemble_potential(grid, profile, field, "lattice_sum", cut, origin=origin)
+    grid, profile, c0 = ambient
+    cut = IntBox.centered((length,) * dim)
+    pot = assemble_potential(grid, profile, field, "lattice_sum", cut)
     gershgorin_window_check(lam_grid, pot.values, dim, h)
     xi = c0 - spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
-    return xi, cut.count * h ** dim
+    return xi, cut.measure(h)
 
 
 def _one_realization(config, ambient, realization, lam_grid):
     """xi per volume for every length, then the -N(lam) proxy: Dirichlet
     counting per volume at the largest box, all on one field draw."""
-    grid, origin, window, profile, _ = ambient
-    field = sample_couplings(config.distribution, window, config.seed, realization)
+    grid, profile, _ = ambient
+    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
     xis = [_xi_per_meas(config, ambient, field, length, lam_grid)
            for length in config.schedule]
-    pot = assemble_potential(grid, profile, field, origin=origin)
-    box = SiteBox.centered(grid, max(config.schedule))
+    pot = assemble_potential(grid, profile, field)
+    box = IntBox.centered((max(config.schedule),) * config.dimension)
     restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
-    return xis, spectral.count_below(restricted, lam_grid) / box.measure
+    return xis, spectral.count_below(restricted, lam_grid) / box.measure(config.spacing)
 
 
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
@@ -84,7 +83,7 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     for i, lam in enumerate(lam_grid):
         rec.aggregates[f"reference_N[{lam}]"] = float(ref_n[i])
 
-    dev_tol = config.tol("bulk_deviation", 0.02)
+    dev_tol = config.tol("bulk_deviation")
     variances = []
     for k, length in enumerate(config.schedule):
         vals = np.array([xi / meas for xi, meas in per_length[length]])  # (R, n_lam)
@@ -108,7 +107,7 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
                       variances[-1] <= variances[0] or variances[0] == 0.0,
                       variances[-1], variances[0],
                       "across-realization variance shrinks from first to last box")
-        slack = config.tol("variance_slack", 1.2)
+        slack = config.tol("variance_slack")
         mono = all(variances[k + 1] <= slack * variances[k] or variances[k] == 0.0
                    for k in range(len(variances) - 1))
         rec.add_check("variance_monotone", "hard", mono, variances, slack,
@@ -126,7 +125,7 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
 
     xi_a, meas = per_length[last][0]
     wide = _ambient(config, 2 * factor, lam_grid)
-    field = sample_couplings(config.distribution, wide[2], config.seed, 0)
+    field = sample_couplings(config.distribution, wide[0].box, config.seed, 0)
     xi_b, _ = _xi_per_meas(config, wide, field, last, lam_grid)
     shift = float(np.abs(xi_a - xi_b).max() / meas)
     rec.aggregates["ambient_doubling_shift"] = shift

@@ -17,41 +17,39 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import PotentialField, SingleSiteProfile, SiteBox, \
+from ..model import IntBox, PotentialField, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, free_hamiltonian, interface_measure
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_box, fit_loglog
+    ambient_for, fit_loglog
 
 
 def _geometry(config: ExperimentConfig, width: int, t: float) -> tuple:
-    """(grid, origin, window, (Lambda, Lambda_1, Lambda_2), exp(-tH0)) for one
-    width: everything of the four-term combination but the field."""
+    """(grid, (Lambda, Lambda_1, Lambda_2), exp(-tH0)) for one width:
+    everything of the four-term combination but the field."""
     margin = int(config.opt("margin", 8))
     side = int(config.opt("box_side", 8))
     if side % 2:
         raise ExperimentError("box_side must be even for the hyperplane split")
-    grid, origin, window = ambient_for(centered_box((side, width)), margin,
-                                       config.spacing)
-    lam = SiteBox.centered(grid, (side, width))
-    lam1 = SiteBox(grid, lam.lo, (lam.lo[0] + side // 2 - 1, lam.hi[1]))
-    lam2 = SiteBox(grid, (lam.lo[0] + side // 2, lam.lo[1]), lam.hi)
-    return grid, origin, window, (lam, lam1, lam2), \
-        spectral.heat_semigroup(free_hamiltonian(grid), t)
+    lam = IntBox.centered((side, width))
+    lam1 = IntBox(lam.lo, (lam.lo[0] + side // 2 - 1, lam.hi[1]))
+    lam2 = IntBox((lam.lo[0] + side // 2, lam.lo[1]), lam.hi)
+    grid = ambient_for(lam, margin, config.spacing)
+    return grid, (lam, lam1, lam2), spectral.heat_semigroup(free_hamiltonian(grid), t)
 
 
 def _four_term_norm(config: ExperimentConfig, geometry, realization: int,
                     t: float) -> tuple:
-    grid, origin, window, (lam, lam1, lam2), s0 = geometry
-    field = sample_couplings(config.distribution, window, config.seed, realization)
+    grid, (lam, lam1, lam2), s0 = geometry
+    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
     profile = config.build_profile()
 
     def semigroup(box):
         return spectral.heat_semigroup(assemble_hamiltonian(grid, assemble_potential(
-            grid, profile, field, "sharp", box, origin=origin)), t)
+            grid, profile, field, "sharp", box)), t)
 
     comb = semigroup(lam) - semigroup(lam1) - semigroup(lam2) + s0
-    return spectral.trace_norm(comb), interface_measure(lam1, lam2)
+    return spectral.trace_norm(comb), interface_measure(lam1, lam2, config.spacing)
 
 
 def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
@@ -60,26 +58,24 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     sites = int(config.opt("additivity_sites", 320))
     block = int(config.opt("additivity_block", 48))
     gap = int(config.opt("additivity_gap", 32))
-    grid, origin, window = ambient_for(centered_box((sites,)), 0, h)
-    field = sample_couplings(config.distribution, window, config.seed,
+    grid = ambient_for(IntBox.centered((sites,)), 0, h)
+    field = sample_couplings(config.distribution, grid.box, config.seed,
                              1000 + realization)
     # the additivity instance is one-dimensional regardless of the 2D campaign
     profile = SingleSiteProfile.point(float(config.profile.get("amplitude", -1.0)), 1)
 
     half_gap = gap // 2
-    b1 = SiteBox(grid, (grid.extents[0] // 2 - half_gap - block,),
-                 (grid.extents[0] // 2 - half_gap - 1,))
-    b2 = SiteBox(grid, (grid.extents[0] // 2 + half_gap,),
-                 (grid.extents[0] // 2 + half_gap + block - 1,))
+    b1 = IntBox((-half_gap - block,), (-half_gap - 1,))
+    b2 = IntBox((half_gap,), (half_gap + block - 1,))
     if b1.hi[0] >= b2.lo[0]:
         raise ExperimentError("additivity supports overlap")
 
     h0 = free_hamiltonian(grid)
     mk = lambda box: assemble_hamiltonian(grid, assemble_potential(
-        grid, profile, field, "sharp", box, origin=origin))
+        grid, profile, field, "sharp", box))
     h1, h2 = mk(b1), mk(b2)
-    v12 = assemble_potential(grid, profile, field, "sharp", b1, origin=origin).values \
-        + assemble_potential(grid, profile, field, "sharp", b2, origin=origin).values
+    v12 = assemble_potential(grid, profile, field, "sharp", b1).values \
+        + assemble_potential(grid, profile, field, "sharp", b2).values
     h12 = assemble_hamiltonian(grid, PotentialField(grid, v12))
 
     spectra = [spectral.eig_all(x).eigenvalues for x in (h0, h1, h2, h12)]
@@ -118,8 +114,8 @@ def run_cluster(config: ExperimentConfig) -> ResultRecord:
 
     fit = fit_loglog(interfaces, norms)
     rec.fits["interface"] = fit
-    lo = config.tol("slope_low", 0.7)
-    hi = config.tol("slope_high", 1.3)
+    lo = config.tol("slope_low")
+    hi = config.tol("slope_high")
     rec.add_check("interface_slope", "hard", lo <= fit["slope"] <= hi,
                   fit["slope"], [lo, hi], "four-term trace norm vs interface length")
 
@@ -145,7 +141,7 @@ def run_cluster(config: ExperimentConfig) -> ResultRecord:
                            config.workers)
     worst = int(max(defects))
     rec.aggregates["additivity_defect"] = worst
-    tol = config.tol("additivity", 1.1)
+    tol = config.tol("additivity")
     rec.add_check("additivity_defect", "soft", worst <= tol, worst, tol,
                   "1D shift-function additivity defect on disjoint supports")
     for r, d in zip(reals, defects):

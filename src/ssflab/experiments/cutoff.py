@@ -13,31 +13,27 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import SiteBox, assemble_hamiltonian, assemble_potential
+from ..model import IntBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
-from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_box
+from .base import ExperimentConfig, ExperimentError, ResultRecord, ambient_for
 
 
 def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int) -> float:
     dim, h = config.dimension, config.spacing
     margin = int(config.opt("margin", 24))
     lmax = max(config.schedule)
-    grid, origin, window = ambient_for(centered_box((lmax,) * dim), margin, h)
-    field = sample_couplings(config.distribution, window, config.seed, realization)
+    grid = ambient_for(IntBox.centered((lmax,) * dim), margin, h)
+    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
     g = spectral.BumpFunction(float(config.opt("bump_lo", -2.5)),
                               float(config.opt("bump_hi", 1.0)))
-    site_box = SiteBox.centered(grid, length)
-    abs_box = centered_box((length,) * dim)
-    pot_sharp = assemble_potential(grid, profile, field, "sharp", site_box,
-                                   origin=origin)
-    pot_lat = assemble_potential(grid, profile, field, "lattice_sum", abs_box,
-                                 origin=origin)
+    box = IntBox.centered((length,) * dim)
+    pot_sharp = assemble_potential(grid, profile, field, "sharp", box)
+    pot_lat = assemble_potential(grid, profile, field, "lattice_sum", box)
     h_sharp = assemble_hamiltonian(grid, pot_sharp)
     h_lat = assemble_hamiltonian(grid, pot_lat)
     diff = ssf.trace_difference(spectral.eig_all(h_sharp).eigenvalues,
                                 spectral.eig_all(h_lat).eigenvalues, g)
-    return abs(diff) / site_box.measure
+    return abs(diff) / box.measure(h)
 
 
 def run_cutoff_equivalence(config: ExperimentConfig) -> ResultRecord:

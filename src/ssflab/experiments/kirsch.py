@@ -15,21 +15,21 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import IntBox, build_grid
-from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
+    free_hamiltonian
 from ..randomfield import constant_couplings, sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    gershgorin_window_check
+    ambient_for, gershgorin_window_check
 
 
 def _box_pair(config: ExperimentConfig, length: int):
-    """Free and perturbed operators on the L x L Dirichlet box itself."""
-    grid = build_grid(2, config.spacing, (length, length))
+    """Free and perturbed operators on the L x L Dirichlet box around the
+    one bump, anchored at the origin."""
+    grid = ambient_for(IntBox.centered((length, length)), 0, config.spacing)
     profile = config.build_profile()
     field = sample_couplings(constant_couplings(1.0), IntBox((0, 0), (0, 0)),
                              config.seed, 0)
-    center = (length // 2, length // 2)
-    pot = assemble_potential(grid, profile, field, origin=center)
+    pot = assemble_potential(grid, profile, field)
     if np.any(pot.values < 0.0):
         raise ExperimentError("kirsch demonstration needs a nonnegative bump")
     h0l = free_hamiltonian(grid)
@@ -68,7 +68,7 @@ def run_kirsch_demo(config: ExperimentConfig) -> ResultRecord:
     phi_by_l = {}
     dual_ok = True
     dual_worst = 0.0
-    rel = config.tol("dual_rel", 1e-8)
+    rel = config.tol("dual_rel")
     for length, (phi, dists, psi_trace, psi_step) in zip(config.schedule, results):
         phi_by_l[length] = phi
         for lam, p, d in zip(lam_grid, phi, dists):

@@ -15,30 +15,28 @@ import numpy as np
 
 from .. import spectral
 from ..harness.parallel import parallel_map
-from ..model import SiteBox, assemble_hamiltonian, assemble_potential, \
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
     free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_box, fit_loglog
+    ambient_for, fit_loglog
 
 
-def _one_realization(config: ExperimentConfig, grid, origin, window, g,
-                     diag_free, realization: int):
-    field = sample_couplings(config.distribution, window, config.seed, realization)
+def _one_realization(config: ExperimentConfig, grid, g, diag_free, realization: int):
+    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
     profile = config.build_profile()
-    pot_full = assemble_potential(grid, profile, field, origin=origin)
+    pot_full = assemble_potential(grid, profile, field)
     h_full = assemble_hamiltonian(grid, pot_full)
     diag_full = spectral.diag_of_function(h_full, g)
 
     out = []
     for length in config.schedule:
-        box = SiteBox.centered(grid, length)
-        pot_cut = assemble_potential(grid, profile, field, "sharp", box,
-                                     origin=origin)
+        box = IntBox.centered((length,) * config.dimension)
+        pot_cut = assemble_potential(grid, profile, field, "sharp", box)
         h_cut = assemble_hamiltonian(grid, pot_cut)
         diag_cut = spectral.diag_of_function(h_cut, g)
-        mask = box.mask()
-        meas = box.measure
+        mask = grid.mask(box)
+        meas = box.measure(config.spacing)
         t_inside = float(np.sum((diag_full - diag_cut)[mask])) / meas
         t_outside = float(np.sum((diag_cut - diag_free)[~mask])) / meas
         out.append((length, t_inside, t_outside))
@@ -53,14 +51,13 @@ def run_locality(config: ExperimentConfig) -> ResultRecord:
 
     rec = ResultRecord("locality", config.seed, config.digest())
     margin = int(config.opt("margin", 12))
-    grid, origin, window = ambient_for(
-        centered_box((max(config.schedule),) * config.dimension), margin,
-        config.spacing)
+    grid = ambient_for(IntBox.centered((max(config.schedule),) * config.dimension),
+                       margin, config.spacing)
     g = spectral.BumpFunction(float(config.opt("bump_lo", -1.0)),
                               float(config.opt("bump_hi", 2.0)))
     diag_free = spectral.diag_of_function(free_hamiltonian(grid), g)
     results = parallel_map(
-        lambda r: _one_realization(config, grid, origin, window, g, diag_free, r),
+        lambda r: _one_realization(config, grid, g, diag_free, r),
         range(config.realizations), config.workers)
 
     sched = list(config.schedule)
@@ -78,8 +75,8 @@ def run_locality(config: ExperimentConfig) -> ResultRecord:
     rec.series["inside_vs_L"] = [[L, float(v)] for L, v in zip(sched, m1)]
     rec.series["outside_vs_L"] = [[L, float(v)] for L, v in zip(sched, m2)]
 
-    lo = config.tol("slope_low", -1.3)
-    hi = config.tol("slope_high", -0.7)
+    lo = config.tol("slope_low")
+    hi = config.tol("slope_high")
     fit1 = fit_loglog(sched, m1)
     fit2 = fit_loglog(sched, m2)
     rec.fits["inside"] = fit1

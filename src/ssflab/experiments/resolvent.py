@@ -14,10 +14,10 @@ import scipy.linalg as sla
 
 from .. import spectral
 from ..harness.parallel import parallel_map
-from ..model import SiteBox, assemble_hamiltonian, assemble_potential
+from ..model import IntBox, assemble_hamiltonian, assemble_potential
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_box, fit_loglog
+    ambient_for, fit_loglog
 
 
 def _resolvent_power(a: np.ndarray, e: float, m: int) -> np.ndarray:
@@ -34,9 +34,10 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
     margin = int(config.opt("margin", 8))
     side = int(config.opt("box_side", 8))
     m = int(config.opt("power", 2))
-    grid, origin, window = ambient_for(centered_box((side, width)), margin, h)
-    field = sample_couplings(config.distribution, window, config.seed, realization)
-    pot = assemble_potential(grid, config.build_profile(), field, origin=origin)
+    box = IntBox.centered((side, width))
+    grid = ambient_for(box, margin, h)
+    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
+    pot = assemble_potential(grid, config.build_profile(), field)
     ham = assemble_hamiltonian(grid, pot)
     dense = ham.to_dense()
 
@@ -45,9 +46,8 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
         raise ExperimentError(
             f"E={e} too close to the spectrum (needs E > {-lam_min + 0.5})")
 
-    box = SiteBox.centered(grid, (side, width))
-    idx_b = box.indices()
-    idx_c = np.nonzero(~box.mask())[0]
+    idx_b = grid.indices(box)
+    idx_c = np.nonzero(~grid.mask(box))[0]
 
     full = _resolvent_power(dense, e, m)
     decoupled = np.zeros_like(full)
@@ -57,7 +57,7 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
         rc = _resolvent_power(dense[np.ix_(idx_c, idx_c)], e, m)
         decoupled[np.ix_(idx_c, idx_c)] = rc
     diff = full - decoupled
-    return spectral.trace_norm(diff), box.surface_measure
+    return spectral.trace_norm(diff), box.surface_measure(h)
 
 
 def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
@@ -86,8 +86,8 @@ def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
 
     fit = fit_loglog(boundaries, norms)
     rec.fits["boundary"] = fit
-    lo = config.tol("slope_low", 0.7)
-    hi = config.tol("slope_high", 1.3)
+    lo = config.tol("slope_low")
+    hi = config.tol("slope_high")
     rec.add_check("boundary_slope", "hard", lo <= fit["slope"] <= hi,
                   fit["slope"], [lo, hi],
                   "trace norm of the resolvent-power difference vs meas(dB)")

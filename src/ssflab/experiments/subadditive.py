@@ -14,26 +14,19 @@ import numpy as np
 
 from .. import spectral
 from ..harness.parallel import parallel_map
-from ..model import IntBox
-from ..model import assemble_hamiltonian, assemble_potential, free_hamiltonian
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
+    free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, centered_box, mean_and_var
+    ambient_for, mean_and_var
 
 
-def _boundary_measure(box: IntBox, h: float) -> float:
-    return box.boundary_site_count * h ** (box.dim - 1)
-
-
-def _f_lambda(config: ExperimentConfig, abs_box: IntBox, realization: int,
+def _f_lambda(config: ExperimentConfig, box: IntBox, realization: int,
               t: float) -> float:
     """Heat-trace functional of the box potential on its own padded ambient."""
-    h = config.spacing
-    margin = int(config.opt("margin", 6))
-    grid, origin, window = ambient_for(abs_box, margin, h)
-    field = sample_couplings(config.distribution, window, config.seed, realization)
-    pot = assemble_potential(grid, config.build_profile(), field,
-                             "lattice_sum", abs_box, origin=origin)
+    grid = ambient_for(box, int(config.opt("margin", 6)), config.spacing)
+    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
+    pot = assemble_potential(grid, config.build_profile(), field, "lattice_sum", box)
     ham = assemble_hamiltonian(grid, pot)
     h0 = free_hamiltonian(grid)
     return spectral.heat_trace(ham, t) - spectral.heat_trace(h0, t)
@@ -64,7 +57,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     per_l = {}
     split_rows = []
     for length in config.schedule:
-        box = centered_box((length, length))
+        box = IntBox.centered((length, length))
         b1, b2 = _split(box)
         iface = length * h  # common surface of the two halves
 
@@ -95,15 +88,15 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     ok_sub, ok_super = True, True
     for row in split_rows:
         length = row["L"]
-        box = centered_box((length, length))
+        box = IntBox.centered((length, length))
         b1, b2 = _split(box)
         half_c = 0.5 * c_cal
-        fp = row["F"] + half_c * _boundary_measure(box, h)
-        fp1 = row["F1"] + half_c * _boundary_measure(b1, h)
-        fp2 = row["F2"] + half_c * _boundary_measure(b2, h)
-        fm = row["F"] - half_c * _boundary_measure(box, h)
-        fm1 = row["F1"] - half_c * _boundary_measure(b1, h)
-        fm2 = row["F2"] - half_c * _boundary_measure(b2, h)
+        fp = row["F"] + half_c * box.surface_measure(h)
+        fp1 = row["F1"] + half_c * b1.surface_measure(h)
+        fp2 = row["F2"] + half_c * b2.surface_measure(h)
+        fm = row["F"] - half_c * box.surface_measure(h)
+        fm1 = row["F1"] - half_c * b1.surface_measure(h)
+        fm2 = row["F2"] - half_c * b2.surface_measure(h)
         ok_sub &= fp <= fp1 + fp2 + 1e-12
         ok_super &= fm >= fm1 + fm2 - 1e-12
     rec.add_check("subadditive_plus", "hard", ok_sub, c_cal, None,

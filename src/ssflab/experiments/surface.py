@@ -1,10 +1,11 @@
 """Surface states: interactions concentrated on a line inside a 2D strip.
 
-Couplings live on the 1D sublattice {(j, c)} of a strip of fixed transverse
-extent; the shift function per unit interaction *length* converges along a
-schedule of line cutoffs, the signed decomposition through the positive and
-negative coupling parts is exact counting arithmetic at every grid energy,
-and the per-length Laplace functional is recorded across the t grid.
+Couplings live on the 1D sublattice {(j, 0)} of a strip of fixed transverse
+extent around that line; the shift function per unit interaction *length*
+converges along a schedule of line cutoffs, the signed decomposition through
+the positive and negative coupling parts is exact counting arithmetic at
+every grid energy, and the per-length Laplace functional is recorded across
+the t grid.
 """
 
 from __future__ import annotations
@@ -13,33 +14,32 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import assemble_hamiltonian, assemble_potential, build_grid, \
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
     free_hamiltonian
 from ..randomfield import sample_couplings, split_signs
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    centered_box, mean_and_var
+    ambient_for, mean_and_var
 
 
 def _strip(config: ExperimentConfig, line_len: int, transverse: int):
-    """(grid, origin, transverse anchor, line window, N(lam; H0)) of one strip."""
+    """(grid, line window, N(lam; H0)) of one strip around the line x_2 = 0."""
     margin = int(config.opt("margin", 16))
-    grid = build_grid(2, config.spacing, (line_len + 2 * margin, transverse))
+    grid = ambient_for(IntBox.centered((line_len + 2 * margin, transverse)), 0,
+                       config.spacing)
     c0 = spectral.count_below(free_hamiltonian(grid), np.asarray(config.energies))
-    return grid, (margin + line_len // 2,), (transverse // 2,), \
-        centered_box((line_len,)), c0
+    return grid, IntBox.centered((line_len,)), c0
 
 
 def _one_length(config: ExperimentConfig, strip, realization: int, times):
     """Counts, chain-rule split and Laplace functional at the given times for
     one line cutoff."""
-    grid, origin, trans, window, c0 = strip
+    grid, window, c0 = strip
     profile = config.build_profile()
     field = sample_couplings(config.distribution, window, config.seed, realization)
     _, minus = split_signs(field)  # the chain rule splits through H0 + V_minus
 
     def ham(f):
-        pot = assemble_potential(grid, profile, f, "lattice_sum", window,
-                                 transverse=trans, origin=origin)
+        pot = assemble_potential(grid, profile, f, "lattice_sum", window)
         return assemble_hamiltonian(grid, pot)
 
     h_full = ham(field)
@@ -108,7 +108,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     rec.add_check("chain_rule_exact", "hard", chain_exact, chain_exact, None,
                   "xi = xi_plus + xi_minus exactly at every grid energy")
 
-    tol = config.tol("relative_change", 0.05)
+    tol = config.tol("relative_change")
     if len(config.schedule) >= 2:
         prev, last = per_len_mean[-2], per_len_mean[-1]
         change = abs(last - prev) / max(abs(prev), 1e-300)
@@ -126,7 +126,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
         shift = abs(base - wide) / meas1
         denom = max(abs(base) / meas1, 1e-300)
         rec.aggregates["transverse_doubling_shift"] = float(shift)
-        ttol = config.tol("transverse_tol", 0.05)
+        ttol = config.tol("transverse_tol")
         if shift / denom > ttol:
             raise ExperimentError(
                 f"transverse boundary contamination: doubling shifts xi by {shift}")

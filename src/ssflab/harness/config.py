@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..experiments.base import ExperimentConfig
+from ..experiments.base import DEFAULT_TOLERANCES, ExperimentConfig
 from ..randomfield import DistributionSpec, FieldError
 
 
@@ -90,19 +90,6 @@ _REQUIRED = {
     "resolvent": ("grid.dimension", "distribution.kind", "profile.kind", "schedule"),
     "brownian": (),
 }
-
-DEFAULT_TOLERANCES = {
-    "bulk-limit": {"bulk_deviation": 0.02, "variance_slack": 1.2},
-    "locality": {"slope_low": -1.3, "slope_high": -0.7},
-    "cutoff": {},
-    "cluster": {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
-    "subadditive": {},
-    "surface": {"relative_change": 0.05, "transverse_tol": 0.05},
-    "kirsch": {"dual_rel": 1e-8},
-    "resolvent": {"slope_low": 0.7, "slope_high": 1.3},
-    "brownian": {},
-}
-
 
 def _coerce(kind: str, raw: str):
     if kind == "int":

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import brownian as br
 from .. import spectral, ssf
-from ..model import IntBox, SiteBox, assemble_hamiltonian, assemble_potential, \
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
     build_grid, dirichlet_restriction, free_hamiltonian, SingleSiteProfile
 from ..randomfield import DistributionSpec, sample_couplings, shift_field, split_signs
 
@@ -93,7 +93,7 @@ def _checks(seed: int):
 
     def interlacing():
         h0, h = _alloy((50,), seed + 4)
-        box = SiteBox(h.grid, (10,), (39,))
+        box = IntBox((10,), (39,))
         wa = spectral.eig_all(h).eigenvalues
         wb = spectral.eig_all(dirichlet_restriction(h, box)).eigenvalues
         return bool(np.all(wb >= wa[: wb.size] - 1e-11))

@@ -8,12 +8,15 @@ couplings -1/h^2), so with zero potential the whole spectrum lies in
 per-anchor coupling strengths; cutoffs come in two flavours:
 
 * sharp      -- multiply the fully assembled potential by the indicator of a
-                site box (chi_Lambda * V),
-* lattice_sum -- keep only the profile terms anchored inside an integer box
-                of the anchor sublattice (V_Lambda).
+                box (chi_Lambda * V),
+* lattice_sum -- keep only the profile terms anchored inside a box of the
+                anchor sublattice (V_Lambda).
 
-Site indexing is row-major with axis 0 slowest everywhere; this convention is
-load-bearing for reproducibility of persisted matrices and seeds.
+Every box is an ``IntBox`` in absolute lattice coordinates, the coordinates
+the counter-based couplings are keyed by; a grid records the absolute
+coordinate of its site 0.  Site indexing is row-major with axis 0 slowest
+everywhere; this convention is load-bearing for reproducibility of persisted
+matrices and seeds.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class IntBox:
-    """Closed integer box [lo_i, hi_i] in Z^d (anchor/site coordinate space)."""
+    """Closed integer box [lo_i, hi_i] in Z^d, in absolute lattice coordinates."""
 
     lo: tuple
     hi: tuple
@@ -59,15 +62,6 @@ class IntBox:
     def count(self) -> int:
         return math.prod(self.extents)
 
-    @property
-    def boundary_site_count(self) -> int:
-        # sites with at least one of the 2*nu neighbours outside the box:
-        # total minus the interior block (each axis shrunk by 2)
-        interior = 1
-        for n in self.extents:
-            interior *= max(n - 2, 0)
-        return self.count - interior
-
     def shifted(self, k) -> "IntBox":
         k = tuple(int(v) for v in k)
         if len(k) != self.dim:
@@ -88,14 +82,40 @@ class IntBox:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def padded(self, margin: int) -> "IntBox":
+        return IntBox(tuple(a - margin for a in self.lo),
+                      tuple(b + margin for b in self.hi))
+
+    def measure(self, h: float) -> float:
+        """meas(Lambda) = count * h^nu."""
+        return self.count * h ** self.dim
+
+    def surface_measure(self, h: float) -> float:
+        """Sites with one of their 2*nu neighbours outside the box (all but
+        the interior block, each axis shrunk by 2), times h^(nu-1)."""
+        interior = math.prod(max(n - 2, 0) for n in self.extents)
+        return (self.count - interior) * h ** (self.dim - 1)
+
+    @classmethod
+    def centered(cls, extents) -> "IntBox":
+        """Box of the given extents around the origin: lo = -(e // 2) per axis."""
+        lo = tuple(-(int(e) // 2) for e in extents)
+        return cls(lo, tuple(a + int(e) - 1 for a, e in zip(lo, extents)))
+
 
 @dataclass(frozen=True)
 class Grid:
-    """Finite lattice with spacing h; sites indexed row-major, axis 0 slowest."""
+    """Finite lattice with spacing h; sites indexed row-major, axis 0 slowest.
+
+    ``lo`` is the absolute lattice coordinate of site 0 (zeros by default), so
+    the grid covers the absolute box ``box`` and every other box is given in
+    the same absolute coordinates.
+    """
 
     dimension: int
     spacing: float
     extents: tuple
+    lo: tuple | None = None
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
@@ -107,7 +127,11 @@ class Grid:
             raise ModelError("extents length must equal dimension")
         if any(n < 1 for n in ext):
             raise ModelError(f"all extents must be >= 1, got {ext}")
+        lo = (0,) * self.dimension if self.lo is None else tuple(int(a) for a in self.lo)
+        if len(lo) != self.dimension:
+            raise ModelError("lo length must equal dimension")
         object.__setattr__(self, "extents", ext)
+        object.__setattr__(self, "lo", lo)
 
     @property
     def n_sites(self) -> int:
@@ -122,6 +146,23 @@ class Grid:
             acc *= n
         return tuple(reversed(s))
 
+    @property
+    def box(self) -> IntBox:
+        return IntBox(self.lo, tuple(a + n - 1 for a, n in zip(self.lo, self.extents)))
+
+    def indices(self, box: IntBox) -> np.ndarray:
+        """Site indices of an absolute box, ascending (= row-major box order)."""
+        if box.dim != self.dimension or any(
+                a < g or b > g + n - 1
+                for a, b, g, n in zip(box.lo, box.hi, self.lo, self.extents)):
+            raise ModelError(f"box [{box.lo},{box.hi}] not inside grid {self.box}")
+        return np.ravel_multi_index((box.coords() - np.asarray(self.lo)).T, self.extents)
+
+    def mask(self, box: IntBox) -> np.ndarray:
+        m = np.zeros(self.n_sites, dtype=bool)
+        m[self.indices(box)] = True
+        return m
+
 
 def build_grid(dimension: int, spacing: float, extents) -> Grid:
     """Construct and validate a grid (canonical row-major site indexing)."""
@@ -130,95 +171,25 @@ def build_grid(dimension: int, spacing: float, extents) -> Grid:
     return Grid(dimension, float(spacing), tuple(extents))
 
 
-@dataclass(frozen=True)
-class SiteBox:
-    """Rectangular sub-box of a grid, closed integer ranges per axis.
-
-    meas(Lambda) = site_count * h^nu; the surface measure counts the sites of
-    the box that have a lattice neighbour outside the box, times h^(nu-1).
-    """
-
-    grid: Grid
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        lo = tuple(int(a) for a in self.lo)
-        hi = tuple(int(b) for b in self.hi)
-        if len(lo) != self.grid.dimension or len(hi) != self.grid.dimension:
-            raise ModelError("box dimension mismatch with grid")
-        if any(a > b for a, b in zip(lo, hi)):
-            raise ModelError(f"empty box: lo={lo} hi={hi}")
-        if any(a < 0 or b >= n for a, b, n in zip(lo, hi, self.grid.extents)):
-            raise ModelError(f"box [{lo},{hi}] not inside grid {self.grid.extents}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def bounds(self) -> IntBox:
-        return IntBox(self.lo, self.hi)
-
-    @property
-    def extents(self) -> tuple:
-        return tuple(b - a + 1 for a, b in zip(self.lo, self.hi))
-
-    @property
-    def site_count(self) -> int:
-        return math.prod(self.extents)
-
-    @property
-    def measure(self) -> float:
-        return self.site_count * self.grid.spacing ** self.grid.dimension
-
-    @property
-    def boundary_site_count(self) -> int:
-        return self.bounds.boundary_site_count
-
-    @property
-    def surface_measure(self) -> float:
-        return self.boundary_site_count * self.grid.spacing ** (self.grid.dimension - 1)
-
-    def indices(self) -> np.ndarray:
-        """Grid indices of the box sites, ascending (= row-major subgrid order)."""
-        return np.ravel_multi_index(self.bounds.coords().T, self.grid.extents)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.grid.n_sites, dtype=bool)
-        m[self.indices()] = True
-        return m
-
-    @classmethod
-    def centered(cls, grid: Grid, extents) -> "SiteBox":
-        if np.isscalar(extents):
-            extents = (extents,) * grid.dimension
-        lo, hi = [], []
-        for n, e in zip(grid.extents, extents):
-            a = (n - int(e)) // 2
-            lo.append(a)
-            hi.append(a + int(e) - 1)
-        return cls(grid, tuple(lo), tuple(hi))
-
-
-def interface_measure(box1: SiteBox, box2: SiteBox) -> float:
+def interface_measure(box1: IntBox, box2: IntBox, h: float) -> float:
     """meas_{nu-1} of the common surface: nearest-neighbour pairs across
     the two (disjoint) boxes, times h^(nu-1)."""
-    if box1.grid != box2.grid:
-        raise ModelError("boxes live on different grids")
-    g = box1.grid
+    if box1.dim != box2.dim:
+        raise ModelError("interface boxes differ in dimension")
     pairs = 0
-    for ax in range(g.dimension):
+    for ax in range(box1.dim):
         abut = (box1.hi[ax] + 1 == box2.lo[ax]) or (box2.hi[ax] + 1 == box1.lo[ax])
         if not abut:
             continue
         cross = 1
-        for a in range(g.dimension):
+        for a in range(box1.dim):
             if a == ax:
                 continue
             lo = max(box1.lo[a], box2.lo[a])
             hi = min(box1.hi[a], box2.hi[a])
             cross *= max(hi - lo + 1, 0)
         pairs += cross
-    return pairs * g.spacing ** (g.dimension - 1)
+    return pairs * h ** (box1.dim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,47 +280,35 @@ class PotentialField:
 
 
 def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
-                       cutoff_mode: str = "none", cutoff_box=None,
-                       transverse: tuple = (), origin: tuple | None = None) -> PotentialField:
+                       cutoff_mode: str = "none",
+                       cutoff_box: IntBox | None = None) -> PotentialField:
     """Sum coupling-weighted translated profiles over the anchor sublattice.
 
     ``couplings`` is a CouplingField (see randomfield); its window gives the
-    anchor coordinates in the *absolute* anchor lattice.  ``origin`` places
-    absolute anchor 0 at that grid coordinate (per anchor axis), so the same
-    field produces identical potentials inside differently sized ambient
-    grids.  Full-lattice fields have window dimension nu; hyperplane fields
-    have window dimension nu_1 < nu and are embedded at the fixed
-    ``transverse`` grid coordinates (appended axes).  Profile patches are
+    anchor coordinates in the absolute lattice, the one ``grid.lo`` places
+    the grid in, so the same field produces identical potentials inside
+    differently sized ambient grids.  Full-lattice fields have window
+    dimension nu; hyperplane fields have window dimension nu_1 < nu and sit
+    at absolute coordinate 0 of the remaining axes.  Profile patches are
     clipped at the grid edges.
 
     cutoff_mode:
       * "none"        -- the full sum,
-      * "sharp"       -- multiply by the indicator of ``cutoff_box`` (SiteBox),
-      * "lattice_sum" -- only anchors inside ``cutoff_box`` (IntBox in absolute
-                         anchor coordinates; a SiteBox also works when the
-                         anchor lattice is the full site lattice and origin=0).
+      * "sharp"       -- multiply by the indicator of ``cutoff_box`` (sites),
+      * "lattice_sum" -- only anchors inside ``cutoff_box`` (anchor axes).
+    Both cutoff boxes are IntBoxes in absolute coordinates.
     """
-    transverse = tuple(int(t) for t in transverse)
     window = couplings.window
     nu1 = window.dim
-    if nu1 + len(transverse) != grid.dimension:
-        raise ModelError("anchor window dim + transverse dim must equal grid dimension")
+    if nu1 > grid.dimension:
+        raise ModelError("anchor window has more axes than the grid")
     if profile.dim != grid.dimension:
         raise ModelError("profile dimension must match grid dimension")
-    if origin is None:
-        origin = (0,) * nu1
-    origin = tuple(int(o) for o in origin)
-    if len(origin) != nu1:
-        raise ModelError("origin length must match anchor window dimension")
 
     anchors1 = window.coords()                       # (A, nu1) absolute coords
-    placed = anchors1 + np.asarray(origin, dtype=np.int64)
-    if transverse:
-        emb = np.concatenate(
-            [placed, np.tile(np.asarray(transverse, dtype=np.int64),
-                             (anchors1.shape[0], 1))], axis=1)
-    else:
-        emb = placed
+    emb = np.zeros((anchors1.shape[0], grid.dimension), dtype=np.int64)
+    emb[:, :nu1] = anchors1
+    emb -= np.asarray(grid.lo, dtype=np.int64)       # grid coordinates
     for ax in range(grid.dimension):
         if emb[:, ax].min() < 0 or emb[:, ax].max() >= grid.extents[ax]:
             raise ModelError("anchor sublattice extends outside the grid")
@@ -359,15 +318,15 @@ def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
     if cutoff_mode == "lattice_sum":
         if cutoff_box is None:
             raise ModelError("lattice_sum cutoff requires a box")
-        b = cutoff_box.bounds if isinstance(cutoff_box, SiteBox) else cutoff_box
-        if b.dim != nu1:
+        if cutoff_box.dim != nu1:
             raise ModelError("lattice_sum box dimension must match anchor sublattice")
-        keep = b.contains_points(anchors1)
+        keep = cutoff_box.contains_points(anchors1)
         emb = emb[keep]
         alpha = alpha[keep]
     elif cutoff_mode == "sharp":
-        if not isinstance(cutoff_box, SiteBox) or cutoff_box.grid != grid:
-            raise ModelError("sharp cutoff requires a SiteBox on the same grid")
+        if cutoff_box is None:
+            raise ModelError("sharp cutoff requires a box")
+        mask = grid.mask(cutoff_box)
     elif cutoff_mode != "none":
         raise ModelError(f"unknown cutoff mode {cutoff_mode!r}")
 
@@ -385,7 +344,7 @@ def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
         np.add.at(values, flat, alpha[ok] * f)
 
     if cutoff_mode == "sharp":
-        values = values * cutoff_box.mask()
+        values = values * mask
     return PotentialField(grid, values)
 
 
@@ -475,13 +434,12 @@ def free_hamiltonian(grid: Grid) -> Hamiltonian:
     return assemble_hamiltonian(grid, PotentialField.zero(grid))
 
 
-def dirichlet_restriction(h: Hamiltonian, box: SiteBox) -> Hamiltonian:
+def dirichlet_restriction(h: Hamiltonian, box: IntBox) -> Hamiltonian:
     """Principal submatrix of H on the sites of the box, reindexed canonically.
 
     This is the discrete H_Lambda^D: the operator with Dirichlet conditions on
-    the box boundary (equivalently H + infinity outside the box).
+    the box boundary (equivalently H + infinity outside the box).  The
+    restricted grid covers the box in the same absolute coordinates.
     """
-    if box.grid != h.grid:
-        raise ModelError("box lives on a different grid")
-    sub = Grid(h.grid.dimension, h.grid.spacing, box.extents)
-    return Hamiltonian(sub, h.diag[box.indices()], free=h.free)
+    sub = Grid(h.grid.dimension, h.grid.spacing, box.extents, box.lo)
+    return Hamiltonian(sub, h.diag[h.grid.indices(box)], free=h.free)

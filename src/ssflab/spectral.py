@@ -237,9 +237,6 @@ def eig_all(h, need_vectors: bool = False) -> SpectrumOracle:
         _check_dense(h.n if kind == "banded" else payload[0].shape[0])
     if kind == "tridiag":
         d, e = payload
-        if d.shape[0] == 1:
-            vals = d.copy()
-            return SpectrumOracle(vals, np.ones((1, 1)) if need_vectors else None)
         if need_vectors:
             vals, vecs = sla.eigh_tridiagonal(d, e)
             return SpectrumOracle(vals, vecs)

@@ -9,8 +9,8 @@ from ssflab.experiments import (
     run_cluster, run_cutoff_equivalence, run_kirsch_demo, run_locality,
     run_resolvent_power, run_subadditive, run_surface,
 )
-from ssflab.experiments.base import ambient_for, centered_box
-from ssflab.model import IntBox, SingleSiteProfile, SiteBox, \
+from ssflab.experiments.base import ambient_for
+from ssflab.model import IntBox, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, constant_couplings, sample_couplings
 
@@ -124,6 +124,19 @@ def test_cutoff_compact_profile_degenerate():
     assert all(r["norm_diff"] == 0.0 for r in rec.rows)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_cutoff_compact_identity_odd_box_in_even_grid(dimension):
+    # the sharp box and the lattice-sum box are one box: an odd length inside
+    # the even ambient grid of the largest length must not shift one of them
+    cfg = ExperimentConfig(
+        experiment="cutoff", seed=3, realizations=2, dimension=dimension,
+        distribution=BERNOULLI, profile=WELL,
+        schedule=(7, 16), options={"margin": 4})
+    rec = run_cutoff_equivalence(cfg)
+    assert rec.passed, rec.hard_failures
+    assert all(r["norm_diff"] == 0.0 for r in rec.rows)
+
+
 def test_cutoff_tailed_decreasing_and_decay_monotone():
     cfg = ExperimentConfig(
         experiment="cutoff", seed=3, dimension=1,
@@ -146,8 +159,8 @@ def test_cluster_degenerate_split_exactly_zero():
     g = build_grid(2, 1.0, (16, 16))
     field = sample_couplings(BERNOULLI, IntBox((0, 0), (15, 15)), 2)
     prof = SingleSiteProfile.point(-1.0, 2)
-    lam1 = SiteBox(g, (2, 2), (7, 13))
-    lam2 = SiteBox(g, (8, 2), (13, 13))
+    lam1 = IntBox((2, 2), (7, 13))
+    lam2 = IntBox((8, 2), (13, 13))
     pot1 = assemble_potential(g, prof, field, "sharp", lam1)
     h0 = free_hamiltonian(g)
     hv = assemble_hamiltonian(g, pot1)          # chi_1 V = V, chi_2 V = 0
@@ -334,17 +347,17 @@ def test_schedule_must_increase():
 @pytest.mark.parametrize("extents", [(7,), (8,), (8, 5), (5, 16), (3, 4, 6)])
 @pytest.mark.parametrize("margin", [0, 3, 4])
 def test_ambient_box_geometry(extents, margin):
-    box = centered_box(extents)
+    box = IntBox.centered(extents)
     # the box as the campaigns used to build it inline
     assert box == IntBox(tuple(-(e // 2) for e in extents),
                          tuple(e - e // 2 - 1 for e in extents))
-    grid, origin, window = ambient_for(box, margin, 1.0)
-    # origin at the grid center, window = every grid site in absolute coordinates
-    half = tuple(e // 2 for e in grid.extents)
-    assert origin == half
-    assert window == IntBox(tuple(-c for c in half),
-                            tuple(e - 1 - c for e, c in zip(grid.extents, half)))
-    # window coordinates shifted by origin enumerate the sites in row-major order
-    sites = window.coords() + np.asarray(origin)
-    assert np.array_equal(np.ravel_multi_index(tuple(sites.T), grid.extents),
-                          np.arange(grid.n_sites))
+    grid = ambient_for(box, margin, 1.0)
+    # the grid covers the box padded by the margin, in the box's coordinates
+    assert grid.box == box.padded(margin)
+    assert grid.extents == tuple(e + 2 * margin for e in extents)
+    assert grid.lo == tuple(-(e // 2) - margin for e in extents)
+    # the box starts margin sites in from the grid's first corner
+    first = np.unravel_index(grid.indices(box)[0], grid.extents)
+    assert tuple(int(c) for c in first) == (margin,) * len(extents)
+    # the grid's own box lists every site in row-major order
+    assert np.array_equal(grid.indices(grid.box), np.arange(grid.n_sites))

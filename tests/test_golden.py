@@ -2,8 +2,9 @@
 
 bulk_small, bulk_acceptance and cutoff compute only integer counts and
 tridiagonal spectra, so their bytes do not depend on the BLAS thread count.
-locality and cluster run dense eigensolves whose last bits do, so they run
-in a subprocess with one BLAS thread, at the size the benchmark runs them.
+locality, cluster, kirsch, resolvent and subadditive run dense eigensolves
+whose last bits do, so they run in a subprocess with one BLAS thread, at
+reduced size (locality and cluster at the size the benchmark runs them).
 Eigen-derived floats can still differ across numpy/scipy builds, so the
 digests are compared only in the environment they were recorded in.
 """
@@ -51,7 +52,9 @@ def test_golden_digests(name, tmp_path):
 
 
 # locality.cfg and cluster.cfg at benchmark size: two realizations, boxes 8
-# and 16, margin 4, constant coupling 1
+# and 16, margin 4, constant coupling 1; kirsch.cfg with boxes 8, 16, 32 and
+# 7 energies; resolvent.cfg with widths 8, 16 and margin 6; subadditive.cfg
+# with boxes 8, 16, 32
 PINNED_TEXT = {
     "locality": """experiment = locality
 seed = 1
@@ -84,6 +87,47 @@ options.additivity_sites = 320
 options.additivity_block = 48
 options.additivity_gap = 32
 """,
+    "kirsch": """experiment = kirsch
+seed = 1
+grid.dimension = 2
+grid.spacing = 1.0
+profile.kind = kirsch_patch
+profile.amplitude = 8.0
+schedule = 8, 16, 32
+energies = 0.263, 1.013, 1.763, 2.513, 3.263, 4.013, 4.763
+times = 0.5, 1.0, 2.0
+""",
+    "resolvent": """experiment = resolvent
+seed = 17
+realizations = 2
+grid.dimension = 2
+grid.spacing = 1.0
+distribution.kind = bernoulli
+distribution.p = 0.5
+distribution.values = 0, 1
+profile.kind = point
+profile.amplitude = -0.4
+schedule = 8, 16
+options.box_side = 8
+options.margin = 6
+options.power = 2
+options.e_values = 1, 2, 4
+options.e_main = 2.0
+""",
+    "subadditive": """experiment = subadditive
+seed = 13
+realizations = 2
+grid.dimension = 2
+grid.spacing = 1.0
+distribution.kind = bernoulli
+distribution.p = 0.5
+distribution.values = 0, 1
+profile.kind = point
+profile.amplitude = -1.0
+schedule = 8, 16, 32
+options.margin = 6
+options.t = 1.0
+""",
 }
 
 # experiment -> (raw.csv digest, result.json digest), one BLAS thread
@@ -92,6 +136,12 @@ PINNED = {
                  "c510837327c438352e4121330b83e33d90a5585102849f73278fd5565e112824"),
     "cluster": ("bc12b4f9e3525504160fc4c07e29f294a2dee1bc25c3f014796b3d0c0bcc0181",
                 "98af525555b783f695ec0f2c41e998cfdd267b85001017c59b06cba7b4637ef2"),
+    "kirsch": ("7c194b393c070d872371f92036362d1ba13ba0c977de7a8db5e36bed3b946102",
+               "e7ca935645f0a6a0df4f246d1dab952180c71c12a1afc827c8262c2f846c3e00"),
+    "resolvent": ("a300402c2c079f19ccc9a133e18c91b077a7b8d81b3ad3040b27e1f9366e9177",
+                  "1f7010a8f18e12279de2ad96dbc9e99f76ea716c8cccb0f706212e1fb87a5b23"),
+    "subadditive": ("fcfe97a6399b1e444ae1beee9ba441cb1d3cd7ebdde3c91cd28df2df982ce97a",
+                    "dbc27d0861cca439557d788a249a5575270abbaf87055eba2ba3bd09193e1a22"),
 }
 
 

@@ -4,7 +4,7 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
 from ssflab import spectral
-from ssflab.model import Hamiltonian, IntBox, SingleSiteProfile, SiteBox, \
+from ssflab.model import Grid, Hamiltonian, IntBox, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import (
@@ -22,9 +22,8 @@ def random_symmetric(rng, n):
 def alloy_hamiltonian(extents, seed, amplitude=-1.0, spacing=1.0, spec=None):
     dim = len(extents)
     g = build_grid(dim, spacing, extents)
-    window = IntBox((0,) * dim, tuple(n - 1 for n in extents))
     spec = spec or DistributionSpec("uniform", low=-1.0, high=1.0)
-    field = sample_couplings(spec, window, seed)
+    field = sample_couplings(spec, g.box, seed)
     pot = assemble_potential(g, SingleSiteProfile.point(amplitude, dim), field)
     return assemble_hamiltonian(g, pot)
 
@@ -205,13 +204,25 @@ def test_eig_all_vector_residuals():
         assert np.linalg.norm(r) <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("extents", [(1,), (1, 1), (1, 1, 1)])
+@pytest.mark.parametrize("d0", [2.0, -0.3, 1e-300, np.pi])
+def test_eig_all_one_site(extents, d0):
+    # the tridiagonal solver returns a one-site spectrum exactly
+    h = Hamiltonian(build_grid(len(extents), 1.0, extents), np.array([d0]))
+    values = eig_all(h).eigenvalues
+    orc = eig_all(h, need_vectors=True)
+    assert values.tobytes() == orc.eigenvalues.tobytes() == np.array([d0]).tobytes()
+    assert orc.vectors.tobytes() == np.ones((1, 1)).tobytes()
+    assert orc.vectors.shape == (1, 1)
+
+
 def _degenerate_24x24():
     """Symmetric boxes with clustered spectra: free, free + constant, and a
     constant well on the centred 8x8 box."""
-    grid = build_grid(2, 1.0, (24, 24))
+    grid = Grid(2, 1.0, (24, 24), (-12, -12))
     free = free_hamiltonian(grid)
     cut = np.zeros(grid.n_sites)
-    cut[SiteBox.centered(grid, 8).indices()] = -1.0
+    cut[grid.indices(IntBox.centered((8, 8)))] = -1.0
     return free, Hamiltonian(grid, free.diag + 0.5), Hamiltonian(grid, free.diag + cut)
 
 
