@@ -11,8 +11,8 @@ half-space geometries every step adds the analytic Brownian-bridge crossing
 probability; other geometries fall back to endpoint detection with a warning
 flag in the estimate.
 
-One call estimates many regions from one draw of the counter-based paths
-(Philox keyed by seed and block), each bitwise as if simulated alone.
+One call estimates many regions and times from one draw of the counter-based
+paths (Philox keyed by seed and block), each bitwise as if simulated alone.
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ class HittingEstimate:
             raise RegionError("estimate outside [0, 1]")
 
 
-def _path_blocks(t: float, paths: int, seed: int) -> list:
-    """Check t and paths, then split the paths into fixed blocks: one
+def _path_blocks(times, paths: int, seed: int) -> list:
+    """Check the times and paths, then split the paths into fixed blocks: one
     (size, generator) pair per block, on a Philox stream keyed by (seed, block)."""
-    if not t > 0.0:
-        raise RegionError("t must be positive")
+    if len(times) == 0 or not all(t > 0.0 for t in times):
+        raise RegionError("need at least one time, and every t positive")
     if paths < 1000:
         raise RegionError("need at least 1e3 paths")
     return [(min(_PATH_BLOCK, paths - start),
@@ -131,10 +131,11 @@ def _path_blocks(t: float, paths: int, seed: int) -> list:
             for start in range(0, paths, _PATH_BLOCK)]
 
 
-def simulate_hitting(x, regions, t: float, paths: int = 100_000,
+def simulate_hitting(x, regions, times, paths: int = 100_000,
                      bridge: bool = True, seed: int = 0) -> list:
-    """Estimate P_x{tau_B <= t} for each region B in ``regions`` by direct
-    path simulation, one HittingEstimate per region; all share the paths.
+    """Estimate P_x{tau_B <= t} for each region B and time t by direct path
+    simulation: per time, one HittingEstimate per region.  All share one
+    normal draw; each is bitwise what a call with its region and time gives.
 
     Starting inside B counts as an immediate hit (tau = 0 convention).  With
     bridge=True and a half-space geometry each step contributes the
@@ -147,37 +148,38 @@ def simulate_hitting(x, regions, t: float, paths: int = 100_000,
     """
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    blocks = _path_blocks(t, paths, seed)
-    step_dt = t / _N_STEPS
-    sigma = math.sqrt(2.0 * step_dt)
-    # a start inside B is a hit at tau = 0 and needs no paths
-    totals = {k: 0.0 for k, r in enumerate(regions) if not r.contains(x[None, :])[0]}
+    blocks = _path_blocks(times, paths, seed)
+    steps = [(t / _N_STEPS, math.sqrt(2.0 * (t / _N_STEPS))) for t in times]
+    # a start inside B is a hit at tau = 0 on every path and needs no draw
+    inside = [bool(r.contains(x[None, :])[0]) for r in regions]
+    outside = [k for k, hit in enumerate(inside) if not hit]
+    hits = np.tile(np.where(inside, float(paths), 0.0), (len(times), 1))
 
-    for m, rng in blocks if totals else ():
-        pos = np.tile(x, (m, 1))
-        survive = {k: np.ones(m) for k in totals}
+    for m, rng in blocks if outside else ():
+        pos = [np.tile(x, (m, 1)) for _ in times]
+        survive = np.ones((len(times), len(regions), m))
         for _ in range(_N_STEPS):
-            new = pos + sigma * rng.standard_normal((m, nu))
-            for k, s in survive.items():
-                r = regions[k]
-                if bridge and r.bridge_supported:
-                    # flipping the signs of b, x0 and x1 (side -1) leaves a
-                    # bitwise unchanged, so one formula serves both sides
-                    a = (r.threshold - pos[:, r.axis]) * (r.threshold - new[:, r.axis])
-                    idx = np.flatnonzero(a < 40.0 * step_dt)
-                    a = a[idx]
-                    s[idx] *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / step_dt))
-                else:
-                    s *= ~r.contains(new)
-            pos = new
-        for k, s in survive.items():
-            totals[k] += float(np.sum(1.0 - s))
+            z = rng.standard_normal((m, nu))  # every time scales it by its sigma
+            for i, (step_dt, sigma) in enumerate(steps):
+                new = pos[i] + sigma * z
+                for k in outside:
+                    r, s = regions[k], survive[i, k]
+                    if bridge and r.bridge_supported:
+                        # flipping the signs of b, x0 and x1 (side -1) leaves
+                        # a bitwise unchanged, so one formula serves both sides
+                        a = (r.threshold - pos[i][:, r.axis]) * (r.threshold - new[:, r.axis])
+                        idx = (a < 40.0 * step_dt).nonzero()[0]
+                        a = a[idx]
+                        s[idx] *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / step_dt))
+                    else:
+                        s *= ~r.contains(new)
+                pos[i] = new
+        hits += [[float(np.sum(1.0 - s)) for s in row] for row in survive]
 
-    p_hats = [min(max(totals[k] / paths, 0.0), 1.0) if k in totals else 1.0
-              for k in range(len(regions))]
-    return [HittingEstimate(p, math.sqrt(p * (1.0 - p) / paths), paths,
-                            bridge and r.bridge_supported, bridge and not r.bridge_supported)
-            for p, r in zip(p_hats, regions)]
+    return [[HittingEstimate(p, math.sqrt(p * (1.0 - p) / paths), paths,
+                             bridge and r.bridge_supported, bridge and not r.bridge_supported)
+             for p, r in zip(row, regions)]
+            for row in np.clip(hits / paths, 0.0, 1.0).tolist()]
 
 
 def gaussian_bound(x, region: RegionSpec, t: float, nu: int) -> float:
@@ -225,7 +227,7 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
         raise RegionError("joint bound expects a box region")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    blocks = _path_blocks(t, paths, seed)
+    blocks = _path_blocks((t,), paths, seed)
     lo, hi = np.asarray(box_b.lo), np.asarray(box_b.hi)
     sigma = math.sqrt(2.0 * (t / _N_STEPS))
 

@@ -29,24 +29,22 @@ def run_brownian(config: ExperimentConfig) -> ResultRecord:
 
     rec = ResultRecord("brownian", config.seed, config.digest())
 
-    # one path draw per (t, nu) serves every distance; rows keep (d, t, nu) order
-    pairs = [(t, nu) for t in times for nu in nus]
-
-    def one(pair):
-        t, nu = pair
+    # one draw per nu serves every time and distance; rows keep (d, t, nu) order
+    def one(nu):
         x = np.zeros(nu)
         regions = [br.half_space(0, d) for d in distances]
-        ests = br.simulate_hitting(x, regions, t, paths=paths, bridge=bridge,
-                                   seed=config.seed)
-        return [(est, br.gaussian_bound(x, r, t, nu), br.halfspace_exact(d, t))
-                for d, r, est in zip(distances, regions, ests)]
+        per_time = br.simulate_hitting(x, regions, times, paths=paths, bridge=bridge,
+                                       seed=config.seed)
+        return {t: [(est, br.gaussian_bound(x, r, t, nu), br.halfspace_exact(d, t))
+                    for d, r, est in zip(distances, regions, ests)]
+                for t, ests in zip(times, per_time)}
 
-    results = dict(zip(pairs, parallel_map(one, pairs, config.workers)))
+    results = dict(zip(nus, parallel_map(one, nus, config.workers)))
 
     bound_ok = True
     exact_ok = True
     for (i, d), t, nu in itertools.product(enumerate(distances), times, nus):
-        est, bound, exact = results[(t, nu)][i]
+        est, bound, exact = results[nu][t][i]
         rec.rows.append({
             "x": 0.0, "d": d, "t": t, "nu": nu,
             "p_hat": est.p_hat, "stderr": est.stderr, "bound": bound,

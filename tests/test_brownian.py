@@ -58,12 +58,12 @@ def test_gaussian_bound_rejects_inside():
 # -- hitting simulation -----------------------------------------------------------
 
 def test_start_inside_hits_immediately():
-    est, = simulate_hitting(np.array([3.0]), [half_space(0, 2.0)], 1.0, paths=1000)
+    (est,), = simulate_hitting(np.array([3.0]), [half_space(0, 2.0)], [1.0], paths=1000)
     assert est.p_hat == 1.0 and est.stderr == 0.0
 
 
 def test_halfspace_estimate_matches_exact():
-    est, = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], 1.0,
+    (est,), = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], [1.0],
                             paths=40000, bridge=True, seed=11)
     exact = halfspace_exact(2.0, 1.0)
     assert abs(est.p_hat - exact) <= 3.0 * est.stderr
@@ -74,7 +74,7 @@ def test_halfspace_estimate_matches_exact():
 def test_monotone_in_time_up_to_noise():
     vals = []
     for t in (0.25, 1.0, 4.0):
-        est, = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], t,
+        (est,), = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], [t],
                                 paths=20000, bridge=True, seed=5)
         vals.append((est.p_hat, est.stderr))
     for (p1, s1), (p2, s2) in zip(vals, vals[1:]):
@@ -83,17 +83,17 @@ def test_monotone_in_time_up_to_noise():
 
 def test_bridge_dominates_plain_pathwise():
     for seed in (0, 1, 2):
-        b, = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], 1.0,
+        (b,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], [1.0],
                               paths=5000, bridge=True, seed=seed)
-        p, = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], 1.0,
+        (p,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], [1.0],
                               paths=5000, bridge=False, seed=seed)
         assert b.p_hat >= p.p_hat
 
 
 def test_mirrored_halfspace_same_law():
-    up, = simulate_hitting(np.array([0.0]), [half_space(0, 1.5, side=+1)], 1.0,
+    (up,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.5, side=+1)], [1.0],
                            paths=20000, bridge=True, seed=6)
-    down, = simulate_hitting(np.array([0.0]), [half_space(0, -1.5, side=-1)], 1.0,
+    (down,), = simulate_hitting(np.array([0.0]), [half_space(0, -1.5, side=-1)], [1.0],
                              paths=20000, bridge=True, seed=7)
     assert abs(up.p_hat - down.p_hat) <= 3.0 * math.hypot(up.stderr, down.stderr)
     exact = halfspace_exact(1.5, 1.0)
@@ -101,27 +101,27 @@ def test_mirrored_halfspace_same_law():
 
 
 def test_box_falls_back_with_warning():
-    est, = simulate_hitting(np.array([2.0, 0.0]), [box_region((-1.0, -1.0), (1.0, 1.0))],
-                            0.5, paths=2000, bridge=True, seed=4)
+    (est,), = simulate_hitting(np.array([2.0, 0.0]), [box_region((-1.0, -1.0), (1.0, 1.0))],
+                               [0.5], paths=2000, bridge=True, seed=4)
     assert est.bridge_warning and not est.bridge
 
 
 def test_dt_and_path_preconditions():
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], 1.0, paths=10)
+        simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0], paths=10)
     # the checks run before the start-inside shortcut
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], 1.0, paths=10)
+        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], [1.0], paths=10)
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], 0.0)
+        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], [0.0])
     with pytest.raises(RegionError):
         joint_bound_check(np.zeros(2), box_region((-1.0, -1.0), (1.0, 1.0)), 0.0)
 
 
 def test_simulation_deterministic_in_seed():
-    a, = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], 1.0,
+    (a,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0],
                           paths=4000, seed=9)
-    b, = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], 1.0,
+    (b,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0],
                           paths=4000, seed=9)
     assert a.p_hat == b.p_hat
 
@@ -131,7 +131,7 @@ def _reference_p_hat(x, region, t, paths, seed, bridge=True):
     side -1 mirrored onto side +1."""
     dt = t / br._N_STEPS
     total = 0.0
-    for m, rng in br._path_blocks(t, paths, seed):
+    for m, rng in br._path_blocks((t,), paths, seed):
         pos = np.tile(x, (m, 1))
         survive = np.ones(m)
         for _ in range(br._N_STEPS):
@@ -152,9 +152,9 @@ def test_shared_paths_equal_separate_calls(nu):
     x = np.zeros(nu)
     regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1),
                half_space(0, -0.5)]  # the last one holds the start
-    shared = simulate_hitting(x, regions, 0.5, paths=5000, seed=3)
+    shared, = simulate_hitting(x, regions, [0.5], paths=5000, seed=3)
     for r, est in zip(regions, shared):
-        alone, = simulate_hitting(x, [r], 0.5, paths=5000, seed=3)
+        (alone,), = simulate_hitting(x, [r], [0.5], paths=5000, seed=3)
         assert est == alone
     assert shared[2].p_hat == 1.0 and shared[2].stderr == 0.0
     assert 0.0 < shared[0].p_hat < 1.0 and 0.0 < shared[1].p_hat < 1.0
@@ -167,15 +167,45 @@ def test_list_form_endpoint_detection_and_box_fallback():
     x = np.array([2.0, 0.0])
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     regions = [half_space(0, 3.0), box, half_space(1, -1.0, side=-1)]
-    plain = simulate_hitting(x, regions, 0.5, paths=2000, bridge=False, seed=4)
+    plain, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=False, seed=4)
     assert not any(e.bridge or e.bridge_warning for e in plain)
     for r, est in zip(regions, plain):
         assert est.p_hat == _reference_p_hat(x, r, 0.5, 2000, 4, bridge=False)
-    bridged = simulate_hitting(x, regions, 0.5, paths=2000, bridge=True, seed=4)
+    bridged, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=True, seed=4)
     assert [(e.bridge, e.bridge_warning) for e in bridged] == [
         (True, False), (False, True), (True, False)]
     assert bridged[1].p_hat == plain[1].p_hat
     assert all(b.p_hat >= p.p_hat for b, p in zip(bridged, plain))
+
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_times_share_one_draw(nu, bridge):
+    x = np.zeros(nu)
+    box = box_region((1.0,) + (-1.0,) * (nu - 1), (2.0,) + (1.0,) * (nu - 1))
+    regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1), box,
+               half_space(0, -0.5)]  # the last one holds the start
+    times = [0.25, 1.0]
+    joint = simulate_hitting(x, regions, times, paths=2000, bridge=bridge, seed=3)
+    assert len(joint) == len(times)
+    for t, ests in zip(times, joint):
+        alone, = simulate_hitting(x, regions, [t], paths=2000, bridge=bridge, seed=3)
+        assert ests == alone
+        assert ests[2].bridge_warning == bridge and not ests[2].bridge
+        assert ests[3].p_hat == 1.0 and ests[3].stderr == 0.0
+        for r, est in zip(regions[:3], ests):
+            assert 0.0 < est.p_hat < 1.0
+            assert est.p_hat == _reference_p_hat(x, r, t, 2000, 3,
+                                                 bridge=bridge and r.bridge_supported)
+
+
+@pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0], []])
+@pytest.mark.parametrize("start", [0.0, 2.0])
+def test_every_time_checked_before_the_draw(times, start):
+    # a start inside the region needs no draw, yet the times are still checked
+    with pytest.raises(RegionError):
+        simulate_hitting(np.array([start]), [half_space(0, 1.0)], times, paths=1000)
 
 
 # -- joint bound ---------------------------------------------------------------------
@@ -210,7 +240,7 @@ def test_joint_bound_running_extremes_match_per_step_test(start):
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     out = joint_bound_check(x, box, 0.5, paths=2000, seed=5)
     hits_exit = hits_joint = 0
-    for m, rng in br._path_blocks(0.5, 2000, 5):
+    for m, rng in br._path_blocks((0.5,), 2000, 5):
         pos = np.tile(x, (m, 1))
         exited = ~box.contains(pos)
         for _ in range(br._N_STEPS):

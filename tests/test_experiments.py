@@ -326,15 +326,23 @@ def test_resolvent_condition_check():
 
 # -- brownian -------------------------------------------------------------------------
 
+BROWNIAN_SMALL = ExperimentConfig(
+    experiment="brownian", seed=2,
+    times=(0.25, 1.0),
+    options={"paths": 8000, "distances": (1.0, 2.0), "nus": (1, 2),
+             "bridge": True})
+
+
 def test_brownian_small_sweep():
-    cfg = ExperimentConfig(
-        experiment="brownian", seed=2,
-        times=(0.25, 1.0),
-        options={"paths": 8000, "distances": (1.0, 2.0), "nus": (1, 2),
-                 "bridge": True})
-    rec = run_brownian(cfg)
+    rec = run_brownian(BROWNIAN_SMALL)
     assert rec.passed, rec.hard_failures
     assert all(r["p_hat"] + 3 * r["stderr"] <= r["bound"] for r in rec.rows)
+
+
+def test_brownian_reproducible_across_workers():
+    serial = run_brownian(BROWNIAN_SMALL).to_json()
+    threaded = run_brownian(dataclasses.replace(BROWNIAN_SMALL, workers=2)).to_json()
+    assert serial == threaded
 
 
 # -- cross-cutting ---------------------------------------------------------------------
