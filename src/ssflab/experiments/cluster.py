@@ -78,7 +78,7 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
         + assemble_potential(grid, profile, field, "sharp", b2).values
     h12 = assemble_hamiltonian(grid, PotentialField(grid, v12))
 
-    spectra = [spectral.eig_all(x).eigenvalues for x in (h0, h1, h2, h12)]
+    spectra = [spectral.eig_all(x)[0] for x in (h0, h1, h2, h12)]
     lo = min(s.min() for s in spectra) - 0.5
     hi = max(s.max() for s in spectra) + 0.5
     grid_lam = ssf.midpoint_energy_grid(spectra, lo, hi, max_points=240)

@@ -31,8 +31,8 @@ def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int)
     pot_lat = assemble_potential(grid, profile, field, "lattice_sum", box)
     h_sharp = assemble_hamiltonian(grid, pot_sharp)
     h_lat = assemble_hamiltonian(grid, pot_lat)
-    diff = ssf.trace_difference(spectral.eig_all(h_sharp).eigenvalues,
-                                spectral.eig_all(h_lat).eigenvalues, g)
+    diff = ssf.trace_difference(spectral.eig_all(h_sharp)[0],
+                                spectral.eig_all(h_lat)[0], g)
     return abs(diff) / box.measure(h)
 
 

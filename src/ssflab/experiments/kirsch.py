@@ -52,8 +52,8 @@ def run_kirsch_demo(config: ExperimentConfig) -> ResultRecord:
         h0l, hl = _box_pair(config, length)
         gershgorin_window_check(config.energies, hl.potential_values(),
                                 2, config.spacing)
-        ev0 = spectral.eig_all(h0l).eigenvalues
-        ev1 = spectral.eig_all(hl).eigenvalues
+        ev0 = spectral.eig_all(h0l)[0]
+        ev1 = spectral.eig_all(hl)[0]
         phi = (np.searchsorted(ev0, lam_grid, side="left")
                - np.searchsorted(ev1, lam_grid, side="left"))
         merged = np.sort(np.concatenate([ev0, ev1]))

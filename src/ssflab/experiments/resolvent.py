@@ -10,7 +10,6 @@ away from the spectrum.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .. import spectral
 from ..harness.parallel import parallel_map
@@ -20,16 +19,9 @@ from .base import ExperimentConfig, ExperimentError, ResultRecord, \
     ambient_for, fit_loglog
 
 
-def _resolvent_power(a: np.ndarray, e: float, m: int) -> np.ndarray:
-    n = a.shape[0]
-    x = sla.solve(a + e * np.eye(n), np.eye(n), assume_a="pos")
-    out = x
-    for _ in range(m - 1):
-        out = out @ x
-    return out
-
-
-def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
+def _norms_for(config: ExperimentConfig, width: int, realization: int, energies):
+    """({E: trace norm of the difference}, meas(dB)) for one realization: one
+    eigenpair each of H, H_B and H_C serves every E."""
     h = config.spacing
     margin = int(config.opt("margin", 8))
     side = int(config.opt("box_side", 8))
@@ -40,24 +32,24 @@ def _norm_for(config: ExperimentConfig, width: int, realization: int, e: float):
     pot = assemble_potential(grid, config.build_profile(), field)
     ham = assemble_hamiltonian(grid, pot)
     dense = ham.to_dense()
+    blocks = [idx for idx in (grid.indices(box), np.nonzero(~grid.mask(box))[0]) if idx.size]
+    pair = spectral.eig_all(ham, need_vectors=True)
+    block_pairs = [spectral.eig_all(dense[np.ix_(idx, idx)], need_vectors=True)
+                   for idx in blocks]
 
-    lam_min = float(spectral.eig_all(ham).eigenvalues[0])
-    if not e > -lam_min + 0.5:
+    lam_min = float(pair[0][0])
+    if not min(energies) > -lam_min + 0.5:
         raise ExperimentError(
-            f"E={e} too close to the spectrum (needs E > {-lam_min + 0.5})")
+            f"E={min(energies)} too close to the spectrum (needs E > {-lam_min + 0.5})")
 
-    idx_b = grid.indices(box)
-    idx_c = np.nonzero(~grid.mask(box))[0]
-
-    full = _resolvent_power(dense, e, m)
-    decoupled = np.zeros_like(full)
-    rb = _resolvent_power(dense[np.ix_(idx_b, idx_b)], e, m)
-    decoupled[np.ix_(idx_b, idx_b)] = rb
-    if idx_c.size:
-        rc = _resolvent_power(dense[np.ix_(idx_c, idx_c)], e, m)
-        decoupled[np.ix_(idx_c, idx_c)] = rc
-    diff = full - decoupled
-    return spectral.trace_norm(diff), box.surface_measure(h)
+    norms = {}
+    for e in energies:
+        g = spectral.ResolventPower(e, m)
+        diff = spectral.matrix_function(pair, g)  # g(H) - (g(H_B) + g(H_C))
+        for idx, bp in zip(blocks, block_pairs):
+            diff[np.ix_(idx, idx)] -= spectral.matrix_function(bp, g)
+        norms[e] = spectral.trace_norm(diff)
+    return norms, box.surface_measure(h)
 
 
 def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
@@ -71,17 +63,22 @@ def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
     rec = ResultRecord("resolvent", config.seed, config.digest())
     reals = list(range(config.realizations))
 
-    norms, boundaries, norm0 = [], [], {}
+    # realization 0 of the first width also runs the E sweep, on the same eigenpairs
+    sweep = sorted({e_main, *e_values}) if len(e_values) >= 2 else [e_main]
+    first = (config.schedule[0], 0)
+    norms, boundaries = [], []
     for width in config.schedule:
-        vals = parallel_map(lambda r, w=width: _norm_for(config, w, r, e_main),
-                            reals, config.workers)
-        norm0[width] = vals[0][0]  # realization 0 at e_main
-        mean = float(np.mean([v for v, _ in vals]))
+        vals = parallel_map(
+            lambda r, w=width: _norms_for(config, w, r, sweep if (w, r) == first else [e_main]),
+            reals, config.workers)
+        if width == first[0]:
+            swept = vals[0][0]
+        mean = float(np.mean([v[e_main] for v, _ in vals]))
         norms.append(mean)
         boundaries.append(vals[0][1])
         for r, (v, b) in zip(reals, vals):
             rec.rows.append({"width": width, "realization": r,
-                             "boundary_measure": float(b), "trace_norm": float(v)})
+                             "boundary_measure": float(b), "trace_norm": float(v[e_main])})
         rec.series.setdefault("norm_vs_boundary", []).append([float(vals[0][1]), mean])
 
     fit = fit_loglog(boundaries, norms)
@@ -93,8 +90,7 @@ def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
                   "trace norm of the resolvent-power difference vs meas(dB)")
 
     if len(e_values) >= 2:
-        ns = [norm0[config.schedule[0]] if e == e_main
-              else _norm_for(config, config.schedule[0], 0, e)[0] for e in sorted(e_values)]
+        ns = [swept[e] for e in sorted(e_values)]
         rec.aggregates["norm_vs_E"] = dict(zip(map(str, sorted(e_values)), ns))
         rec.add_check("norm_decay_in_E", "hard",
                       all(b < a for a, b in zip(ns, ns[1:])), ns, None,

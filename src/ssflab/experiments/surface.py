@@ -54,8 +54,8 @@ def _one_length(config: ExperimentConfig, strip, realization: int, times):
 
     f_vals = []
     if times:
-        ev_h = spectral.eig_all(h_full).eigenvalues
-        ev_0 = spectral.eig_all(free_hamiltonian(grid)).eigenvalues
+        ev_h = spectral.eig_all(h_full)[0]
+        ev_0 = spectral.eig_all(free_hamiltonian(grid))[0]
         f_vals = [ssf.trace_difference(ev_h, ev_0, spectral.ExpWeight(t))
                   for t in times]
     return xi_full, xi_plus, xi_minus, f_vals

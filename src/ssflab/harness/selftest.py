@@ -38,7 +38,7 @@ def _checks(seed: int):
         a = 0.5 * (a + a.T)
         ok = True
         for op in (a, _alloy((200,), seed + 6)[1], _alloy((24, 6), seed + 7)[1]):
-            w = spectral.eig_all(op).eigenvalues
+            w = spectral.eig_all(op)[0]
             lams = rng.uniform(w.min() - 0.5, w.max() + 0.5, size=8)
             ok &= np.array_equal(spectral.count_below(op, lams),
                                  np.searchsorted(w, lams, side="left"))
@@ -64,7 +64,7 @@ def _checks(seed: int):
 
     def laplace_identity():
         h0, h = _alloy((60,), seed + 1)
-        ev_h, ev_h0 = (spectral.eig_all(x).eigenvalues for x in (h, h0))
+        ev_h, ev_h0 = (spectral.eig_all(x)[0] for x in (h, h0))
         g = spectral.ExpWeight(1.0)
         a = ssf.trace_difference(ev_h, ev_h0, g)
         b = ssf.xi_integral(ev_h, ev_h0, g)
@@ -73,7 +73,7 @@ def _checks(seed: int):
     def invariance_principle():
         # xi(lam; H, H0) = -xi(exp(-t lam); exp(-tH), exp(-tH0)) off the spectra
         h0, h = _alloy((30,), seed + 5)
-        spectra = [spectral.eig_all(x).eigenvalues for x in (h, h0)]
+        spectra = [spectral.eig_all(x)[0] for x in (h, h0)]
         grid = ssf.midpoint_energy_grid(spectra, -1.5, 4.5, max_points=8)
         return all(ssf.invariance_residual(h, h0, 0.7, lam) == 0 for lam in grid.values)
 
@@ -94,8 +94,8 @@ def _checks(seed: int):
     def interlacing():
         h0, h = _alloy((50,), seed + 4)
         box = IntBox((10,), (39,))
-        wa = spectral.eig_all(h).eigenvalues
-        wb = spectral.eig_all(dirichlet_restriction(h, box)).eigenvalues
+        wa = spectral.eig_all(h)[0]
+        wb = spectral.eig_all(dirichlet_restriction(h, box))[0]
         return bool(np.all(wb >= wa[: wb.size] - 1e-11))
 
     def bridge_dominates():

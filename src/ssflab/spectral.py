@@ -1,4 +1,4 @@
-"""Eigenvalue counting, spectra, heat semigroups, matrix functions and norms.
+"""Eigenvalue counting, spectra, matrix functions and norms.
 
 Counting never diagonalises H; one kernel per operand kind runs all energies
 of a call.  Chains (1D, or one axis longer than one site) run the Sturm
@@ -8,9 +8,11 @@ matrices the LAPACK symmetric-indefinite factorization.  A near-breakdown
 (pivot below 1e-12 * |H|) falls back to an eigenvalue-based count
 (``eigvals_banded`` over a range on grids) rather than silently approximating.
 
-The spectrum oracle (``eig_all``) backs the traces and matrix functions but
-those of free operators, which use the per-axis sine modes; the paths that
-form an n x n array are capped at DENSE_LIMIT sites.
+``eig_all`` returns the sorted spectrum and, on request, the eigenvectors as
+a (values, vectors) pair.  Every g(H), g from ``FUNCTION_FAMILY``, comes from
+one pair: ``matrix_function`` forms the dense (U g(lambda)) U^T and
+``diag_of_function`` its diagonal; free operators use the per-axis sine
+modes.  The paths that form an n x n array are capped at DENSE_LIMIT sites.
 """
 
 from __future__ import annotations
@@ -184,14 +186,6 @@ def count_below(h, lam):
 # full spectra
 
 
-@dataclass(frozen=True)
-class SpectrumOracle:
-    """Full sorted spectrum, optionally with eigenvectors (columns)."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray | None = None
-
-
 def _axis_modes(h: Hamiltonian, need_vectors: bool = True) -> list:
     """Per-axis Dirichlet pairs (mu_a, Psi_a) of the chains whose Kronecker sum
     is H0: Psi_jk = sqrt(2/(n+1)) sin(jk pi/(n+1)), jk reduced mod 2(n+1)."""
@@ -208,19 +202,14 @@ def _axis_modes(h: Hamiltonian, need_vectors: bool = True) -> list:
     return modes
 
 
-def _free_spectrum(h: Hamiltonian) -> np.ndarray:
-    """Analytic Dirichlet spectrum of the free discrete Laplacian."""
-    mus = [mu for mu, _ in _axis_modes(h, need_vectors=False)]
-    return np.sort(functools.reduce(np.add.outer, mus).ravel())
-
-
 def _check_dense(n: int) -> None:
     if n > DENSE_LIMIT:
         raise SizeLimitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
 
 
-def eig_all(h, need_vectors: bool = False) -> SpectrumOracle:
-    """Full spectrum of H, sorted ascending.
+def eig_all(h, need_vectors: bool = False) -> tuple:
+    """(values, vectors) of H: the full spectrum sorted ascending, and the
+    eigenvectors as columns when need_vectors (else None).
 
     Free Hamiltonians use the closed-form Dirichlet spectrum; 1D uses the
     tridiagonal solver; wide banded matrices without vector requests use the
@@ -229,61 +218,46 @@ def eig_all(h, need_vectors: bool = False) -> SpectrumOracle:
     DENSE_LIMIT sites.
     """
     if isinstance(h, Hamiltonian) and h.free and not need_vectors:
-        return SpectrumOracle(_free_spectrum(h))
+        mus = [mu for mu, _ in _axis_modes(h, need_vectors=False)]
+        return np.sort(functools.reduce(np.add.outer, mus).ravel()), None
     kind, *payload = _as_structure(h)
     if kind == "banded" and not need_vectors and h.n > 512:
-        return SpectrumOracle(sla.eigvals_banded(h.band_lower(), lower=True))
+        return sla.eigvals_banded(h.band_lower(), lower=True), None
     if need_vectors or kind != "tridiag":
         _check_dense(h.n if kind == "banded" else payload[0].shape[0])
     if kind == "tridiag":
-        d, e = payload
         if need_vectors:
-            vals, vecs = sla.eigh_tridiagonal(d, e)
-            return SpectrumOracle(vals, vecs)
-        return SpectrumOracle(sla.eigh_tridiagonal(d, e, eigvals_only=True))
+            return sla.eigh_tridiagonal(*payload)
+        return sla.eigh_tridiagonal(*payload, eigvals_only=True), None
     a = h.to_dense() if kind == "banded" else payload[0]
     if need_vectors:
         # divide and conquer; overwrite only a matrix built here (symmetric: a.T = a)
         own = kind == "banded"
-        vals, vecs = sla.eigh(a.T if own else a, overwrite_a=own, driver="evd")
-        return SpectrumOracle(vals, vecs)
-    return SpectrumOracle(sla.eigvalsh(a))
+        return sla.eigh(a.T if own else a, overwrite_a=own, driver="evd")
+    return sla.eigvalsh(a), None
 
 
 # ---------------------------------------------------------------------------
-# heat semigroup, traces, norms
+# traces and norms
 
 
 def heat_trace(h, t: float) -> float:
     """tr exp(-tH) summed over the full spectrum."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    w = eig_all(h).eigenvalues
-    return float(np.sum(np.exp(-t * w)))
+    return float(np.sum(ExpWeight(t).value(eig_all(h)[0])))
 
 
 def heat_semigroup(h, t: float) -> np.ndarray:
     """Dense matrix exp(-tH), symmetric positive definite."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    if isinstance(h, Hamiltonian) and h.free:
-        # H0 is a Kronecker sum: exp(-tH0) = kron of the axis semigroups, axis 0 first
-        _check_dense(h.n)
-        pairs = [(psi, mu) for mu, psi in _axis_modes(h)]
-    else:
-        orc = eig_all(h, need_vectors=True)
-        pairs = [(orc.vectors, orc.eigenvalues)]
-    m = functools.reduce(np.kron, [(u * np.exp(-t * w)) @ u.T for u, w in pairs])
-    return 0.5 * (m + m.T)
+    return matrix_function(h, ExpWeight(t))
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values (for symmetric input: sum of |eigenvalues|)."""
+    """Sum of |eigenvalues| of an exactly symmetric matrix."""
     m = np.asarray(m, dtype=float)
+    if not np.array_equal(m, m.T):
+        raise ValueError("trace_norm needs an exactly symmetric matrix")
     _check_dense(m.shape[0])
-    if np.array_equal(m, m.T):
-        return float(np.sum(np.abs(sla.eigvalsh(m))))
-    return float(np.sum(sla.svdvals(m)))
+    return float(np.sum(np.abs(sla.eigvalsh(m))))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +331,37 @@ class ConstantFunction:
         return np.zeros_like(np.asarray(x, dtype=float))
 
 
-FUNCTION_FAMILY = (BumpFunction, ExpWeight, ConstantFunction)
+@dataclass(frozen=True)
+class ResolventPower:
+    """g(x) = (x + e)^(-m); x + e must stay positive on the spectrum."""
+
+    e: float
+    m: int
+
+    def value(self, x):
+        return (np.asarray(x, dtype=float) + self.e) ** -self.m
+
+    def derivative(self, x):
+        return -self.m * (np.asarray(x, dtype=float) + self.e) ** (-self.m - 1)
+
+
+FUNCTION_FAMILY = (BumpFunction, ExpWeight, ConstantFunction, ResolventPower)
+
+
+def matrix_function(h, g) -> np.ndarray:
+    """Dense symmetrised g(H) = (U g(lambda)) U^T.  h is a Hamiltonian, a
+    symmetric matrix, or its pair ``eig_all(h, need_vectors=True)``, which
+    then serves many g.  H0 is a Kronecker sum, so exp(-tH0) is the Kronecker
+    product of the axis semigroups, axis 0 first."""
+    if not isinstance(g, FUNCTION_FAMILY):
+        raise ValueError("g must come from the built-in function family")
+    if isinstance(h, Hamiltonian) and h.free and isinstance(g, ExpWeight):
+        _check_dense(h.n)
+        pairs = _axis_modes(h)
+    else:
+        pairs = [h if isinstance(h, tuple) else eig_all(h, need_vectors=True)]
+    m = functools.reduce(np.kron, [(u * g.value(w)) @ u.T for w, u in pairs])
+    return 0.5 * (m + m.T)
 
 
 def diag_of_function(h, g) -> np.ndarray:
@@ -371,5 +375,5 @@ def diag_of_function(h, g) -> np.ndarray:
         for psi in psis:  # contracts the leading axis and appends the site axis
             out = np.tensordot(out, psi ** 2, axes=(0, 1))
         return out.ravel()
-    orc = eig_all(h, need_vectors=True)
-    return (orc.vectors ** 2) @ g.value(orc.eigenvalues)
+    w, u = eig_all(h, need_vectors=True)
+    return (u ** 2) @ g.value(w)

@@ -96,7 +96,7 @@ def test_criterion_02_birman_krein_identity():
 def test_criterion_03_laplace_identity():
     t0 = time.monotonic()
     h, h0 = alloy_1d(300, 42)
-    ev_h, ev_h0 = (spectral.eig_all(x).eigenvalues for x in (h, h0))
+    ev_h, ev_h0 = (spectral.eig_all(x)[0] for x in (h, h0))
     worst = 0.0
     ok = True
     for t in (0.5, 1.0, 2.0):

@@ -292,13 +292,16 @@ def test_kirsch_rejects_negative_energies():
 # -- resolvent ----------------------------------------------------------------------
 
 def test_resolvent_full_box_difference_zero():
-    g = build_grid(2, 1.0, (6, 6))
-    h = free_hamiltonian(g).to_dense()
-    from ssflab.experiments.resolvent import _resolvent_power
-    full = _resolvent_power(h, 2.0, 2)
-    again = _resolvent_power(h, 2.0, 2)
-    assert np.array_equal(full, again)
-    assert spectral.trace_norm(full - again) == 0.0
+    h = free_hamiltonian(build_grid(2, 1.0, (6, 6))).to_dense()
+    pair = spectral.eig_all(h, need_vectors=True)
+    for m in (1, 2, 3):
+        g = spectral.ResolventPower(2.0, m)
+        full = spectral.matrix_function(h, g)
+        again = spectral.matrix_function(pair, g)
+        assert np.array_equal(full, again)
+        assert spectral.trace_norm(full - again) == 0.0
+        direct = np.linalg.matrix_power(np.linalg.inv(h + 2.0 * np.eye(h.shape[0])), m)
+        assert np.max(np.abs(full - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_resolvent_small_run():

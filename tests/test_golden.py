@@ -138,11 +138,17 @@ PINNED = {
                 "98af525555b783f695ec0f2c41e998cfdd267b85001017c59b06cba7b4637ef2"),
     "kirsch": ("7c194b393c070d872371f92036362d1ba13ba0c977de7a8db5e36bed3b946102",
                "e7ca935645f0a6a0df4f246d1dab952180c71c12a1afc827c8262c2f846c3e00"),
-    "resolvent": ("a300402c2c079f19ccc9a133e18c91b077a7b8d81b3ad3040b27e1f9366e9177",
-                  "1f7010a8f18e12279de2ad96dbc9e99f76ea716c8cccb0f706212e1fb87a5b23"),
+    "resolvent": ("0691c34aeec34ca10031a9767a977f18e627dcbee94d418c5080d5a83eb952ec",
+                  "3e7c578f2aced0ea947f9472e8082cc8a8fbe27eaba3c068e621bc3cb59c40f0"),
     "subadditive": ("fcfe97a6399b1e444ae1beee9ba441cb1d3cd7ebdde3c91cd28df2df982ce97a",
                     "dbc27d0861cca439557d788a249a5575270abbaf87055eba2ba3bd09193e1a22"),
 }
+
+
+def test_every_shipped_config_is_pinned():
+    # surface and brownian are pinned by acceptance 8 and 7
+    stems = {cfg.stem for cfg in CONFIGS.glob("*.cfg")}
+    assert stems == set(GOLDEN) | set(PINNED) | {"surface", "brownian"}
 
 
 @pytest.mark.parametrize("experiment", sorted(PINNED))

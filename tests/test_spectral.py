@@ -8,9 +8,9 @@ from ssflab.model import Grid, Hamiltonian, IntBox, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import (
-    DENSE_LIMIT, BumpFunction, ConstantFunction, ExpWeight, SizeLimitError,
-    _as_structure, count_below, diag_of_function, eig_all, heat_semigroup,
-    heat_trace, trace_norm,
+    DENSE_LIMIT, BumpFunction, ConstantFunction, ExpWeight, ResolventPower,
+    SizeLimitError, _as_structure, count_below, diag_of_function, eig_all,
+    heat_semigroup, heat_trace, trace_norm,
 )
 
 
@@ -179,28 +179,28 @@ def test_batched_count_dense(n, seed, k):
 # -- full spectra ---------------------------------------------------------------
 
 def test_eig_all_examples():
-    assert eig_all(np.array([[3.5]])).eigenvalues[0] == 3.5
-    assert np.array_equal(eig_all(np.diag([3.0, 1.0, 2.0])).eigenvalues,
+    assert eig_all(np.array([[3.5]]))[0][0] == 3.5
+    assert np.array_equal(eig_all(np.diag([3.0, 1.0, 2.0]))[0],
                           [1.0, 2.0, 3.0])
     a, b = 0.3, 1.7
     two = np.array([[a, b], [b, a]])
-    assert np.allclose(eig_all(two).eigenvalues, [a - abs(b), a + abs(b)])
+    assert np.allclose(eig_all(two)[0], [a - abs(b), a + abs(b)])
 
 
 def test_eig_all_free_analytic_matches_numeric():
     h = free_hamiltonian(build_grid(2, 1.0, (6, 7)))
-    analytic = eig_all(h).eigenvalues
+    analytic = eig_all(h)[0]
     numeric = sla.eigvalsh(h.to_dense())
     assert np.allclose(analytic, numeric, atol=1e-11)
 
 
 def test_eig_all_vector_residuals():
     h = alloy_hamiltonian((50,), 2)
-    orc = eig_all(h, need_vectors=True)
+    w, u = eig_all(h, need_vectors=True)
     dense = h.to_dense()
     scale = np.abs(dense).sum(axis=1).max()
     for k in range(0, 50, 7):
-        r = dense @ orc.vectors[:, k] - orc.eigenvalues[k] * orc.vectors[:, k]
+        r = dense @ u[:, k] - w[k] * u[:, k]
         assert np.linalg.norm(r) <= 1e-8 * scale
 
 
@@ -209,11 +209,12 @@ def test_eig_all_vector_residuals():
 def test_eig_all_one_site(extents, d0):
     # the tridiagonal solver returns a one-site spectrum exactly
     h = Hamiltonian(build_grid(len(extents), 1.0, extents), np.array([d0]))
-    values = eig_all(h).eigenvalues
-    orc = eig_all(h, need_vectors=True)
-    assert values.tobytes() == orc.eigenvalues.tobytes() == np.array([d0]).tobytes()
-    assert orc.vectors.tobytes() == np.ones((1, 1)).tobytes()
-    assert orc.vectors.shape == (1, 1)
+    values, none = eig_all(h)
+    w, u = eig_all(h, need_vectors=True)
+    assert none is None
+    assert values.tobytes() == w.tobytes() == np.array([d0]).tobytes()
+    assert u.tobytes() == np.ones((1, 1)).tobytes()
+    assert u.shape == (1, 1)
 
 
 def _degenerate_24x24():
@@ -229,8 +230,8 @@ def _degenerate_24x24():
 @pytest.mark.parametrize("which", range(3), ids=["free", "constant", "centred_cut"])
 def test_eig_all_vectors_on_degenerate_spectra(which):
     h = _degenerate_24x24()[which]
-    orc = eig_all(h, need_vectors=True)
-    u, w, a = orc.vectors, orc.eigenvalues, h.to_dense()
+    w, u = eig_all(h, need_vectors=True)
+    a = h.to_dense()
     scale = np.abs(a).sum(axis=1).max()
     assert np.all(np.diff(w) >= 0.0)
     assert np.linalg.norm(u.T @ u - np.eye(h.n), 2) <= 1e-12
@@ -261,7 +262,7 @@ def test_free_closed_forms_match_dense(extents, spacing, t, lo, width):
     dense = h.to_dense()
     assert np.max(np.abs(heat_semigroup(h, t) - heat_semigroup(dense, t))) <= 1e-13
     for g in (BumpFunction(lo / spacing ** 2, (lo + width) / spacing ** 2),
-              ExpWeight(t), ConstantFunction(0.7)):
+              ExpWeight(t), ConstantFunction(0.7), ResolventPower(1.0 + t, 2)):
         assert np.max(np.abs(diag_of_function(h, g) - diag_of_function(dense, g))) <= 1e-13
 
 
@@ -269,9 +270,9 @@ def test_size_cap_only_on_dense_paths(monkeypatch):
     # the closed form and the banded solver form no n x n array: no cap
     free = free_hamiltonian(build_grid(2, 1.0, (100, 50)))
     assert free.n > DENSE_LIMIT
-    assert eig_all(free).eigenvalues.shape == (5000,)
+    assert eig_all(free)[0].shape == (5000,)
     strip = alloy_hamiltonian((1000, 5), 4, amplitude=-2.0)
-    vals = eig_all(strip).eigenvalues
+    vals = eig_all(strip)[0]
     assert vals.shape == (5000,) and np.all(np.diff(vals) >= 0.0)
     lams = np.array([vals[0] - 1.0, 0.5 * (vals[2499] + vals[2500]), vals[-1] + 1.0])
     assert count_below(strip, lams).tolist() == [0, 2500, 5000]
@@ -293,8 +294,9 @@ def test_heat_trace_examples():
     assert heat_trace(np.array([[0.0]]), 5.0) == pytest.approx(1.0)
     got = heat_trace(np.diag([1.0, 2.0]), 1.0)
     assert got == pytest.approx(np.exp(-1) + np.exp(-2), abs=1e-14)
-    with pytest.raises(ValueError):
-        heat_trace(np.eye(2), 0.0)
+    for fn in (heat_trace, heat_semigroup):
+        with pytest.raises(ValueError):
+            fn(np.eye(2), 0.0)
 
 
 def test_heat_semigroup_identity_limit():
@@ -343,6 +345,15 @@ def test_trace_norm_examples():
     for _ in range(20):
         a, b = random_symmetric(rng, 10), random_symmetric(rng, 10)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10
+
+
+def test_trace_norm_refuses_asymmetric_input():
+    m = np.diag([1.0, -2.0, 0.5])
+    m[0, 2] = 1e-300
+    with pytest.raises(ValueError):
+        trace_norm(m)
+    with pytest.raises(ValueError):
+        trace_norm(np.ones((2, 3)))
 
 
 # -- matrix functions -------------------------------------------------------------

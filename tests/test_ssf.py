@@ -6,7 +6,7 @@ from ssflab import spectral
 from ssflab.model import IntBox, SingleSiteProfile, assemble_hamiltonian, \
     assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
-from ssflab.spectral import BumpFunction, ConstantFunction, ExpWeight
+from ssflab.spectral import BumpFunction, ConstantFunction, ExpWeight, ResolventPower
 from ssflab.ssf import (
     EnergyGrid, OnSpectrumError, SSFSample,
     birman_krein_residual, invariance_residual, midpoint_energy_grid,
@@ -24,7 +24,7 @@ def alloy_pair(n, seed, amplitude=-1.0, low=0.0, high=1.0):
 
 
 def off_spectrum_grid(h, h0, lo, hi, k=25):
-    spectra = [spectral.eig_all(h).eigenvalues, spectral.eig_all(h0).eigenvalues]
+    spectra = [spectral.eig_all(h)[0], spectral.eig_all(h0)[0]]
     return midpoint_energy_grid(spectra, lo, hi, max_points=k)
 
 
@@ -60,7 +60,7 @@ def test_midpoint_grid_distances_match_loop(seed, sizes, max_points):
 
 def test_on_spectrum_grid_rejected():
     h, h0 = alloy_pair(20, 2)
-    lam = spectral.eig_all(h).eigenvalues[3]
+    lam = spectral.eig_all(h)[0][3]
     grid = EnergyGrid(np.array([lam]), np.array([0.0]))
     with pytest.raises(OnSpectrumError):
         ssf_counting(h, h0, grid)
@@ -119,7 +119,7 @@ def test_chain_rule_exact():
     h0 = free_hamiltonian(g)
     h_full = assemble_hamiltonian(g, assemble_potential(g, prof, field))
     h_minus = assemble_hamiltonian(g, assemble_potential(g, prof, minus))
-    spectra = [spectral.eig_all(x).eigenvalues for x in (h0, h_full, h_minus)]
+    spectra = [spectral.eig_all(x)[0] for x in (h0, h_full, h_minus)]
     grid = midpoint_energy_grid(spectra, -1.5, 5.5, max_points=120)
     xi_total = ssf_counting(h_full, h0, grid).xi_raw
     xi_upper = ssf_counting(h_full, h_minus, grid).xi_raw
@@ -148,8 +148,8 @@ def test_bk_constant_g_both_sides_zero():
 
 def test_xi_step_function_integer_values():
     h, h0 = alloy_pair(25, 12)
-    x, xi_k = xi_step_function(spectral.eig_all(h).eigenvalues,
-                               spectral.eig_all(h0).eigenvalues)
+    x, xi_k = xi_step_function(spectral.eig_all(h)[0],
+                               spectral.eig_all(h0)[0])
     assert xi_k.dtype == np.int64
     assert x.shape[0] == xi_k.shape[0] + 1
 
@@ -157,7 +157,7 @@ def test_xi_step_function_integer_values():
 # -- trace identity ----------------------------------------------------------------
 
 def spectra(h, h0):
-    return spectral.eig_all(h).eigenvalues, spectral.eig_all(h0).eigenvalues
+    return spectral.eig_all(h)[0], spectral.eig_all(h0)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -165,7 +165,9 @@ def spectra(h, h0):
        seed=st.integers(0, 10**6), amplitude=st.sampled_from([-1.5, -0.5, 0.8]),
        g=st.one_of(st.builds(BumpFunction, st.floats(-2.0, 1.0), st.just(3.0)),
                    st.builds(ExpWeight, st.floats(0.1, 2.0)),
-                   st.builds(ConstantFunction, st.floats(-3.0, 3.0))))
+                   st.builds(ConstantFunction, st.floats(-3.0, 3.0)),
+                   # V >= -1.5 keeps the spectrum above -1.5, clear of -e
+                   st.builds(ResolventPower, st.floats(2.5, 5.0), st.sampled_from([1, 2, 3]))))
 def test_trace_identity_alloys(extents, seed, amplitude, g):
     grid = build_grid(len(extents), 1.0, extents)
     window = IntBox((0,) * len(extents), tuple(n - 1 for n in extents))
@@ -183,7 +185,7 @@ def test_trace_identity_alloys(extents, seed, amplitude, g):
 
 def test_laplace_zero_potential():
     _, h0 = alloy_pair(30, 13)
-    ev0 = spectral.eig_all(h0).eigenvalues
+    ev0 = spectral.eig_all(h0)[0]
     for t in (0.5, 1.0, 2.0):
         assert trace_difference(ev0, ev0, ExpWeight(t)) == 0.0
         assert xi_integral(ev0, ev0, ExpWeight(t)) == 0.0
