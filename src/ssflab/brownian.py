@@ -13,6 +13,8 @@ flag in the estimate.
 
 One call estimates many regions and times from one draw of the counter-based
 paths (Philox keyed by seed and block), each bitwise as if simulated alone.
+Each step advances a sweep of up to _SWEEP blocks as one array, so memory is
+bounded by the sweep, and estimates are bitwise those of block-by-block runs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class RegionError(ValueError):
 
 
 _PATH_BLOCK = 4096  # fixed partition of paths into RNG blocks
+_SWEEP = 4          # blocks advanced together per step; larger sweeps leave cache
 _N_STEPS = 512      # time steps per path, each of length t / _N_STEPS
 _EPS = 1.0          # eps of the joint bound's envelope constant C_eps
 
@@ -131,6 +134,15 @@ def _path_blocks(times, paths: int, seed: int) -> list:
             for start in range(0, paths, _PATH_BLOCK)]
 
 
+def _sweeps(times, paths: int, seed: int) -> list:
+    """_path_blocks grouped _SWEEP at a time: per sweep, one (slice, generator)
+    pair per block, the slices tiling the sweep's arrays in block order."""
+    blocks = _path_blocks(times, paths, seed)
+    return [[(slice(j * _PATH_BLOCK, j * _PATH_BLOCK + m), rng)
+             for j, (m, rng) in enumerate(blocks[first:first + _SWEEP])]
+            for first in range(0, len(blocks), _SWEEP)]
+
+
 def simulate_hitting(x, regions, times, paths: int = 100_000,
                      bridge: bool = True, seed: int = 0) -> list:
     """Estimate P_x{tau_B <= t} for each region B and time t by direct path
@@ -145,23 +157,30 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     endpoint detection pathwise.  Only steps with a < 40 dt are evaluated:
     otherwise exp(-a/dt) <= exp(-40) < 2^-54, so 1 - exp(-a/dt) rounds to
     exactly 1.0 and the survival product is bitwise unchanged.
+
+    Each block of a sweep draws into its own slice and sums its own survival,
+    added in block order, so estimates are bitwise those of block-by-block runs.
     """
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    blocks = _path_blocks(times, paths, seed)
+    sweeps = _sweeps(times, paths, seed)
     steps = [(t / _N_STEPS, math.sqrt(2.0 * (t / _N_STEPS))) for t in times]
     # a start inside B is a hit at tau = 0 on every path and needs no draw
     inside = [bool(r.contains(x[None, :])[0]) for r in regions]
     outside = [k for k, hit in enumerate(inside) if not hit]
     hits = np.tile(np.where(inside, float(paths), 0.0), (len(times), 1))
 
-    for m, rng in blocks if outside else ():
-        pos = [np.tile(x, (m, 1)) for _ in times]
-        survive = np.ones((len(times), len(regions), m))
+    for sweep in sweeps if outside else ():
+        n = sweep[-1][0].stop
+        z = np.empty((n, nu))  # every time scales it by its sigma
+        pos = [np.tile(x, (n, 1)) for _ in times]
+        spare = [np.empty((n, nu)) for _ in times]
+        survive = np.ones((len(times), len(regions), n))
         for _ in range(_N_STEPS):
-            z = rng.standard_normal((m, nu))  # every time scales it by its sigma
+            for block, rng in sweep:
+                rng.standard_normal(out=z[block])
             for i, (step_dt, sigma) in enumerate(steps):
-                new = pos[i] + sigma * z
+                new = np.add(pos[i], np.multiply(z, sigma, out=spare[i]), out=spare[i])
                 for k in outside:
                     r, s = regions[k], survive[i, k]
                     if bridge and r.bridge_supported:
@@ -173,8 +192,9 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
                         s[idx] *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / step_dt))
                     else:
                         s *= ~r.contains(new)
-                pos[i] = new
-        hits += [[float(np.sum(1.0 - s)) for s in row] for row in survive]
+                pos[i], spare[i] = new, pos[i]
+        for block, _ in sweep:
+            hits += [[float(np.sum(1.0 - s[block])) for s in row] for row in survive]
 
     return [[HittingEstimate(p, math.sqrt(p * (1.0 - p) / paths), paths,
                              bridge and r.bridge_supported, bridge and not r.bridge_supported)
@@ -222,23 +242,26 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     with envelope 1 inside the box and C_eps exp(-d^2/(2(4+eps)t)) outside,
     eps = 1.
     Returns the raw estimates, the analytic right side and a 3-sigma verdict.
+    Paths advance in sweeps as in simulate_hitting, bitwise as block by block.
     """
     if box_b.kind != "box":
         raise RegionError("joint bound expects a box region")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    blocks = _path_blocks((t,), paths, seed)
     lo, hi = np.asarray(box_b.lo), np.asarray(box_b.hi)
     sigma = math.sqrt(2.0 * (t / _N_STEPS))
 
     hits_exit = 0
     hits_joint = 0
-    for m, rng in blocks:
-        pos = np.tile(x, (m, 1))
+    for sweep in _sweeps((t,), paths, seed):
+        n = sweep[-1][0].stop
+        pos, new = np.tile(x, (n, 1)), np.empty((n, nu))
         # a path has left the open box iff its running extremes have
         low, high = pos.copy(), pos.copy()
         for _ in range(_N_STEPS):
-            pos = pos + sigma * rng.standard_normal((m, nu))
+            for block, rng in sweep:
+                rng.standard_normal(out=new[block])
+            pos, new = np.add(pos, np.multiply(new, sigma, out=new), out=new), pos
             np.minimum(low, pos, out=low)
             np.maximum(high, pos, out=high)
         exited = np.any(low < lo, axis=1) | np.any(high > hi, axis=1)

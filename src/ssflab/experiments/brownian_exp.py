@@ -63,10 +63,13 @@ def run_brownian(config: ExperimentConfig) -> ResultRecord:
     # joint expectation bound: one start inside the box, one outside
     t_joint = float(config.opt("joint_t", 0.5))
     box = br.box_region((-1.0, -1.0), (1.0, 1.0))
-    inside = br.joint_bound_check(np.zeros(2), box, t_joint, paths=paths,
-                                  seed=config.seed + 1)
-    outside = br.joint_bound_check(np.array([2.0, 0.0]), box, t_joint,
-                                   paths=paths, seed=config.seed + 2)
+
+    def joint(k):
+        start = (np.zeros(2), np.array([2.0, 0.0]))[k]
+        return br.joint_bound_check(start, box, t_joint, paths=paths,
+                                    seed=config.seed + 1 + k)
+
+    inside, outside = parallel_map(joint, (0, 1), config.workers)
     rec.aggregates["joint_inside"] = inside
     rec.aggregates["joint_outside"] = outside
     rec.add_check("joint_bound_inside", "hard", inside["holds_3sigma"],

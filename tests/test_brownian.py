@@ -234,19 +234,45 @@ def test_joint_bound_inside_and_outside():
     assert outside["holds_3sigma"]
 
 
+def _reference_joint_hits(x, box, t, paths, seed):
+    """Exit and joint hit counts of joint_bound_check, block by block, with the
+    exit tested on every step's position."""
+    hits_exit = hits_joint = 0
+    for m, rng in br._path_blocks((t,), paths, seed):
+        pos = np.tile(x, (m, 1))
+        exited = ~box.contains(pos)
+        for _ in range(br._N_STEPS):
+            pos = pos + math.sqrt(2.0 * (t / br._N_STEPS)) * rng.standard_normal((m, 2))
+            exited |= ~box.contains(pos)
+        hits_exit += int(np.sum(exited))
+        hits_joint += int(np.sum(exited & box.contains(pos)))
+    return hits_exit, hits_joint
+
+
 @pytest.mark.parametrize("start", [(0.0, 0.0), (2.0, 0.0)])
 def test_joint_bound_running_extremes_match_per_step_test(start):
     x = np.array(start)
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     out = joint_bound_check(x, box, 0.5, paths=2000, seed=5)
-    hits_exit = hits_joint = 0
-    for m, rng in br._path_blocks((0.5,), 2000, 5):
-        pos = np.tile(x, (m, 1))
-        exited = ~box.contains(pos)
-        for _ in range(br._N_STEPS):
-            pos = pos + math.sqrt(2.0 * (0.5 / br._N_STEPS)) * rng.standard_normal((m, 2))
-            exited |= ~box.contains(pos)
-        hits_exit += int(np.sum(exited))
-        hits_joint += int(np.sum(exited & box.contains(pos)))
+    hits_exit, hits_joint = _reference_joint_hits(x, box, 0.5, 2000, 5)
     assert (out["lhs"], out["p_exit"]) == (hits_joint / 2000, hits_exit / 2000)
     assert 0 < hits_joint < hits_exit
+
+
+def test_sweep_boundary_matches_block_references():
+    # four full blocks fill the first sweep; a ragged block sits alone in the second
+    paths = 4 * br._PATH_BLOCK + 1000
+    assert [[b.stop - b.start for b, _ in sw] for sw in br._sweeps((0.5,), paths, 3)] \
+        == [[br._PATH_BLOCK] * 4, [1000]]
+    x = np.zeros(2)
+    # at this key, summing the half-space's survival over a whole sweep at once
+    # moves its estimate by one ulp
+    regions = [half_space(0, 0.5), box_region((0.5, -1.0), (2.0, 1.0))]
+    ests, = simulate_hitting(x, regions, [0.25], paths=paths, seed=3)
+    for r, est in zip(regions, ests):
+        assert est.p_hat == _reference_p_hat(x, r, 0.25, paths, 3, bridge=r.bridge_supported)
+    box = box_region((-1.0, -1.0), (1.0, 1.0))
+    for start in ((0.0, 0.0), (2.0, 0.0)):
+        out = joint_bound_check(np.array(start), box, 0.5, paths=paths, seed=3)
+        hits_exit, hits_joint = _reference_joint_hits(np.array(start), box, 0.5, paths, 3)
+        assert (out["lhs"], out["p_exit"]) == (hits_joint / paths, hits_exit / paths)

@@ -348,6 +348,17 @@ def test_brownian_reproducible_across_workers():
     assert serial == threaded
 
 
+@pytest.mark.parametrize("bridge", [False, True])
+def test_brownian_exact_law_check_fails_only_without_the_bridge(bridge):
+    # planted defect: endpoint detection misses crossings between steps, so at
+    # (d, t) = (0.5, 1) p_hat falls about 0.02 below erfc(1/4) = 0.7237,
+    # against a 3-sigma band of about 0.0075 at 32,768 paths
+    cfg = dataclasses.replace(BROWNIAN_SMALL, times=(1.0,), options={
+        "paths": 32768, "distances": (0.5,), "nus": (1,), "bridge": bridge})
+    failed = "halfspace_exact_1d" in run_brownian(cfg).hard_failures
+    assert failed == (not bridge)
+
+
 # -- cross-cutting ---------------------------------------------------------------------
 
 def test_schedule_must_increase():
