@@ -29,7 +29,7 @@ DEFAULT_TOLERANCES = {
     "cutoff": {},
     "cluster": {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
     "subadditive": {},
-    "surface": {"relative_change": 0.05, "transverse_tol": 0.05},
+    "surface": {"relative_change": 0.05, "transverse_tol": 0.05, "sum_rule": 1e-10},
     "kirsch": {"dual_rel": 1e-8},
     "resolvent": {"slope_low": 0.7, "slope_high": 1.3},
     "brownian": {},

@@ -22,33 +22,33 @@ from .base import ExperimentConfig, ExperimentError, ResultRecord, \
 
 
 def _ambient(config, ambient_factor, lam_grid):
-    """(grid, profile, N(lam; H0)) of the ambient box, once."""
+    """(grid, profile, N(lam; H0), cutoff box per length) of the ambient box."""
     side = ambient_factor * max(config.schedule)
     grid = ambient_for(IntBox.centered((side,) * config.dimension), 0, config.spacing)
+    cuts = {length: IntBox.centered((length,) * config.dimension)
+            for length in config.schedule}
     return grid, config.build_profile(), \
-        spectral.count_below(free_hamiltonian(grid), lam_grid)
+        spectral.count_below(free_hamiltonian(grid), lam_grid), cuts
 
 
 def _xi_per_meas(config, ambient, field, length, lam_grid):
     """(xi(lam), meas(Lambda)) for one cutoff length and coupling field."""
-    dim, h = config.dimension, config.spacing
-    grid, profile, c0 = ambient
-    cut = IntBox.centered((length,) * dim)
-    pot = assemble_potential(grid, profile, field, "lattice_sum", cut)
-    gershgorin_window_check(lam_grid, pot.values, dim, h)
+    grid, profile, c0, cuts = ambient
+    pot = assemble_potential(grid, profile, field, "lattice_sum", cuts[length])
+    gershgorin_window_check(lam_grid, pot.values, config.dimension, config.spacing)
     xi = c0 - spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
-    return xi, cut.measure(h)
+    return xi, cuts[length].measure(config.spacing)
 
 
 def _one_realization(config, ambient, realization, lam_grid):
     """xi per volume for every length, then the -N(lam) proxy: Dirichlet
     counting per volume at the largest box, all on one field draw."""
-    grid, profile, _ = ambient
+    grid, profile, _, cuts = ambient
     field = sample_couplings(config.distribution, grid.box, config.seed, realization)
     xis = [_xi_per_meas(config, ambient, field, length, lam_grid)
            for length in config.schedule]
     pot = assemble_potential(grid, profile, field)
-    box = IntBox.centered((max(config.schedule),) * config.dimension)
+    box = cuts[max(config.schedule)]
     restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
     return xis, spectral.count_below(restricted, lam_grid) / box.measure(config.spacing)
 

@@ -5,7 +5,8 @@ extent around that line; the shift function per unit interaction *length*
 converges along a schedule of line cutoffs, the signed decomposition through
 the positive and negative coupling parts is exact counting arithmetic at
 every grid energy, and the per-length Laplace functional is recorded across
-the t grid.
+the t grid.  The spectra behind that functional must meet the first two
+moment sum rules, sum(lam) = tr H and sum(lam^2) = ||H||_F^2.
 """
 
 from __future__ import annotations
@@ -30,9 +31,18 @@ def _strip(config: ExperimentConfig, line_len: int, transverse: int):
     return grid, IntBox.centered((line_len,)), c0
 
 
+def _moment_residual(h, ev) -> float:
+    """The larger relative residual of sum(ev) = tr H (to sqrt(n) ||H||_F) and
+    sum(ev^2) = ||H||_F^2 = sum d_i^2 + 2 (#bonds) offdiag^2."""
+    bonds = sum(h.n - h.n // n for n in h.grid.extents)
+    fro2 = float(np.sum(h.diag ** 2)) + 2.0 * bonds * h.offdiag ** 2
+    first = abs(float(np.sum(ev)) - float(np.sum(h.diag))) / np.sqrt(h.n * fro2)
+    return max(first, abs(float(np.sum(ev ** 2)) - fro2) / fro2)
+
+
 def _one_length(config: ExperimentConfig, strip, realization: int, times):
-    """Counts, chain-rule split and Laplace functional at the given times for
-    one line cutoff."""
+    """Counts, chain-rule split, Laplace functional at the given times and the
+    worst sum-rule residual of its spectra for one line cutoff."""
     grid, window, c0 = strip
     profile = config.build_profile()
     field = sample_couplings(config.distribution, window, config.seed, realization)
@@ -52,13 +62,15 @@ def _one_length(config: ExperimentConfig, strip, realization: int, times):
     xi_plus = cm - cf     # xi(lam; H, H0 + V-)
     xi_minus = c0 - cm    # xi(lam; H0 + V-, H0)
 
-    f_vals = []
+    f_vals, residual = [], 0.0
     if times:
+        h0 = free_hamiltonian(grid)
         ev_h = spectral.eig_all(h_full)[0]
-        ev_0 = spectral.eig_all(free_hamiltonian(grid))[0]
+        ev_0 = spectral.eig_all(h0)[0]
+        residual = max(_moment_residual(h_full, ev_h), _moment_residual(h0, ev_0))
         f_vals = [ssf.trace_difference(ev_h, ev_0, spectral.ExpWeight(t))
                   for t in times]
-    return xi_full, xi_plus, xi_minus, f_vals
+    return xi_full, xi_plus, xi_minus, f_vals, residual
 
 
 def run_surface(config: ExperimentConfig) -> ResultRecord:
@@ -79,6 +91,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     reals = list(range(config.realizations))
 
     chain_exact = True
+    worst_residual = 0.0
     per_len_mean = []
     per_len_var = []
     for line_len in config.schedule:
@@ -89,8 +102,9 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
             base = vals[0][0][star]
         meas1 = line_len * h
         per_real = []
-        for r, (xi_full, xi_plus, xi_minus, f_vals) in zip(reals, vals):
+        for r, (xi_full, xi_plus, xi_minus, f_vals, residual) in zip(reals, vals):
             chain_exact &= bool(np.all(xi_full == xi_plus + xi_minus))
+            worst_residual = max(worst_residual, residual)
             per_real.append(xi_full / meas1)
             for lam, x, xp, xm in zip(lam_grid, xi_full, xi_plus, xi_minus):
                 rec.rows.append({"L1": line_len, "realization": r, "lam": float(lam),
@@ -107,6 +121,11 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
 
     rec.add_check("chain_rule_exact", "hard", chain_exact, chain_exact, None,
                   "xi = xi_plus + xi_minus exactly at every grid energy")
+    if config.times:
+        rec.aggregates["sum_rule_residual"] = worst_residual
+        tol = config.tol("sum_rule")
+        rec.add_check("spectrum_sum_rules", "hard", worst_residual <= tol, worst_residual,
+                      tol, "Laplace spectra meet sum(lam) = tr H and sum(lam^2) = ||H||_F^2")
 
     tol = config.tol("relative_change")
     if len(config.schedule) >= 2:

@@ -138,15 +138,6 @@ class Grid:
         return math.prod(self.extents)
 
     @property
-    def strides(self) -> tuple:
-        s = []
-        acc = 1
-        for n in reversed(self.extents):
-            s.append(acc)
-            acc *= n
-        return tuple(reversed(s))
-
-    @property
     def box(self) -> IntBox:
         return IntBox(self.lo, tuple(a + n - 1 for a, n in zip(self.lo, self.extents)))
 
@@ -381,44 +372,35 @@ class Hamiltonian:
 
     @property
     def bandwidth(self) -> int:
-        # unit axes have no neighbour pairs, so their strides never reach the band
-        return max((s for s, n in zip(self.grid.strides, self.grid.extents) if n > 1),
-                   default=0)
+        # the stride of the slowest axis with neighbour pairs (unit axes have none)
+        ext = self.grid.extents
+        return max((math.prod(ext[a + 1:]) for a, n in enumerate(ext) if n > 1), default=0)
 
     def potential_values(self) -> np.ndarray:
         return self.diag - 2.0 * self.grid.dimension / self.grid.spacing ** 2
 
-    def _neighbour_pairs(self):
-        """Per-axis (i, j) index arrays with j = i + stride inside the grid."""
-        idx = np.arange(self.n, dtype=np.int64).reshape(self.grid.extents)
-        out = []
-        for ax in range(self.grid.dimension):
-            if self.grid.extents[ax] < 2:
-                continue
-            sl_lo = [slice(None)] * self.grid.dimension
-            sl_hi = [slice(None)] * self.grid.dimension
-            sl_lo[ax] = slice(0, -1)
-            sl_hi[ax] = slice(1, None)
-            out.append((idx[tuple(sl_lo)].ravel(), idx[tuple(sl_hi)].ravel()))
-        return out
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        a[np.arange(self.n), np.arange(self.n)] = self.diag
-        for i, j in self._neighbour_pairs():
-            a[i, j] = self.offdiag
-            a[j, i] = self.offdiag
+        for k, b in enumerate(grid_band(self.diag.reshape(self.grid.extents), self.offdiag)):
+            j = np.arange(self.n - k)
+            a[j + k, j] = a[j, j + k] = b[:self.n - k]
         return a
 
-    def band_lower(self) -> np.ndarray:
-        """LAPACK lower-band storage: band[k, j] = A[j+k, j], k = 0..bandwidth."""
-        w = self.bandwidth
-        band = np.zeros((w + 1, self.n))
-        band[0] = self.diag
-        for i, j in self._neighbour_pairs():
-            # j - i equals the axis stride for every pair of this axis
-            band[j[0] - i[0], i] = self.offdiag
-        return band
+
+def grid_band(d: np.ndarray, coupling: float, root2: bool = False) -> np.ndarray:
+    """LAPACK lower-band storage, band[k, j] = A[j+k, j], of the operator with
+    diagonal d (shaped like its grid) and nearest-neighbour bonds `coupling`;
+    root2 scales the bonds of rows 0, 1 of the trailing axis by sqrt(2)."""
+    axes = [(a, math.prod(d.shape[a + 1:])) for a, n in enumerate(d.shape) if n > 1]
+    band = np.zeros((max((s for _, s in axes), default=0) + 1, d.size))
+    band[0] = d.ravel()
+    for ax, s in axes:  # the bonds along axis ax sit at offset s, its stride
+        bond = np.full(d.shape, coupling)
+        bond[(slice(None),) * ax + (-1,)] = 0.0  # no neighbour past the last row
+        if root2 and ax == d.ndim - 1:
+            bond[..., 0] *= math.sqrt(2.0)
+        band[s] = bond.ravel()
+    return band
 
 
 def assemble_hamiltonian(grid: Grid, potential: PotentialField) -> Hamiltonian:

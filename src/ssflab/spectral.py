@@ -2,11 +2,15 @@
 
 Counting never diagonalises H; one kernel per operand kind runs all energies
 of a call.  Chains (1D, or one axis longer than one site) run the Sturm
-recurrence on Python float lists, other grid Hamiltonians a block-Schur
-elimination over slices with one batched ``eigh`` per slice, plain symmetric
-matrices the LAPACK symmetric-indefinite factorization.  A near-breakdown
+recurrence on Python float lists, walking a long constant run only to its
+fixed point; other grid Hamiltonians a block-Schur elimination over slices
+with one batched ``eigh`` per slice; plain symmetric matrices the LAPACK
+symmetric-indefinite factorization.  A near-breakdown
 (pivot below 1e-12 * |H|) falls back to an eigenvalue-based count
 (``eigvals_banded`` over a range on grids) rather than silently approximating.
+A grid H that commutes with the mirror of an odd trailing axis is counted and
+banded-diagonalised per mirror sector (even and odd), at about half the
+sites and half the bandwidth each.
 
 ``eig_all`` returns the sorted spectrum and, on request, the eigenvectors as
 a (values, vectors) pair.  Every g(H), g from ``FUNCTION_FAMILY``, comes from
@@ -19,15 +23,17 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .model import Hamiltonian, build_grid
+from .model import Grid, Hamiltonian, grid_band
 
 DENSE_LIMIT = 4000
 _BREAKDOWN_REL = 1e-12
+_RUN = 32  # shortest constant Sturm run that is walked only to its fixed point
 
 
 class SizeLimitError(RuntimeError):
@@ -71,59 +77,103 @@ def _scale_of(h) -> float:
 def _sturm_counts(d: np.ndarray, e: np.ndarray, lams: np.ndarray, scale: float) -> list:
     """Negative pivots of the LDLT of (T - lam) for a tridiagonal T, per lam,
     on Python floats.  Exact zero pivots are replaced by +pivmin: an eigenvalue
-    sitting exactly at lam is then not counted (strictly below)."""
+    sitting exactly at lam is then not counted (strictly below).  A run of at
+    least _RUN sites with constant (d_i, e_i^2) is walked only until its pivot
+    repeats bitwise: every later site of the run repeats that pivot."""
     pivmin = max(scale, 1.0) * 2.3e-308
-    d0, rest, e2s = float(d[0]), d[1:].tolist(), (e * e).tolist()
+    d0, rest, e2s = float(d[0]), d[1:], e * e
+    change = (rest[1:] != rest[:-1]) | (e2s[1:] != e2s[:-1])
+    edges = np.flatnonzero(np.concatenate(([True], change, [True])))
+    runs = np.flatnonzero(np.diff(edges) >= _RUN)
+    cuts = [0, *np.stack([edges[runs], edges[runs + 1]], 1).ravel().tolist(), rest.size]
+    # segments alternate: (d, e^2) lists walked site by site, then a long run
+    segs = [(float(rest[lo]), float(e2s[lo]), hi - lo) if i % 2 else
+            (rest[lo:hi].tolist(), e2s[lo:hi].tolist())
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
     counts = []
     for lam in lams.tolist():
         q = d0 - lam
         if q == 0.0:
             q = pivmin
         count = 1 if q < 0.0 else 0
-        for di, e2 in zip(rest, e2s):
-            q = (di - lam) - e2 / q
-            if q == 0.0:
-                q = pivmin
-            if q < 0.0:
-                count += 1
+        for i, seg in enumerate(segs):
+            if i % 2:
+                a, e2 = seg[0] - lam, seg[1]
+                for left in range(seg[2], 0, -1):
+                    p, q = q, a - e2 / q
+                    if q == 0.0:
+                        q = pivmin
+                    if q == p:  # this site and all `left` - 1 after it
+                        count += left if q < 0.0 else 0
+                        break
+                    count += q < 0.0
+                continue
+            for di, e2 in zip(*seg):
+                q = (di - lam) - e2 / q
+                if q == 0.0:
+                    q = pivmin
+                if q < 0.0:
+                    count += 1
         counts.append(count)
     return counts
 
 
-def _schur_counts(ham: Hamiltonian, lams: np.ndarray, scale: float) -> list:
-    """Negative eigenvalues of (H - lam) per lam, by elimination over the slices
-    along the first non-unit axis.  Slices couple through offdiag * I, so the
-    Schur complements are S_k = T_k - lam - offdiag^2 S_{k-1}^{-1}, and
-    #neg(H - lam) = sum_k #neg(S_k) (Haynsworth).  One batched ``eigh`` per
+_Slices = namedtuple("_Slices", "blocks inner coupling band")
+
+
+def _slices(d: np.ndarray, coupling: float, root2: bool = False) -> _Slices:
+    """``grid_band(d, coupling, root2)`` (two non-unit axes or more) in slices
+    along its slowest non-unit axis: blocks[k] is the diagonal of slice k, inner
+    the m x m operator within a slice without it; slices couple by coupling * I."""
+    band = grid_band(d, coupling, root2)
+    m = band.shape[0] - 1
+    lower = sum(np.diag(b[:m - k], -k) for k, b in enumerate(band[1:m], 1))
+    return _Slices(d.reshape(-1, m), lower + lower.T, coupling, band)
+
+
+def _sectors(h: Hamiltonian, split: bool = True) -> list:
+    """Operands whose spectra make up that of a banded grid H: H, or if split and
+    its diagonal is bitwise mirror-symmetric about the middle row k of an odd
+    trailing axis, the even sector (rows k.., the bond of rows k, k+1 times
+    sqrt(2)) and the odd sector (the Hamiltonian on rows k+1.., not split)."""
+    d = h.diag.reshape(h.grid.extents)
+    k, odd_extent = divmod(d.shape[-1], 2)
+    if not split or k == 0 or not odd_extent or not np.array_equal(d, d[..., ::-1]):
+        return [_slices(d, h.offdiag)]
+    g = Grid(h.grid.dimension, h.grid.spacing, d.shape[:-1] + (k,))
+    odd = d[..., k + 1:].ravel()
+    return [_slices(d[..., k:], h.offdiag, root2=True),
+            Hamiltonian(g, odd, free=bool(np.all(odd == 2.0 * g.dimension / g.spacing ** 2)))]
+
+
+def _schur_counts(op: _Slices, lams: np.ndarray, scale: float) -> np.ndarray:
+    """Negative eigenvalues of (A - lam) per lam, by elimination over the
+    slices of the operand.  Slices couple through c * I, so the Schur
+    complements are S_k = T_k - lam - c^2 S_{k-1}^{-1}, and
+    #neg(A - lam) = sum_k #neg(S_k) (Haynsworth).  One batched ``eigh`` per
     slice gives the inertia and the inverse of S_k; an energy at which some S_k
     is within 1e-12 * |H| of singular is counted by ``eigvals_banded``."""
-    ext = ham.grid.extents
-    sub = ext[next(a for a, n in enumerate(ext) if n > 1) + 1:]
-    m = math.prod(sub)
-    inner = Hamiltonian(build_grid(len(sub), ham.grid.spacing, sub), np.zeros(m)).to_dense()
+    m = op.inner.shape[0]
     tol = _BREAKDOWN_REL * max(scale, 1.0)
     counts = np.zeros(lams.size, dtype=np.int64)
     live = np.arange(lams.size)
     shift = lams[:, None, None] * np.eye(m)
     sinv = 0.0
-    for dk in ham.diag.reshape(-1, m):
-        w, v = np.linalg.eigh(inner + np.diag(dk) - shift - ham.offdiag ** 2 * sinv)
+    for dk in op.blocks:
+        w, v = np.linalg.eigh(op.inner + np.diag(dk) - shift - op.coupling ** 2 * sinv)
         ok = np.all(np.abs(w) >= tol, axis=1)
         if not ok.all():
             live, w, v, shift = live[ok], w[ok], v[ok], shift[ok]
         counts[live] += np.count_nonzero(w < 0.0, axis=1)
         sinv = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
-    broken = np.setdiff1d(np.arange(lams.size), live)
-    if broken.size:
-        band = ham.band_lower()
-        for i in broken:
-            try:  # the spectrum lies inside [-scale, scale] (Gershgorin)
-                vals = sla.eigvals_banded(band, lower=True, select="v",
-                                          select_range=(-scale - 1.0, lams[i]))
-            except (sla.LinAlgError, ValueError) as exc:  # pragma: no cover - defensive
-                raise CountingError(f"banded count failed at lam={lams[i]}") from exc
-            counts[i] = np.searchsorted(np.sort(vals), lams[i], side="left")
-    return counts.tolist()
+    for i in np.setdiff1d(np.arange(lams.size), live):
+        try:  # the spectrum lies inside [-scale, scale] (Gershgorin)
+            vals = sla.eigvals_banded(op.band, lower=True, select="v",
+                                      select_range=(-scale - 1.0, lams[i]))
+        except (sla.LinAlgError, ValueError) as exc:  # pragma: no cover - defensive
+            raise CountingError(f"banded count failed at lam={lams[i]}") from exc
+        counts[i] = np.searchsorted(np.sort(vals), lams[i], side="left")
+    return counts
 
 
 def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
@@ -170,16 +220,18 @@ def count_below(h, lam):
         raise ValueError("lam must be a scalar or a 1D array")
     if not np.all(np.isfinite(lams)):
         raise ValueError("lam must be finite")
-    xs = lams.ravel()
-    scale = _scale_of(h)
+    counts = _counts(h, lams.ravel(), _scale_of(h))
+    return int(counts[0]) if lams.ndim == 0 else counts
+
+
+def _counts(h, xs: np.ndarray, scale: float, split: bool = True) -> np.ndarray:
+    """count_below on an array of energies; mirror sectors add their counts."""
     kind, *payload = _as_structure(h)
-    if kind == "tridiag":
-        counts = _sturm_counts(*payload, xs, scale)
-    elif kind == "banded":
-        counts = _schur_counts(payload[0], xs, scale)
-    else:
-        counts = [_dense_count(payload[0], x, scale) for x in xs]
-    return counts[0] if lams.ndim == 0 else np.array(counts, dtype=np.int64)
+    if kind == "banded":
+        first, *odd = _sectors(h, split)
+        return _schur_counts(first, xs, scale) + sum(_counts(o, xs, scale, False) for o in odd)
+    return np.array(_sturm_counts(*payload, xs, scale) if kind == "tridiag" else
+                    [_dense_count(payload[0], x, scale) for x in xs], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +265,35 @@ def eig_all(h, need_vectors: bool = False) -> tuple:
 
     Free Hamiltonians use the closed-form Dirichlet spectrum; 1D uses the
     tridiagonal solver; wide banded matrices without vector requests use the
-    banded solver; everything else is a dense eigensolve.  Only the paths
-    that form an n x n array (eigenvectors, dense eigensolve) are capped at
-    DENSE_LIMIT sites.
+    banded solver, once per mirror sector when H has them; everything else
+    is a dense eigensolve.  Only the paths that form an n x n array
+    (eigenvectors, dense eigensolve) are capped at DENSE_LIMIT sites.
     """
-    if isinstance(h, Hamiltonian) and h.free and not need_vectors:
-        mus = [mu for mu, _ in _axis_modes(h, need_vectors=False)]
-        return np.sort(functools.reduce(np.add.outer, mus).ravel()), None
+    if not need_vectors:
+        return _values(h), None
     kind, *payload = _as_structure(h)
-    if kind == "banded" and not need_vectors and h.n > 512:
-        return sla.eigvals_banded(h.band_lower(), lower=True), None
-    if need_vectors or kind != "tridiag":
-        _check_dense(h.n if kind == "banded" else payload[0].shape[0])
+    _check_dense(h.n if kind == "banded" else payload[0].shape[0])
     if kind == "tridiag":
-        if need_vectors:
-            return sla.eigh_tridiagonal(*payload)
-        return sla.eigh_tridiagonal(*payload, eigvals_only=True), None
-    a = h.to_dense() if kind == "banded" else payload[0]
-    if need_vectors:
-        # divide and conquer; overwrite only a matrix built here (symmetric: a.T = a)
-        own = kind == "banded"
-        return sla.eigh(a.T if own else a, overwrite_a=own, driver="evd")
-    return sla.eigvalsh(a), None
+        return sla.eigh_tridiagonal(*payload)
+    # divide and conquer; overwrite only a matrix built here (symmetric: a.T = a)
+    own = kind == "banded"
+    return sla.eigh(h.to_dense().T if own else payload[0], overwrite_a=own, driver="evd")
+
+
+def _values(h, split: bool = True) -> np.ndarray:
+    """The sorted spectrum of eig_all without vectors."""
+    if isinstance(h, Hamiltonian) and h.free:
+        mus = [mu for mu, _ in _axis_modes(h, need_vectors=False)]
+        return np.sort(functools.reduce(np.add.outer, mus).ravel())
+    kind, *payload = _as_structure(h)
+    if kind == "tridiag":
+        return sla.eigh_tridiagonal(*payload, eigvals_only=True)
+    if kind == "banded" and h.n > 512:
+        first, *odd = _sectors(h, split)
+        return np.sort(np.concatenate([sla.eigvals_banded(first.band, lower=True),
+                                       *(_values(o, False) for o in odd)]))
+    _check_dense(h.n if kind == "banded" else payload[0].shape[0])
+    return sla.eigvalsh(h.to_dense() if kind == "banded" else payload[0])
 
 
 # ---------------------------------------------------------------------------

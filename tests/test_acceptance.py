@@ -26,7 +26,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # SHA-256 of the surface record's to_json(), compared only in the numpy/scipy
 # environment of test_golden.FINGERPRINT (BLAS-thread-invariant)
-SURFACE_RECORD_SHA256 = "4d26085433f7408415758f277a16331f76baedd8e773061ada2d456c8f752d3a"
+SURFACE_RECORD_SHA256 = "e2a16c402c6ad8cb29c615c69360cb8c4113ac82a8d4c791a459a311ee854784"
 # SHA-256 of the brownian record's to_json() in the same environment; the
 # record holds no linear algebra, so its bytes do not depend on the BLAS
 # thread count

@@ -253,6 +253,21 @@ def test_surface_nonnegative_couplings_no_bound_states():
     assert all(r["xi"] == 0 for r in rec.rows if "xi" in r)  # V >= 0, lam < 0
 
 
+@pytest.mark.parametrize("root2", [True, False])
+def test_surface_sum_rules_fail_only_without_the_root2(root2, monkeypatch):
+    # planted defect: the even mirror sector loses the sqrt(2) on its bond
+    # between the line and the next row; Sum lam^2 then misses about 2 per
+    # slice, a relative residual near 8e-3 against the 1e-10 tolerance
+    if not root2:
+        real = spectral._slices
+        monkeypatch.setattr(spectral, "_slices", lambda d, c, root2=False: real(d, c))
+    cfg = surface_config(realizations=1, schedule=(32,), options={
+        "transverse": 11, "margin": 12, "check_transverse": False})
+    rec = run_surface(cfg)
+    assert ("spectrum_sum_rules" in rec.hard_failures) == (not root2)
+    assert (rec.aggregates["sum_rule_residual"] <= 1e-13) == root2
+
+
 def test_surface_transverse_requirement():
     with pytest.raises(ExperimentError):
         run_surface(surface_config(options={"transverse": 5, "margin": 12}))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ssflab.model import (
     Grid, IntBox, ModelError, PotentialField, SingleSiteProfile,
     assemble_hamiltonian, assemble_potential, build_grid,
-    dirichlet_restriction, free_hamiltonian, interface_measure,
+    dirichlet_restriction, free_hamiltonian, grid_band, interface_measure,
 )
 from ssflab.randomfield import DistributionSpec, constant_couplings, sample_couplings
 
@@ -246,18 +246,33 @@ def test_hamiltonian_bitwise_symmetric():
     assert np.array_equal(dense, dense.T)
 
 
+def _stencil_reference(h):
+    """Dense H from site coordinates, one nearest-neighbour pair at a time."""
+    ext = h.grid.extents
+    a = np.diag(h.diag)
+    for i, x in enumerate(itertools.product(*map(range, ext))):
+        for ax in range(len(ext)):
+            if x[ax] + 1 < ext[ax]:
+                j = np.ravel_multi_index(x[:ax] + (x[ax] + 1,) + x[ax + 1:], ext)
+                a[i, j] = a[j, i] = h.offdiag
+    return a
+
+
 def test_band_storage_matches_dense():
-    g = build_grid(2, 1.0, (4, 5))
-    h = assemble_hamiltonian(g, alloy(g, seed=2))
-    band = h.band_lower()
-    dense = h.to_dense()
-    n = h.n
-    rebuilt = np.zeros((n, n))
-    for k in range(band.shape[0]):
-        for j in range(n - k):
-            rebuilt[j + k, j] = band[k, j]
-            rebuilt[j, j + k] = band[k, j]
-    assert np.array_equal(rebuilt, dense)
+    for extents in [(4, 5), (3, 1, 4), (2, 3, 4), (1, 6), (7,), (1, 1)]:
+        g = build_grid(len(extents), 1.0, extents)
+        h = assemble_hamiltonian(g, alloy(g, seed=2))
+        band = grid_band(h.diag.reshape(g.extents), h.offdiag)
+        dense = _stencil_reference(h)
+        n = h.n
+        rebuilt = np.zeros((n, n))
+        for k in range(band.shape[0]):
+            for j in range(n - k):
+                rebuilt[j + k, j] = band[k, j]
+                rebuilt[j, j + k] = band[k, j]
+        assert band.shape[0] == h.bandwidth + 1
+        assert np.array_equal(rebuilt, dense)
+        assert np.array_equal(h.to_dense(), dense)
 
 
 def test_gershgorin_bound_random_instances():

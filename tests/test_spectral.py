@@ -4,8 +4,9 @@ import scipy.linalg as sla
 from hypothesis import example, given, settings, strategies as st
 
 from ssflab import spectral
-from ssflab.model import Grid, Hamiltonian, IntBox, SingleSiteProfile, \
-    assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
+from ssflab.model import Grid, Hamiltonian, IntBox, PotentialField, \
+    SingleSiteProfile, assemble_hamiltonian, assemble_potential, build_grid, \
+    free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import (
     DENSE_LIMIT, BumpFunction, ConstantFunction, ExpWeight, ResolventPower,
@@ -91,13 +92,18 @@ def test_count_below_rejects_nonfinite():
         count_below(np.eye(3), np.zeros((2, 2)))
 
 
-def _check_batched_count(h, w, seed, k):
-    """count_below on an array of sorted off-spectrum energies (gap midpoints
-    of the oracle spectrum w, and points outside it)."""
+def _gap_energies(w, seed, k):
+    """k sorted off-spectrum energies: gap midpoints of the oracle spectrum w,
+    and points outside it."""
     gaps = np.diff(w) > 1e-6 * max(1.0, float(np.abs(w).max()))
     offs = np.concatenate([[w[0] - 1.0], 0.5 * (w[:-1] + w[1:])[gaps], [w[-1] + 1.0]])
     rng = np.random.default_rng(seed)
-    lams = np.sort(rng.choice(offs, size=min(k, offs.size), replace=False))
+    return np.sort(rng.choice(offs, size=min(k, offs.size), replace=False))
+
+
+def _check_batched_count(h, w, seed, k):
+    """count_below on an array of sorted off-spectrum energies."""
+    lams = _gap_energies(w, seed, k)
     counts = count_below(h, lams)
     assert counts.dtype == np.int64 and counts.shape == lams.shape
     assert counts.tolist() == [count_below(h, lam) for lam in lams]
@@ -153,6 +159,96 @@ def test_schur_breakdown_falls_back_to_banded_range_count(monkeypatch):
     assert count_below(h, lam) == expected[1] and calls == [lam, lam]
 
 
+# -- mirror sectors --------------------------------------------------------------
+
+def mirrored_hamiltonian(extents, seed, spacing=1.0):
+    """A grid Hamiltonian whose random potential is bitwise even about the
+    middle of the trailing axis (v + its mirror)."""
+    g = build_grid(len(extents), spacing, extents)
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, extents)
+    return assemble_hamiltonian(g, PotentialField(g, (v + v[..., ::-1]).ravel()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lead=st.one_of(st.tuples(st.integers(1, 40)),
+                      st.tuples(st.integers(1, 12), st.integers(1, 4))),
+       half=st.integers(1, 11), spacing=st.sampled_from([1.0, 0.5]),
+       seed=st.integers(0, 10**6))
+@example(lead=(40,), half=11, spacing=1.0, seed=0)
+@example(lead=(12, 4), half=11, spacing=0.5, seed=1)
+@example(lead=(1, 3), half=1, spacing=1.0, seed=2)
+def test_mirror_sectors_match_the_unsplit_operand(lead, half, spacing, seed):
+    h = mirrored_hamiltonian(lead + (2 * half + 1,), seed, spacing)
+    if h.bandwidth <= 1:  # a chain: the Sturm kernel, never split
+        return
+    sectors = spectral._sectors(h)
+    assert len(sectors) == 2
+    w = sla.eigvalsh(h.to_dense())
+    scale = spectral._scale_of(h)
+    lams = _gap_energies(w, seed, 40)
+    whole = spectral._slices(h.diag.reshape(h.grid.extents), h.offdiag)
+    unsplit = spectral._schur_counts(whole, lams, scale)
+    assert count_below(h, lams).tolist() == unsplit.tolist()
+    assert unsplit.tolist() == np.searchsorted(w, lams, side="left").tolist()
+    even, odd = sectors
+    split = np.concatenate([sla.eigvals_banded(even.band, lower=True), eig_all(odd)[0]])
+    assert np.max(np.abs(np.sort(split) - w)) <= 1e-12 * scale
+    if h.n > 512:  # eig_all takes the banded path, per sector
+        assert np.max(np.abs(eig_all(h)[0] - w)) <= 1e-12 * scale
+
+
+def _not_mirrored(case):
+    """Strips that the split must leave whole."""
+    if case == "asymmetric":
+        return alloy_hamiltonian((30, 11), 5, amplitude=-2.0)
+    if case == "even_extent":
+        return mirrored_hamiltonian((30, 10), 5)
+    h = mirrored_hamiltonian((30, 11), 5)
+    d = h.diag.copy()
+    if case == "one_ulp":
+        d[7] = np.nextafter(d[7], np.inf)
+    else:  # a line on row 6, next to the middle row 5
+        d = free_hamiltonian(h.grid).diag.reshape(30, 11)
+        d[:, 6] -= np.random.default_rng(6).uniform(0.0, 6.0, 30)
+    return Hamiltonian(h.grid, d.ravel())
+
+
+@pytest.mark.parametrize("case", ["asymmetric", "off_centre_line", "even_extent",
+                                  "one_ulp"])
+def test_mirror_split_falls_back_to_one_operand(case, monkeypatch):
+    h = _not_mirrored(case)
+    assert len(spectral._sectors(h)) == 1
+    slices = []
+    real = spectral._schur_counts
+    monkeypatch.setattr(spectral, "_schur_counts",
+                        lambda op, *a: slices.append(op.inner.shape) or real(op, *a))
+    w = sla.eigvalsh(h.to_dense())
+    lams = _gap_energies(w, 3, 40)
+    assert count_below(h, lams).tolist() == np.searchsorted(w, lams).tolist()
+    assert slices == [(h.grid.extents[-1],) * 2]
+
+
+def test_mirror_sector_breakdown_falls_back_to_banded_range_count(monkeypatch):
+    # lam = an eigenvalue of the even sector's first slice makes its S_0 singular
+    h = mirrored_hamiltonian((8, 7), 11)
+    even, _ = spectral._sectors(h)
+    w = sla.eigvalsh(h.to_dense())
+    gap = lambda x: np.min(np.abs(w - x))
+    lam = max(sla.eigvalsh(even.inner + np.diag(even.blocks[0])), key=gap)
+    assert gap(lam) > 1e-3
+    calls = []
+    real = sla.eigvals_banded
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["select_range"][1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigvals_banded", counted)
+    lams = np.array([w[0] - 1.0, lam, 0.5 * (w[20] + w[21])])
+    assert count_below(h, lams).tolist() == np.searchsorted(w, lams).tolist()
+    assert calls == [lam]
+
+
 def test_dense_ldl_count_with_2x2_blocks():
     # indefinite shifts of random symmetric matrices pivot with 2x2 blocks of D
     rng = np.random.default_rng(31)
@@ -167,6 +263,56 @@ def test_dense_ldl_count_with_2x2_blocks():
         count = spectral._dense_ldl_count(a, lam, float(np.abs(a).sum(axis=1).max()))
         assert count == int(np.searchsorted(w, lam, side="left"))
     assert blocks >= 10
+
+
+def _sturm_reference(d, e, lams, scale):
+    """The Sturm loop that walks every site: the reference for the fixed-point
+    shortcut of ``_sturm_counts``."""
+    pivmin = max(scale, 1.0) * 2.3e-308
+    d0, rest, e2s = float(d[0]), d[1:].tolist(), (e * e).tolist()
+    counts = []
+    for lam in lams.tolist():
+        q = d0 - lam
+        if q == 0.0:
+            q = pivmin
+        count = 1 if q < 0.0 else 0
+        for di, e2 in zip(rest, e2s):
+            q = (di - lam) - e2 / q
+            if q == 0.0:
+                q = pivmin
+            if q < 0.0:
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def test_sturm_fixed_point_runs_match_reference_bitwise():
+    # chains of free runs (d = 2/h^2, e = -1/h^2) and random runs; energies at
+    # exact free run eigenvalues, inside the band (no fixed point), below it,
+    # and at zero pivots (lam = d_0, or lam = d_i on an isolated e = 0 site)
+    rng = np.random.default_rng(41)
+    cases = 0
+    for _ in range(300):
+        h = float(rng.choice([1.0, 0.5, 1.3]))
+        ds, es = [], []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 400)) if rng.random() < 0.6 else int(rng.integers(1, 40))
+            free = rng.random() < 0.6
+            ds += [2.0 / h ** 2] * n if free else rng.uniform(-3.0, 5.0, n).tolist()
+            es += [-1.0 / h ** 2] * n if free else rng.uniform(-2.0, 0.0, n).tolist()
+        d, e = np.array(ds), np.array(es[1:])
+        if e.size and rng.random() < 0.2:
+            e[rng.integers(0, e.size)] = 0.0
+        run = int(rng.integers(1, d.size + 1))
+        lams = np.concatenate([
+            (2.0 - 2.0 * np.cos(np.arange(1, 4) * np.pi / (run + 1))) / h ** 2,
+            rng.uniform(0.0, 4.0 / h ** 2, 3), rng.uniform(-4.0, 0.0, 2),
+            [d[0], d[int(rng.integers(0, d.size))]]])
+        scale = float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
+        got = spectral._sturm_counts(d, e, lams, scale)
+        assert got == _sturm_reference(d, e, lams, scale)
+        cases += lams.size
+    assert cases == 3000
 
 
 @settings(max_examples=30, deadline=None)
