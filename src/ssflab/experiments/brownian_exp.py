@@ -4,7 +4,8 @@ For a grid of (distance, time, dimension) triples the bridge-corrected
 half-space estimate must stay below the Gaussian envelope
 2 nu exp(-d^2/(4 nu t)) at the 3-sigma level, and in one dimension it must
 also match the closed-form crossing law erfc(d / 2 sqrt(t)); selected
-configurations of the joint expectation bound are verified alongside.
+configurations of the joint expectation bound are verified alongside, and the
+exit chance from the start in the box must match its closed form.
 """
 
 from __future__ import annotations
@@ -78,4 +79,8 @@ def run_brownian(config: ExperimentConfig) -> ResultRecord:
     rec.add_check("joint_bound_outside", "hard", outside["holds_3sigma"],
                   [outside["lhs"], outside["rhs"]], None,
                   "joint expectation bound with start at distance 1")
+    exit_ok = abs(inside["p_exit"] - inside["p_exit_exact"]) <= 3.0 * inside["p_exit_stderr"]
+    rec.add_check("joint_exit_exact", "hard", exit_ok,
+                  [inside["p_exit"], inside["p_exit_exact"]], None,
+                  "exit chance from the start in the box within 3 sigma of 1 - prod P_j")
     return rec

@@ -30,7 +30,7 @@ SURFACE_RECORD_SHA256 = "e2a16c402c6ad8cb29c615c69360cb8c4113ac82a8d4c791a459a31
 # SHA-256 of the brownian record's to_json() in the same environment; the
 # record holds no linear algebra, so its bytes do not depend on the BLAS
 # thread count
-BROWNIAN_RECORD_SHA256 = "c160e688b1ff71d66f367bb325c75ed46f3c9e9db2f5631f08f2279fc91bc309"
+BROWNIAN_RECORD_SHA256 = "dda0ae6ebc449026ffecea524f5752f1c4abd347919d3827c25f99e7b60ef73a"
 
 
 def report(num, name, passed, budget, elapsed, detail=""):

@@ -67,8 +67,9 @@ def test_halfspace_estimate_matches_exact():
                             paths=40000, bridge=True, seed=11)
     exact = halfspace_exact(2.0, 1.0)
     assert abs(est.p_hat - exact) <= 3.0 * est.stderr
-    assert est.stderr == pytest.approx(
-        math.sqrt(est.p_hat * (1 - est.p_hat) / est.paths))
+    # per-path hit chances h in [0, 1] with mean p have variance at most
+    # p(1 - p), the binomial value, with equality only when every h is 0 or 1
+    assert 0.0 < est.stderr < math.sqrt(est.p_hat * (1 - est.p_hat) / (est.paths - 1))
 
 
 def test_monotone_in_time_up_to_noise():
@@ -100,10 +101,22 @@ def test_mirrored_halfspace_same_law():
     assert abs(down.p_hat - exact) <= 3.0 * down.stderr
 
 
-def test_box_falls_back_with_warning():
-    (est,), = simulate_hitting(np.array([2.0, 0.0]), [box_region((-1.0, -1.0), (1.0, 1.0))],
-                               [0.5], paths=2000, bridge=True, seed=4)
-    assert est.bridge_warning and not est.bridge
+def test_box_target_bridge():
+    # in 1D a box target is an interval, and it is hit exactly when its near
+    # face is: the bridged estimate follows the closed form
+    (est,), = simulate_hitting(np.zeros(1), [box_region((1.0,), (2.0,))], [1.0],
+                               paths=40000, seed=4)
+    assert est.bridge
+    assert abs(est.p_hat - halfspace_exact(1.0, 1.0)) <= 3.0 * est.stderr
+    # in 2D the bridged estimate dominates endpoint detection, and a box that
+    # spans the other axis far beyond the paths' reach acts as its half-space
+    x = np.zeros(2)
+    regions = [box_region((-1.0, 1.0), (1.0, 2.0)), box_region((-50.0, 1.0), (50.0, 2.0))]
+    bridged, = simulate_hitting(x, regions, [0.5], paths=20000, seed=4)
+    plain, = simulate_hitting(x, regions, [0.5], paths=20000, bridge=False, seed=4)
+    assert all(b.p_hat > p.p_hat for b, p in zip(bridged, plain))
+    (slab,), = simulate_hitting(x, [half_space(1, 1.0)], [0.5], paths=20000, seed=4)
+    assert abs(bridged[1].p_hat - slab.p_hat) <= 1e-12
 
 
 def test_dt_and_path_preconditions():
@@ -126,25 +139,40 @@ def test_simulation_deterministic_in_seed():
     assert a.p_hat == b.p_hat
 
 
+def _bridge_avoid(a, dt):
+    return 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / dt))
+
+
 def _reference_p_hat(x, region, t, paths, seed, bridge=True):
-    """One region alone, every bridge factor evaluated on every path and step,
-    side -1 mirrored onto side +1."""
+    """One region alone, block by block, every bridge factor evaluated on every
+    path and step, side -1 mirrored onto side +1.  Returns (p_hat, stderr)."""
     dt = t / br._N_STEPS
-    total = 0.0
+    total = squares = 0.0
     for m, rng in br._path_blocks((t,), paths, seed):
         pos = np.tile(x, (m, 1))
         survive = np.ones(m)
         for _ in range(br._N_STEPS):
             new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, x.shape[0]))
-            if bridge:
+            if not bridge:
+                survive *= ~region.contains(new)
+            elif region.kind == "half_space":
                 c, d = region.side * pos[:, region.axis], region.side * new[:, region.axis]
                 a = (region.side * region.threshold - c) * (region.side * region.threshold - d)
-                survive *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / dt))
+                survive *= _bridge_avoid(a, dt)
             else:
-                survive *= ~region.contains(new)
+                # the step misses the box when some coordinate misses its interval
+                meet = 1.0
+                for j, (lo, hi) in enumerate(zip(region.lo, region.hi)):
+                    face = np.where(pos[:, j] < lo, lo, hi)
+                    a = np.where((pos[:, j] < lo) | (pos[:, j] > hi),
+                                 (face - pos[:, j]) * (face - new[:, j]), 0.0)
+                    meet = meet * (1.0 - _bridge_avoid(a, dt))
+                survive *= 1.0 - meet
             pos = new
         total += float(np.sum(1.0 - survive))
-    return min(max(total / paths, 0.0), 1.0)
+        squares += float(np.sum((1.0 - survive) ** 2))
+    p = min(max(total / paths, 0.0), 1.0)
+    return p, math.sqrt(max(squares / paths - p * p, 0.0) / (paths - 1))
 
 
 @pytest.mark.parametrize("nu", [1, 2])
@@ -160,22 +188,22 @@ def test_shared_paths_equal_separate_calls(nu):
     assert 0.0 < shared[0].p_hat < 1.0 and 0.0 < shared[1].p_hat < 1.0
     # the skip of unit bridge factors is exact
     for r, est in zip(regions[:2], shared):
-        assert est.p_hat == _reference_p_hat(x, r, 0.5, 5000, 3)
+        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 5000, 3)
 
 
-def test_list_form_endpoint_detection_and_box_fallback():
+def test_list_form_endpoint_detection_and_box_bridge():
     x = np.array([2.0, 0.0])
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     regions = [half_space(0, 3.0), box, half_space(1, -1.0, side=-1)]
     plain, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=False, seed=4)
-    assert not any(e.bridge or e.bridge_warning for e in plain)
+    assert not any(e.bridge for e in plain)
     for r, est in zip(regions, plain):
-        assert est.p_hat == _reference_p_hat(x, r, 0.5, 2000, 4, bridge=False)
+        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 2000, 4, bridge=False)
     bridged, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=True, seed=4)
-    assert [(e.bridge, e.bridge_warning) for e in bridged] == [
-        (True, False), (False, True), (True, False)]
-    assert bridged[1].p_hat == plain[1].p_hat
-    assert all(b.p_hat >= p.p_hat for b, p in zip(bridged, plain))
+    assert all(e.bridge for e in bridged)
+    for r, est in zip(regions, bridged):
+        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 2000, 4)
+    assert all(b.p_hat > p.p_hat for b, p in zip(bridged, plain))
 
 
 
@@ -192,12 +220,11 @@ def test_times_share_one_draw(nu, bridge):
     for t, ests in zip(times, joint):
         alone, = simulate_hitting(x, regions, [t], paths=2000, bridge=bridge, seed=3)
         assert ests == alone
-        assert ests[2].bridge_warning == bridge and not ests[2].bridge
+        assert all(e.bridge == bridge for e in ests)
         assert ests[3].p_hat == 1.0 and ests[3].stderr == 0.0
         for r, est in zip(regions[:3], ests):
             assert 0.0 < est.p_hat < 1.0
-            assert est.p_hat == _reference_p_hat(x, r, t, 2000, 3,
-                                                 bridge=bridge and r.bridge_supported)
+            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 3, bridge=bridge)
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0], []])
@@ -234,29 +261,40 @@ def test_joint_bound_inside_and_outside():
     assert outside["holds_3sigma"]
 
 
-def _reference_joint_hits(x, box, t, paths, seed):
-    """Exit and joint hit counts of joint_bound_check, block by block, with the
-    exit tested on every step's position."""
-    hits_exit = hits_joint = 0
-    for m, rng in br._path_blocks((t,), paths, seed):
-        pos = np.tile(x, (m, 1))
-        exited = ~box.contains(pos)
-        for _ in range(br._N_STEPS):
-            pos = pos + math.sqrt(2.0 * (t / br._N_STEPS)) * rng.standard_normal((m, 2))
-            exited |= ~box.contains(pos)
-        hits_exit += int(np.sum(exited))
-        hits_joint += int(np.sum(exited & box.contains(pos)))
-    return hits_exit, hits_joint
+def _reference_joint(x, box, t, paths, seed):
+    """(lhs, lhs_stderr, p_exit, p_exit_stderr) of joint_bound_check, block by
+    block, with the box bridge factor evaluated on every live path and step."""
+    dt = t / br._N_STEPS
+    sums = np.zeros(4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(br, "_FAR", math.inf)
+        for m, rng in br._path_blocks((t,), paths, seed):
+            pos = np.tile(x, (m, 1))
+            survive = box.contains(pos).astype(float)
+            for _ in range(br._N_STEPS):
+                new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, 2))
+                br._stay_in_box(pos, new, box.lo, box.hi, dt, survive)
+                pos = new
+            h = 1.0 - survive
+            g = h * box.contains(pos)
+            sums += (float(np.sum(h)), float(np.sum(h * h)),
+                     float(np.sum(g)), float(np.sum(g * g)))
+    p_exit, lhs = sums[0] / paths, sums[2] / paths
+    return (lhs, math.sqrt(max(sums[3] / paths - lhs * lhs, 0.0) / (paths - 1)),
+            p_exit, math.sqrt(max(sums[1] / paths - p_exit * p_exit, 0.0) / (paths - 1)))
+
+
+def _joint(out):
+    return out["lhs"], out["lhs_stderr"], out["p_exit"], out["p_exit_stderr"]
 
 
 @pytest.mark.parametrize("start", [(0.0, 0.0), (2.0, 0.0)])
-def test_joint_bound_running_extremes_match_per_step_test(start):
+def test_joint_bound_matches_block_bridge_reference(start):
     x = np.array(start)
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     out = joint_bound_check(x, box, 0.5, paths=2000, seed=5)
-    hits_exit, hits_joint = _reference_joint_hits(x, box, 0.5, 2000, 5)
-    assert (out["lhs"], out["p_exit"]) == (hits_joint / 2000, hits_exit / 2000)
-    assert 0 < hits_joint < hits_exit
+    assert _joint(out) == _reference_joint(x, box, 0.5, 2000, 5)
+    assert 0.0 < out["lhs"] < out["p_exit"]
 
 
 def test_sweep_boundary_matches_block_references():
@@ -265,14 +303,69 @@ def test_sweep_boundary_matches_block_references():
     assert [[b.stop - b.start for b, _ in sw] for sw in br._sweeps((0.5,), paths, 3)] \
         == [[br._PATH_BLOCK] * 4, [1000]]
     x = np.zeros(2)
-    # at this key, summing the half-space's survival over a whole sweep at once
-    # moves its estimate by one ulp
+    # at this key, summing the hit chances over a whole sweep at once moves the
+    # box estimate by one ulp
     regions = [half_space(0, 0.5), box_region((0.5, -1.0), (2.0, 1.0))]
     ests, = simulate_hitting(x, regions, [0.25], paths=paths, seed=3)
     for r, est in zip(regions, ests):
-        assert est.p_hat == _reference_p_hat(x, r, 0.25, paths, 3, bridge=r.bridge_supported)
+        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.25, paths, 3)
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     for start in ((0.0, 0.0), (2.0, 0.0)):
         out = joint_bound_check(np.array(start), box, 0.5, paths=paths, seed=3)
-        hits_exit, hits_joint = _reference_joint_hits(np.array(start), box, 0.5, paths, 3)
-        assert (out["lhs"], out["p_exit"]) == (hits_joint / paths, hits_exit / paths)
+        assert _joint(out) == _reference_joint(np.array(start), box, 0.5, paths, 3)
+
+
+def _bridge_stay_by_eigenfunctions(u, v, w, dt):
+    """P(bridge from u to v over dt stays in (0, w)) at variance 2 dt, as the
+    killed transition density (sine series) over the free one."""
+    n = np.arange(1, 400)
+    killed = np.sum(2.0 / w * np.sin(n * np.pi * u / w) * np.sin(n * np.pi * v / w)
+                    * np.exp(-n * n * np.pi ** 2 * dt / w ** 2))
+    return killed / (math.exp(-(v - u) ** 2 / (4.0 * dt)) / math.sqrt(4.0 * math.pi * dt))
+
+
+def test_box_bridge_factor_matches_eigenfunction_series():
+    # (u, v) pairs in a width-2 interval, from deep inside to next to a face,
+    # at step lengths from 1/32 to 2 (the image series then needs K = 2); the
+    # sine series loses its accuracy at shorter steps
+    for dt in (1.0 / 32, 0.5, 2.0):
+        u = np.array([1.0, 0.3, 0.05, 1.9, 0.6, 1.2])
+        v = np.array([1.0, 0.7, 0.08, 1.95, 0.1, 1.4])
+        survive = np.ones(u.size)
+        br._stay_in_box(u[:, None] - 1.0, v[:, None] - 1.0, (-1.0,), (1.0,), dt, survive)
+        want = [_bridge_stay_by_eigenfunctions(a, b, 2.0, dt) for a, b in zip(u, v)]
+        assert np.allclose(survive, want, rtol=1e-9, atol=1e-15)
+    # an end point outside the interval, or on a face, leaves nothing
+    survive = np.ones(3)
+    br._stay_in_box(np.array([[0.0], [0.0], [1.0]]), np.array([[1.5], [-1.0], [0.5]]),
+                    (-1.0,), (1.0,), 0.1, survive)
+    assert survive.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_interval_survival_matches_eigenfunction_series():
+    for x, t in ((0.0, 0.5), (0.3, 0.1), (0.9, 2.0), (-0.99, 0.01)):
+        n = np.arange(1, 400, 2)
+        want = np.sum(4.0 / (n * np.pi) * np.sin(n * np.pi * (x + 1.0) / 2.0)
+                      * np.exp(-n * n * np.pi ** 2 * t / 4.0))
+        assert br._interval_survival(x, -1.0, 1.0, t) == pytest.approx(want, abs=1e-13)
+    assert br._interval_survival(1.0, -1.0, 1.0, 0.5) == 0.0
+    assert br._interval_survival(2.0, -1.0, 1.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("n_steps", [1, 4, 16])
+def test_bridged_exit_unbiased_at_any_step_count(n_steps, monkeypatch):
+    # the bridge factors are exact, so p_exit matches 1 - P_1 P_2 at every
+    # step count; discrete monitoring of the same paths misses it far outside 3 sigma
+    monkeypatch.setattr(br, "_N_STEPS", n_steps)
+    box = box_region((-1.0, -1.0), (1.0, 1.0))
+    out = joint_bound_check(np.zeros(2), box, 0.5, paths=16384, seed=7)
+    assert out["p_exit_exact"] == pytest.approx(1.0 - 0.37077742979952394 ** 2, rel=1e-12)
+    assert abs(out["p_exit"] - out["p_exit_exact"]) <= 3.0 * out["p_exit_stderr"]
+    monkeypatch.setattr(br, "_stay_in_box", _discrete_box_monitoring)
+    plain = joint_bound_check(np.zeros(2), box, 0.5, paths=16384, seed=7)
+    assert plain["p_exit"] - plain["p_exit_exact"] < -3.0 * plain["p_exit_stderr"]
+
+
+def _discrete_box_monitoring(x0, x1, lo, hi, dt, survive):
+    """Planted defect: a path exits only when a grid point lies outside the box."""
+    survive *= np.all((x1 > np.asarray(lo)) & (x1 < np.asarray(hi)), axis=1)

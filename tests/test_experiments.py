@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ssflab import spectral
+from ssflab import brownian as br, spectral
 from ssflab.experiments import (
     ExperimentConfig, ExperimentError, run_brownian, run_bulk_limit,
     run_cluster, run_cutoff_equivalence, run_kirsch_demo, run_locality,
@@ -13,6 +13,7 @@ from ssflab.experiments.base import ambient_for
 from ssflab.model import IntBox, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, constant_couplings, sample_couplings
+from test_brownian import _discrete_box_monitoring
 
 BERNOULLI = DistributionSpec("bernoulli", p=0.5, values=(0.0, 1.0))
 WELL = {"kind": "point", "amplitude": -1.0}
@@ -366,12 +367,22 @@ def test_brownian_reproducible_across_workers():
 @pytest.mark.parametrize("bridge", [False, True])
 def test_brownian_exact_law_check_fails_only_without_the_bridge(bridge):
     # planted defect: endpoint detection misses crossings between steps, so at
-    # (d, t) = (0.5, 1) p_hat falls about 0.02 below erfc(1/4) = 0.7237,
-    # against a 3-sigma band of about 0.0075 at 32,768 paths
+    # (d, t) = (0.5, 1) p_hat falls about 0.08 below erfc(1/4) = 0.7237,
+    # against a 3-sigma band of about 0.008 at 32,768 paths
     cfg = dataclasses.replace(BROWNIAN_SMALL, times=(1.0,), options={
         "paths": 32768, "distances": (0.5,), "nus": (1,), "bridge": bridge})
     failed = "halfspace_exact_1d" in run_brownian(cfg).hard_failures
     assert failed == (not bridge)
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+def test_brownian_exit_check_fails_under_discrete_box_monitoring(discrete, monkeypatch):
+    # planted defect: a path leaves the box only when a grid point lies outside
+    # it, so p_exit from the centre falls far below 1 - P_1 P_2 = 0.8625
+    if discrete:
+        monkeypatch.setattr(br, "_stay_in_box", _discrete_box_monitoring)
+    failed = "joint_exit_exact" in run_brownian(BROWNIAN_SMALL).hard_failures
+    assert failed == discrete
 
 
 # -- cross-cutting ---------------------------------------------------------------------
