@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 
 class RegionError(ValueError):
@@ -183,9 +182,11 @@ def _interval_survival(x: float, lo: float, hi: float, t: float) -> float:
     if not lo < x < hi:
         return 0.0
     w, u, sd = hi - lo, x - lo, math.sqrt(2.0 * t)
-    k = 2.0 * w * np.arange(-math.ceil(5.0 * sd / w), math.ceil(5.0 * sd / w) + 1)
-    return float(np.sum(ndtr((w - u + k) / sd) - ndtr((k - u) / sd)
-                        - ndtr((w + u + k) / sd) + ndtr((u + k) / sd)))
+    m = math.ceil(5.0 * sd / w)
+    ndtr = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))  # Phi(z)
+    return math.fsum(ndtr((w - u + k) / sd) - ndtr((k - u) / sd)
+                     - ndtr((w + u + k) / sd) + ndtr((u + k) / sd)
+                     for k in (2.0 * w * j for j in range(-m, m + 1)))
 
 
 def _mean_and_stderr(total: float, squares: float, paths: int) -> tuple:
@@ -281,7 +282,7 @@ def gaussian_bound(x, region: RegionSpec, t: float, nu: int) -> float:
 def halfspace_exact(d: float, t: float) -> float:
     """Closed-form 1D crossing law erfc(d / (2 sqrt(t))) (reflection principle
     under the variance-2t normalisation)."""
-    return float(erfc(d / (2.0 * math.sqrt(t))))
+    return math.erfc(d / (2.0 * math.sqrt(t)))
 
 
 # -- joint expectation bound -------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
-from ..harness.parallel import parallel_map
 from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
     dirichlet_restriction, free_hamiltonian
 from ..randomfield import sample_couplings
@@ -31,26 +30,16 @@ def _ambient(config, ambient_factor, lam_grid):
         spectral.count_below(free_hamiltonian(grid), lam_grid), cuts
 
 
-def _xi_per_meas(config, ambient, field, length, lam_grid):
-    """(xi(lam), meas(Lambda)) for one cutoff length and coupling field."""
+def _xi_per_meas(config, ambient, fields, length, lam_grid):
+    """(xi(lam) per field, (k, n_lam), and meas(Lambda)) for one cutoff
+    length: the fields' Hamiltonians counted as one stack."""
     grid, profile, c0, cuts = ambient
-    pot = assemble_potential(grid, profile, field, "lattice_sum", cuts[length])
-    gershgorin_window_check(lam_grid, pot.values, config.dimension, config.spacing)
+    pot = assemble_potential(grid, profile, fields, "lattice_sum", cuts[length])
+    # the lowest upper spectral edge of the stack bounds every energy
+    gershgorin_window_check(lam_grid, pot.values.max(axis=1).min(), config.dimension,
+                            config.spacing)
     xi = c0 - spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
     return xi, cuts[length].measure(config.spacing)
-
-
-def _one_realization(config, ambient, realization, lam_grid):
-    """xi per volume for every length, then the -N(lam) proxy: Dirichlet
-    counting per volume at the largest box, all on one field draw."""
-    grid, profile, _, cuts = ambient
-    field = sample_couplings(config.distribution, grid.box, config.seed, realization)
-    xis = [_xi_per_meas(config, ambient, field, length, lam_grid)
-           for length in config.schedule]
-    pot = assemble_potential(grid, profile, field)
-    box = cuts[max(config.schedule)]
-    restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
-    return xis, spectral.count_below(restricted, lam_grid) / box.measure(config.spacing)
 
 
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
@@ -69,24 +58,33 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     reals = range(config.realizations)
 
     ambient = _ambient(config, factor, lam_grid)
-    results = parallel_map(lambda r: _one_realization(config, ambient, r, lam_grid),
-                           reals, config.workers)
-    per_length = {length: [xis[k] for xis, _ in results]
-                  for k, length in enumerate(config.schedule)}
+    grid, profile, _, cuts = ambient
+    fields = [sample_couplings(config.distribution, grid.box, config.seed, r) for r in reals]
+    per_length = {length: _xi_per_meas(config, ambient, fields, length, lam_grid)
+                  for length in config.schedule}
     for length in config.schedule:
-        for r, (xi, meas) in zip(reals, per_length[length]):
+        xis, meas = per_length[length]
+        for r, xi in zip(reals, xis):
             for lam, x in zip(lam_grid, xi):
                 rec.rows.append({"L": length, "realization": r, "lam": float(lam),
                                  "xi": int(x), "xi_per_meas": float(x / meas)})
 
-    ref_n = np.mean(np.stack([ref for _, ref in results], axis=0), axis=0)
+    # the -N(lam) proxy: Dirichlet counting per volume at the largest box, on
+    # the full potential there, which only anchors within the profile's reach add to
+    box = cuts[max(config.schedule)]
+    reach = max(max(-o, n - 1 + o) for o, n in zip(profile.offset, profile.values.shape))
+    pot = assemble_potential(grid, profile, fields, "lattice_sum", box.padded(reach))
+    restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
+    ref_n = np.mean(spectral.count_below(restricted, lam_grid) / box.measure(config.spacing),
+                    axis=0)
     for i, lam in enumerate(lam_grid):
         rec.aggregates[f"reference_N[{lam}]"] = float(ref_n[i])
 
     dev_tol = config.tol("bulk_deviation")
     variances = []
     for k, length in enumerate(config.schedule):
-        vals = np.array([xi / meas for xi, meas in per_length[length]])  # (R, n_lam)
+        xis, meas = per_length[length]
+        vals = xis / meas  # (R, n_lam)
         mean = vals.mean(axis=0)
         dev = np.abs(mean + ref_n)
         _, var0 = mean_and_var(vals[:, 0])
@@ -97,7 +95,8 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
         rec.series.setdefault("variance_vs_L", []).append([length, var0])
 
     last = config.schedule[-1]
-    vals_last = np.array([xi / meas for xi, meas in per_length[last]])
+    xis, meas = per_length[last]
+    vals_last = xis / meas
     dev_last = float(np.abs(vals_last.mean(axis=0) + ref_n).max())
     rec.add_check("bulk_deviation", "hard", dev_last <= dev_tol, dev_last, dev_tol,
                   f"max over energies of |mean xi/meas + N| at L={last}")
@@ -123,11 +122,10 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
                       gap <= 3.0 * pooled + 1e-15, gap, 3.0 * pooled,
                       "disjoint realization blocks agree within 3 sigma")
 
-    xi_a, meas = per_length[last][0]
     wide = _ambient(config, 2 * factor, lam_grid)
     field = sample_couplings(config.distribution, wide[0].box, config.seed, 0)
-    xi_b, _ = _xi_per_meas(config, wide, field, last, lam_grid)
-    shift = float(np.abs(xi_a - xi_b).max() / meas)
+    xi_b, _ = _xi_per_meas(config, wide, [field], last, lam_grid)
+    shift = float(np.abs(xis[0] - xi_b[0]).max() / meas)
     rec.aggregates["ambient_doubling_shift"] = shift
     if shift > dev_tol:
         raise ExperimentError(

@@ -48,7 +48,10 @@ def _four_term_norm(config: ExperimentConfig, geometry, realization: int,
         return spectral.heat_semigroup(assemble_hamiltonian(grid, assemble_potential(
             grid, profile, field, "sharp", box)), t)
 
-    comb = semigroup(lam) - semigroup(lam1) - semigroup(lam2) + s0
+    comb = semigroup(lam)  # in place, left to right as S - S1 - S2 + S0
+    comb -= semigroup(lam1)
+    comb -= semigroup(lam2)
+    comb += s0
     return spectral.trace_norm(comb), interface_measure(lam1, lam2, config.spacing)
 
 

@@ -15,20 +15,19 @@ import numpy as np
 
 from .. import spectral, ssf
 from ..harness.parallel import parallel_map
-from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
-    free_hamiltonian
+from ..model import IntBox, PotentialField, assemble_hamiltonian, \
+    assemble_potential, free_hamiltonian
 from ..randomfield import sample_couplings, split_signs
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
     ambient_for, mean_and_var
 
 
 def _strip(config: ExperimentConfig, line_len: int, transverse: int):
-    """(grid, line window, N(lam; H0)) of one strip around the line x_2 = 0."""
+    """(grid, line window) of one strip around the line x_2 = 0."""
     margin = int(config.opt("margin", 16))
     grid = ambient_for(IntBox.centered((line_len + 2 * margin, transverse)), 0,
                        config.spacing)
-    c0 = spectral.count_below(free_hamiltonian(grid), np.asarray(config.energies))
-    return grid, IntBox.centered((line_len,)), c0
+    return grid, IntBox.centered((line_len,))
 
 
 def _moment_residual(h, ev) -> float:
@@ -40,37 +39,30 @@ def _moment_residual(h, ev) -> float:
     return max(first, abs(float(np.sum(ev ** 2)) - fro2) / fro2)
 
 
-def _one_length(config: ExperimentConfig, strip, realization: int, times):
-    """Counts, chain-rule split, Laplace functional at the given times and the
-    worst sum-rule residual of its spectra for one line cutoff."""
-    grid, window, c0 = strip
-    profile = config.build_profile()
-    field = sample_couplings(config.distribution, window, config.seed, realization)
-    _, minus = split_signs(field)  # the chain rule splits through H0 + V_minus
+def _shifts(config: ExperimentConfig, strip, reals) -> tuple:
+    """xi, the chain-rule parts xi_plus and xi_minus, each (R, n_lam), and the
+    potentials V (R, n) of the realizations, from one count of the stack
+    [H0, then H0 + V and H0 + V_minus for each realization]."""
+    grid, window = strip
+    fields = []
+    for r in reals:
+        field = sample_couplings(config.distribution, window, config.seed, r)
+        fields += [field, split_signs(field)[1]]  # the chain rule splits through H0 + V_minus
+    pot = assemble_potential(grid, config.build_profile(), fields, "lattice_sum", window)
+    stack = PotentialField(grid, np.concatenate([np.zeros((1, grid.n_sites)), pot.values]))
+    counts = spectral.count_below(assemble_hamiltonian(grid, stack), np.asarray(config.energies))
+    c0, cf, cm = counts[0], counts[1::2], counts[2::2]
+    return c0 - cf, cm - cf, c0 - cm, pot.values[::2]   # xi_plus = xi(lam; H, H0 + V-)
 
-    def ham(f):
-        pot = assemble_potential(grid, profile, f, "lattice_sum", window)
-        return assemble_hamiltonian(grid, pot)
 
-    h_full = ham(field)
-    h_minus = ham(minus)
-
-    lam_grid = np.asarray(config.energies)
-    cf = spectral.count_below(h_full, lam_grid)
-    cm = spectral.count_below(h_minus, lam_grid)
-    xi_full = c0 - cf
-    xi_plus = cm - cf     # xi(lam; H, H0 + V-)
-    xi_minus = c0 - cm    # xi(lam; H0 + V-, H0)
-
-    f_vals, residual = [], 0.0
-    if times:
-        h0 = free_hamiltonian(grid)
-        ev_h = spectral.eig_all(h_full)[0]
-        ev_0 = spectral.eig_all(h0)[0]
-        residual = max(_moment_residual(h_full, ev_h), _moment_residual(h0, ev_0))
-        f_vals = [ssf.trace_difference(ev_h, ev_0, spectral.ExpWeight(t))
-                  for t in times]
-    return xi_full, xi_plus, xi_minus, f_vals, residual
+def _laplace(grid, v, free, times) -> tuple:
+    """Laplace functional of (H0 + v, H0) at the given times and the worst
+    sum-rule residual of the two spectra; free is (H0, its spectrum)."""
+    h0, ev_0 = free
+    h_full = assemble_hamiltonian(grid, PotentialField(grid, v))
+    ev_h = spectral.eig_all(h_full)[0]
+    residual = max(_moment_residual(h_full, ev_h), _moment_residual(h0, ev_0))
+    return [ssf.trace_difference(ev_h, ev_0, spectral.ExpWeight(t)) for t in times], residual
 
 
 def run_surface(config: ExperimentConfig) -> ResultRecord:
@@ -96,24 +88,28 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     per_len_var = []
     for line_len in config.schedule:
         strip = _strip(config, line_len, transverse)
-        vals = parallel_map(lambda r: _one_length(config, strip, r, config.times),
-                            reals, config.workers)
+        xi_full, xi_plus, xi_minus, pots = _shifts(config, strip, reals)
+        laplace = [([], 0.0)] * len(reals)
+        if config.times:
+            h0 = free_hamiltonian(strip[0])
+            free = h0, spectral.eig_all(h0)[0]
+            laplace = parallel_map(lambda v: _laplace(strip[0], v, free, config.times),
+                                   list(pots), config.workers)
         if line_len == config.schedule[0]:
-            base = vals[0][0][star]
+            base = xi_full[0][star]
         meas1 = line_len * h
-        per_real = []
-        for r, (xi_full, xi_plus, xi_minus, f_vals, residual) in zip(reals, vals):
-            chain_exact &= bool(np.all(xi_full == xi_plus + xi_minus))
+        chain_exact &= bool(np.all(xi_full == xi_plus + xi_minus))
+        for r, xi, xp_r, xm_r, (f_vals, residual) in zip(reals, xi_full, xi_plus, xi_minus,
+                                                       laplace):
             worst_residual = max(worst_residual, residual)
-            per_real.append(xi_full / meas1)
-            for lam, x, xp, xm in zip(lam_grid, xi_full, xi_plus, xi_minus):
+            for lam, x, xp, xm in zip(lam_grid, xi, xp_r, xm_r):
                 rec.rows.append({"L1": line_len, "realization": r, "lam": float(lam),
                                  "xi": int(x), "xi_plus": int(xp), "xi_minus": int(xm),
                                  "xi_per_length": float(x / meas1)})
             for t, f in zip(config.times, f_vals):
                 rec.rows.append({"L1": line_len, "realization": r, "t": float(t),
                                  "laplace_per_length": float(f / meas1)})
-        arr = np.stack(per_real, axis=0)
+        arr = xi_full / meas1
         m, v = mean_and_var(arr[:, star])
         per_len_mean.append(m)
         per_len_var.append(v)
@@ -140,7 +136,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     if config.opt("check_transverse", True):
         l0 = config.schedule[0]
         wide_strip = _strip(config, l0, 2 * transverse + 1)
-        wide = _one_length(config, wide_strip, 0, ())[0][star]
+        wide = _shifts(config, wide_strip, [0])[0][0][star]
         meas1 = l0 * h
         shift = abs(base - wide) / meas1
         denom = max(abs(base) / meas1, 1e-300)

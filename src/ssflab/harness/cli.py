@@ -18,38 +18,42 @@ from pathlib import Path
 from ..experiments import RUNNERS, ExperimentError
 from . import outputs
 from .config import EXPERIMENTS, ConfigError, config_digest, parse_config, seed_violations
-from .selftest import run_selftest
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # one flat parser: subparsers would copy the options once per campaign
     parser = argparse.ArgumentParser(
         prog="ssflab",
         description="Spectral-shift laboratory for random lattice operators")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # one shared parent: every add_argument builds a help formatter
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config", type=Path, help="config file (key = value grammar)")
-    common.add_argument("--seed", type=int, default=None, help="override master seed")
-    common.add_argument("--out", type=Path, default=Path("ssflab-out"),
-                        help="output directory root")
-    common.add_argument("--workers", type=int, default=None, help="override worker count")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="raw table format")
-    for name in EXPERIMENTS:
-        sub.add_parser(name, help=f"run the {name} campaign", parents=[common])
-    st = sub.add_parser("selftest", help="run the module invariant battery")
-    st.add_argument("--seed", type=int, default=0)
+    parser.add_argument("command", choices=(*EXPERIMENTS, "selftest"),
+                        help="campaign to run, or selftest (the module invariant battery)")
+    parser.add_argument("config", type=Path, nargs="?",
+                        help="config file (key = value grammar); campaigns only")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override master seed (selftest: default 0)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output directory root (default ssflab-out)")
+    parser.add_argument("--workers", type=int, default=None, help="override worker count")
+    parser.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="raw table format (default csv)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "selftest":
-        bad = seed_violations(args.seed)
+        if (args.config, args.out, args.workers, args.format) != (None,) * 4:
+            parser.error("selftest takes no config and no option but --seed")
+        seed = 0 if args.seed is None else args.seed
+        bad = seed_violations(seed)
         if bad:
             print(str(ConfigError(bad)), file=sys.stderr)
             return 2
-        return run_selftest(args.seed)
+        from .selftest import run_selftest  # only this command needs the battery
+        return run_selftest(seed)
+    if args.config is None:
+        parser.error(f"{args.command} needs a config file")
 
     started = datetime.now(timezone.utc)
     try:
@@ -70,7 +74,7 @@ def main(argv=None) -> int:
         return 2
 
     digest = config_digest(text)
-    outdir = args.out / config.experiment
+    outdir = (args.out or Path("ssflab-out")) / config.experiment
     outdir.mkdir(parents=True, exist_ok=True)
 
     try:
@@ -86,7 +90,7 @@ def main(argv=None) -> int:
 
     written = outputs.write_all(outdir, record, config_text=text, digest=digest,
                                 seed=config.seed, started=started,
-                                table_format=args.format)
+                                table_format=args.format or "csv")
     for check in record.checks:
         status = "PASS" if check["passed"] else (
             "FAIL" if check["kind"] == "hard" else "WARN")

@@ -69,13 +69,6 @@ class IntBox:
         return IntBox(tuple(a + v for a, v in zip(self.lo, k)),
                       tuple(b + v for b, v in zip(self.hi, k)))
 
-    def contains_points(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorised membership test for an (m, dim) int array."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.int64))
-        lo = np.asarray(self.lo, dtype=np.int64)
-        hi = np.asarray(self.hi, dtype=np.int64)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-
     def coords(self) -> np.ndarray:
         """All points of the box as an (count, dim) array, row-major order."""
         axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(self.lo, self.hi)]
@@ -254,14 +247,15 @@ class SingleSiteProfile:
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Per-site potential values over a grid."""
+    """Per-site potential values over a grid: shape (n,), or (k, n) for a
+    stack of k potentials on one grid."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_sites,):
+        if v.ndim not in (1, 2) or v.shape[-1] != self.grid.n_sites:
             raise ModelError("potential length must equal grid site count")
         object.__setattr__(self, "values", v)
 
@@ -275,45 +269,48 @@ def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
                        cutoff_box: IntBox | None = None) -> PotentialField:
     """Sum coupling-weighted translated profiles over the anchor sublattice.
 
-    ``couplings`` is a CouplingField (see randomfield); its window gives the
-    anchor coordinates in the absolute lattice, the one ``grid.lo`` places
-    the grid in, so the same field produces identical potentials inside
-    differently sized ambient grids.  Full-lattice fields have window
-    dimension nu; hyperplane fields have window dimension nu_1 < nu and sit
-    at absolute coordinate 0 of the remaining axes.  Profile patches are
-    clipped at the grid edges.
+    ``couplings`` is a CouplingField (see randomfield), or a list of fields
+    on one window, which gives a stack (values (k, n), row j from field j).
+    The window gives the anchor coordinates in the absolute lattice, the one
+    ``grid.lo`` places the grid in, so the same field produces identical
+    potentials inside differently sized ambient grids.  Full-lattice fields
+    have window dimension nu; hyperplane fields have window dimension
+    nu_1 < nu and sit at absolute coordinate 0 of the remaining axes.
+    Profile patches are clipped at the grid edges.
 
     cutoff_mode:
       * "none"        -- the full sum,
       * "sharp"       -- multiply by the indicator of ``cutoff_box`` (sites),
-      * "lattice_sum" -- only anchors inside ``cutoff_box`` (anchor axes).
+      * "lattice_sum" -- only anchors inside ``cutoff_box`` (anchor axes);
+                         only their couplings are computed.
     Both cutoff boxes are IntBoxes in absolute coordinates.
     """
-    window = couplings.window
+    from .randomfield import stack_values  # randomfield builds on IntBox
+
+    stacked = isinstance(couplings, (list, tuple))
+    fields = list(couplings) if stacked else [couplings]
+    window = fields[0].window
+    if any(f.window != window for f in fields):
+        raise ModelError("stacked coupling fields must share one window")
     nu1 = window.dim
     if nu1 > grid.dimension:
         raise ModelError("anchor window has more axes than the grid")
     if profile.dim != grid.dimension:
         raise ModelError("profile dimension must match grid dimension")
+    pad = (0,) * (grid.dimension - nu1)  # hyperplane anchors sit at coordinate 0
+    if not all(g <= a and b <= G for a, b, g, G in
+               zip(window.lo + pad, window.hi + pad, grid.box.lo, grid.box.hi)):
+        raise ModelError("anchor sublattice extends outside the grid")
 
-    anchors1 = window.coords()                       # (A, nu1) absolute coords
-    emb = np.zeros((anchors1.shape[0], grid.dimension), dtype=np.int64)
-    emb[:, :nu1] = anchors1
-    emb -= np.asarray(grid.lo, dtype=np.int64)       # grid coordinates
-    for ax in range(grid.dimension):
-        if emb[:, ax].min() < 0 or emb[:, ax].max() >= grid.extents[ax]:
-            raise ModelError("anchor sublattice extends outside the grid")
-
-    alpha = couplings.values_flat()
-
+    anchors = window
     if cutoff_mode == "lattice_sum":
         if cutoff_box is None:
             raise ModelError("lattice_sum cutoff requires a box")
         if cutoff_box.dim != nu1:
             raise ModelError("lattice_sum box dimension must match anchor sublattice")
-        keep = cutoff_box.contains_points(anchors1)
-        emb = emb[keep]
-        alpha = alpha[keep]
+        lo = tuple(map(max, window.lo, cutoff_box.lo))
+        hi = tuple(map(min, window.hi, cutoff_box.hi))
+        anchors = IntBox(lo, hi) if all(a <= b for a, b in zip(lo, hi)) else None
     elif cutoff_mode == "sharp":
         if cutoff_box is None:
             raise ModelError("sharp cutoff requires a box")
@@ -321,22 +318,26 @@ def assemble_potential(grid: Grid, profile: SingleSiteProfile, couplings,
     elif cutoff_mode != "none":
         raise ModelError(f"unknown cutoff mode {cutoff_mode!r}")
 
-    values = np.zeros(grid.n_sites)
-    pvals = profile.values
-    ext = np.asarray(grid.extents, dtype=np.int64)
-    nonzero = np.argwhere(pvals != 0.0)
-    for off_idx in nonzero:
-        f = pvals[tuple(off_idx)]
-        pos = emb + (np.asarray(profile.offset, dtype=np.int64) + off_idx)
-        ok = np.all((pos >= 0) & (pos < ext), axis=1)     # clip at grid edges
-        if not np.any(ok):
-            continue
-        flat = np.ravel_multi_index(pos[ok].T, grid.extents)
-        np.add.at(values, flat, alpha[ok] * f)
+    values = np.zeros((len(fields), grid.n_sites))
+    if anchors is not None:
+        pts = anchors.coords()                           # (A, nu1) absolute coords
+        alpha = stack_values(fields, pts)                # (k, A)
+        emb = np.zeros((pts.shape[0], grid.dimension), dtype=np.int64)
+        emb[:, :nu1] = pts
+        emb -= np.asarray(grid.lo, dtype=np.int64)       # grid coordinates
+        ext = np.asarray(grid.extents, dtype=np.int64)
+        for off_idx in np.argwhere(profile.values != 0.0):
+            f = profile.values[tuple(off_idx)]
+            pos = emb + (np.asarray(profile.offset, dtype=np.int64) + off_idx)
+            ok = np.all((pos >= 0) & (pos < ext), axis=1)     # clip at grid edges
+            if not np.any(ok):
+                continue
+            # distinct anchors hit distinct sites, so a plain fancy add is exact
+            values[:, np.ravel_multi_index(pos[ok].T, grid.extents)] += alpha[:, ok] * f
 
     if cutoff_mode == "sharp":
         values = values * mask
-    return PotentialField(grid, values)
+    return PotentialField(grid, values if stacked else values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +350,9 @@ class Hamiltonian:
 
     Diagonal 2*nu/h^2 + V(x); off-diagonal -1/h^2 between nearest neighbours;
     Dirichlet outside the grid.  The matrix is never stored densely unless
-    asked for; the band structure is implied by the grid strides.
+    asked for; the band structure is implied by the grid strides.  A diag of
+    shape (k, n) makes a stack of k operators on one grid, which counting
+    takes as one operand; ``free`` then holds when every one is free.
     """
 
     grid: Grid
@@ -358,7 +361,7 @@ class Hamiltonian:
 
     def __post_init__(self):
         d = np.asarray(self.diag, dtype=float)
-        if d.shape != (self.grid.n_sites,):
+        if d.ndim not in (1, 2) or d.shape[-1] != self.grid.n_sites:
             raise ModelError("diagonal length mismatch")
         object.__setattr__(self, "diag", d)
 
@@ -380,6 +383,8 @@ class Hamiltonian:
         return self.diag - 2.0 * self.grid.dimension / self.grid.spacing ** 2
 
     def to_dense(self) -> np.ndarray:
+        if self.diag.ndim > 1:
+            raise ModelError("a stack of operators has no one dense matrix")
         a = np.zeros((self.n, self.n))
         for k, b in enumerate(grid_band(self.diag.reshape(self.grid.extents), self.offdiag)):
             j = np.arange(self.n - k)
@@ -404,12 +409,13 @@ def grid_band(d: np.ndarray, coupling: float, root2: bool = False) -> np.ndarray
 
 
 def assemble_hamiltonian(grid: Grid, potential: PotentialField) -> Hamiltonian:
-    """H = H0 + V with the standard finite-difference stencil."""
+    """H = H0 + V with the standard finite-difference stencil (a stack of
+    operators from a stack of potentials)."""
     if potential.grid != grid:
         raise ModelError("potential was assembled on a different grid")
     v = potential.values
     diag = 2.0 * grid.dimension / grid.spacing ** 2 + v
-    return Hamiltonian(grid, diag, free=bool(np.all(v == 0.0)))
+    return Hamiltonian(grid, diag, free=not np.any(v))
 
 
 def free_hamiltonian(grid: Grid) -> Hamiltonian:
@@ -421,7 +427,8 @@ def dirichlet_restriction(h: Hamiltonian, box: IntBox) -> Hamiltonian:
 
     This is the discrete H_Lambda^D: the operator with Dirichlet conditions on
     the box boundary (equivalently H + infinity outside the box).  The
-    restricted grid covers the box in the same absolute coordinates.
+    restricted grid covers the box in the same absolute coordinates.  A
+    stack restricts operator by operator.
     """
     sub = Grid(h.grid.dimension, h.grid.spacing, box.extents, box.lo)
-    return Hamiltonian(sub, h.diag[h.grid.indices(box)], free=h.free)
+    return Hamiltonian(sub, h.diag[..., h.grid.indices(box)], free=h.free)

@@ -38,18 +38,20 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _uniform01(seed: int, realization: int, coords: np.ndarray) -> np.ndarray:
-    """U[0,1) words keyed by (seed, realization, coordinate), order-free.
+def _uniform01(seeds, realizations, coords: np.ndarray) -> np.ndarray:
+    """U[0,1) words keyed by (seed, realization, coordinate), order-free: row
+    r of the (k, m) result holds the words of seeds[r], realizations[r] at
+    the coordinates coords[r] (k, m, dim).
 
     All uint64 arithmetic wraps modulo 2^64 by design.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
     with np.errstate(over="ignore"):
-        h = _mix(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-        h = _mix(h ^ (np.uint64(realization & 0xFFFFFFFFFFFFFFFF) * _GOLDEN))
-        acc = np.full(coords.shape[0], h, dtype=np.uint64)
-        for ax in range(coords.shape[1]):
-            c = coords[:, ax].view(np.uint64)
+        h = _mix(np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64) + _GOLDEN)
+        h = _mix(h ^ (np.array([r & 0xFFFFFFFFFFFFFFFF for r in realizations],
+                               dtype=np.uint64) * _GOLDEN))
+        acc = np.repeat(h[:, None], coords.shape[1], axis=1)
+        for ax in range(coords.shape[2]):
+            c = coords[..., ax].view(np.uint64)
             acc = _mix(acc ^ (c + _GOLDEN * np.uint64(ax + 1)))
     return (acc >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
@@ -172,19 +174,28 @@ class CouplingField:
 
     def values_at(self, coords) -> np.ndarray:
         """Coupling values at absolute anchor coordinates (m, dim)."""
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        base = coords - np.asarray(self.shift, dtype=np.int64)
-        u = _uniform01(self.seed, self.realization, base)
-        v = self.spec.transform(u)
-        if self.sign > 0:
-            return np.maximum(v, 0.0)
-        if self.sign < 0:
-            return np.minimum(v, 0.0)
-        return v
+        return stack_values([self], coords)[0]
 
     def values_flat(self) -> np.ndarray:
         """All window values in row-major window order."""
         return self.values_at(self.window.coords())
+
+
+def stack_values(fields, coords) -> np.ndarray:
+    """``values_at(coords)`` of every field as the rows of one (k, m) array,
+    all fields hashed in one vectorised pass."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
+    shifts = np.array([f.shift for f in fields], dtype=np.int64)
+    u = _uniform01([f.seed for f in fields], [f.realization for f in fields],
+                   coords - shifts[:, None])
+    v = np.empty_like(u)
+    for spec in dict.fromkeys(f.spec for f in fields):
+        same = [f.spec == spec for f in fields]
+        v[same] = spec.transform(u[same])
+    for row, f in zip(v, fields):  # the sign parts select by comparison
+        if f.sign:
+            (np.maximum if f.sign > 0 else np.minimum)(row, 0.0, out=row)
+    return v
 
 
 def sample_couplings(spec: DistributionSpec, window: IntBox,

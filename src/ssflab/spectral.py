@@ -1,22 +1,27 @@
 """Eigenvalue counting, spectra, matrix functions and norms.
 
 Counting never diagonalises H; one kernel per operand kind runs all energies
-of a call.  Chains (1D, or one axis longer than one site) run the Sturm
-recurrence on Python float lists, walking a long constant run only to its
-fixed point; other grid Hamiltonians a block-Schur elimination over slices
-with one batched ``eigh`` per slice; plain symmetric matrices the LAPACK
-symmetric-indefinite factorization.  A near-breakdown
-(pivot below 1e-12 * |H|) falls back to an eigenvalue-based count
-(``eigvals_banded`` over a range on grids) rather than silently approximating.
-A grid H that commutes with the mirror of an odd trailing axis is counted and
-banded-diagonalised per mirror sector (even and odd), at about half the
-sites and half the bandwidth each.
+of a call, and for a stack of operators on one grid (a Hamiltonian with diag
+(k, n)) all operators at once, each (operator, energy) lane bitwise as if
+counted alone.  Chains (1D, or one axis longer than one site) run the Sturm
+recurrence, on Python floats for a few lanes and on numpy lanes otherwise,
+which walk a long constant run only to its fixed point; other grid
+Hamiltonians a block-Schur elimination over slices with one batched ``eigh``
+per slice over all lanes; plain symmetric matrices the LAPACK
+symmetric-indefinite factorization.  A near-breakdown (pivot below
+1e-12 * |H|, per operator) falls back to an eigenvalue-based count
+(``eigvals_banded`` over a range on that operator's band) rather than
+silently approximating.  A grid H (every operator of a stack) that commutes
+with the mirror of an odd trailing axis is counted and banded-diagonalised
+per mirror sector (even and odd), at about half the sites and half the
+bandwidth each.
 
 ``eig_all`` returns the sorted spectrum and, on request, the eigenvectors as
 a (values, vectors) pair.  Every g(H), g from ``FUNCTION_FAMILY``, comes from
 one pair: ``matrix_function`` forms the dense (U g(lambda)) U^T and
 ``diag_of_function`` its diagonal; free operators use the per-axis sine
-modes.  The paths that form an n x n array are capped at DENSE_LIMIT sites.
+modes.  These take one operator, never a stack.  The paths that form an
+n x n array are capped at DENSE_LIMIT sites.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .model import Grid, Hamiltonian, grid_band
 DENSE_LIMIT = 4000
 _BREAKDOWN_REL = 1e-12
 _RUN = 32  # shortest constant Sturm run that is walked only to its fixed point
+_LANES = 24  # fewest (operator, energy) lanes that the numpy Sturm walk takes
 
 
 class SizeLimitError(RuntimeError):
@@ -52,7 +58,7 @@ def _as_structure(h):
     """Classify the operand: ('tridiag', d, e) | ('banded', H) | ('dense', A)."""
     if isinstance(h, Hamiltonian):
         if h.bandwidth <= 1:
-            return ("tridiag", h.diag.copy(), np.full(max(h.n - 1, 0), h.offdiag))
+            return ("tridiag", h.diag, np.full(max(h.n - 1, 0), h.offdiag))
         return ("banded", h)
     a = np.asarray(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -63,33 +69,52 @@ def _as_structure(h):
     return ("dense", a)
 
 
-def _scale_of(h) -> float:
+def _scale_of(h):
+    """Gershgorin-type scale |H|; per operator, shape (k,), for a stack."""
     if isinstance(h, Hamiltonian):
-        return float(np.max(np.abs(h.diag)) + 2.0 * h.grid.dimension / h.grid.spacing ** 2)
+        return np.max(np.abs(h.diag), axis=-1) + 2.0 * h.grid.dimension / h.grid.spacing ** 2
     a = np.asarray(h, dtype=float)
     return float(np.max(np.abs(a))) * a.shape[0] if a.size else 1.0
+
+
+def _single(h) -> None:
+    if isinstance(h, Hamiltonian) and h.diag.ndim > 1:
+        raise ValueError("a stack of operators is only counted; take one operator")
 
 
 # ---------------------------------------------------------------------------
 # counting
 
 
-def _sturm_counts(d: np.ndarray, e: np.ndarray, lams: np.ndarray, scale: float) -> list:
-    """Negative pivots of the LDLT of (T - lam) for a tridiagonal T, per lam,
-    on Python floats.  Exact zero pivots are replaced by +pivmin: an eigenvalue
-    sitting exactly at lam is then not counted (strictly below).  A run of at
-    least _RUN sites with constant (d_i, e_i^2) is walked only until its pivot
-    repeats bitwise: every later site of the run repeats that pivot."""
-    pivmin = max(scale, 1.0) * 2.3e-308
-    d0, rest, e2s = float(d[0]), d[1:], e * e
-    change = (rest[1:] != rest[:-1]) | (e2s[1:] != e2s[:-1])
+def _sturm_counts(d: np.ndarray, e: np.ndarray, lams: np.ndarray, scale) -> np.ndarray:
+    """Negative pivots of the LDLT of (T_j - lam), (k, n_lam) counts, for the
+    tridiagonal T_j with diagonal d[j] (d is (k, n)) and off-diagonal e.
+    Exact zero pivots are replaced by +pivmin of T_j: an eigenvalue sitting
+    exactly at lam is then not counted (strictly below).  A run of at least
+    _RUN sites with constant (d_ji, e_i^2) for every j is walked only until
+    every pivot repeats bitwise: every later site of the run repeats it.
+    Each (operator, energy) lane runs the same float operations; below
+    _LANES lanes on Python floats, else all at once on numpy arrays."""
+    pivmin = np.maximum(scale, 1.0) * 2.3e-308
+    rest, e2s = d[:, 1:], e * e
+    change = np.any(rest[:, 1:] != rest[:, :-1], axis=0) | (e2s[1:] != e2s[:-1])
     edges = np.flatnonzero(np.concatenate(([True], change, [True])))
     runs = np.flatnonzero(np.diff(edges) >= _RUN)
-    cuts = [0, *np.stack([edges[runs], edges[runs + 1]], 1).ravel().tolist(), rest.size]
-    # segments alternate: (d, e^2) lists walked site by site, then a long run
+    cuts = [0, *np.stack([edges[runs], edges[runs + 1]], 1).ravel().tolist(), rest.shape[1]]
+    spans = list(zip(cuts, cuts[1:]))  # alternate: sites walked one by one, a long run
+    if d.shape[0] * lams.size >= _LANES:
+        return _sturm_lanes(d, e2s, spans, lams, pivmin[:, None])
+    return np.array([_sturm_floats(dj, e2s, spans, lams, float(pj))
+                     for dj, pj in zip(d, pivmin)], dtype=np.int64).reshape(-1, lams.size)
+
+
+def _sturm_floats(d: np.ndarray, e2s: np.ndarray, spans: list, lams: np.ndarray,
+                  pivmin: float) -> list:
+    """_sturm_counts of one chain on Python floats, one energy at a time."""
+    d0, rest = float(d[0]), d[1:]
     segs = [(float(rest[lo]), float(e2s[lo]), hi - lo) if i % 2 else
             (rest[lo:hi].tolist(), e2s[lo:hi].tolist())
-            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+            for i, (lo, hi) in enumerate(spans)]
     counts = []
     for lam in lams.tolist():
         q = d0 - lam
@@ -118,62 +143,100 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, lams: np.ndarray, scale: float) 
     return counts
 
 
-_Slices = namedtuple("_Slices", "blocks inner coupling band")
+def _sturm_lanes(d: np.ndarray, e2s: np.ndarray, spans: list, lams: np.ndarray,
+                 pivmin: np.ndarray) -> np.ndarray:
+    """_sturm_counts with every (operator, energy) lane in one (k, n_lam)
+    array, walked in blocks of sites; a run ends after the first block whose
+    last two pivots agree in every lane (a lane at its fixed point repeats)."""
+    piv = np.broadcast_to(pivmin, (d.shape[0], lams.size))
+    q = d[:, :1] - lams
+    np.copyto(q, piv, where=q == 0.0)
+    count = (q < 0.0).astype(np.int64)
+    block = max(_RUN, 2 ** 16 // q.size)
+    for i, (lo, hi) in enumerate(spans):
+        step = _RUN // 2 if i % 2 else block
+        for at in range(lo, hi, step):
+            end = min(at + step, hi)
+            dl = np.broadcast_to(d[:, lo + 1, None] - lams, (end - at,) + q.shape) \
+                if i % 2 else d[:, at + 1:end + 1].T[:, :, None] - lams
+            qs = np.empty(dl.shape)
+            for fix in (False, True):  # a block that meets a zero pivot is walked again
+                p = q
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    for dli, e2, out in zip(dl, e2s[at:end], qs):
+                        p = np.subtract(dli, e2 / p, out=out)
+                        if fix:
+                            np.copyto(p, piv, where=p == 0.0)
+                if qs.all():
+                    break
+            count += np.count_nonzero(qs < 0.0, axis=0)
+            q = qs[-1]
+            if i % 2 and end < hi and (q == qs[-2]).all():
+                count += (hi - end) * (q < 0.0)
+                break
+    return count
 
 
-def _slices(d: np.ndarray, coupling: float, root2: bool = False) -> _Slices:
-    """``grid_band(d, coupling, root2)`` (two non-unit axes or more) in slices
-    along its slowest non-unit axis: blocks[k] is the diagonal of slice k, inner
-    the m x m operator within a slice without it; slices couple by coupling * I."""
-    band = grid_band(d, coupling, root2)
-    m = band.shape[0] - 1
-    lower = sum(np.diag(b[:m - k], -k) for k, b in enumerate(band[1:m], 1))
-    return _Slices(d.reshape(-1, m), lower + lower.T, coupling, band)
+# grid_band(d[j], coupling, root2) for each j; d is shaped (k,) + grid extents
+_Banded = namedtuple("_Banded", "d coupling root2")
 
 
 def _sectors(h: Hamiltonian, split: bool = True) -> list:
-    """Operands whose spectra make up that of a banded grid H: H, or if split and
-    its diagonal is bitwise mirror-symmetric about the middle row k of an odd
-    trailing axis, the even sector (rows k.., the bond of rows k, k+1 times
-    sqrt(2)) and the odd sector (the Hamiltonian on rows k+1.., not split)."""
-    d = h.diag.reshape(h.grid.extents)
+    """Operands whose spectra make up that of a banded grid H (or of each
+    operator of a stack): H as a _Banded, or if split and every diagonal is
+    bitwise mirror-symmetric about the middle row k of an odd trailing axis,
+    the even sector (rows k.., the bond of rows k, k+1 times sqrt(2)) and the
+    odd sector (the Hamiltonian on rows k+1.., not split)."""
+    d = h.diag.reshape((-1,) + h.grid.extents)
     k, odd_extent = divmod(d.shape[-1], 2)
     if not split or k == 0 or not odd_extent or not np.array_equal(d, d[..., ::-1]):
-        return [_slices(d, h.offdiag)]
-    g = Grid(h.grid.dimension, h.grid.spacing, d.shape[:-1] + (k,))
-    odd = d[..., k + 1:].ravel()
-    return [_slices(d[..., k:], h.offdiag, root2=True),
+        return [_Banded(d, h.offdiag, False)]
+    g = Grid(h.grid.dimension, h.grid.spacing, d.shape[1:-1] + (k,))
+    odd = d[..., k + 1:].reshape(h.diag.shape[:-1] + (-1,))
+    return [_Banded(d[..., k:], h.offdiag, True),
             Hamiltonian(g, odd, free=bool(np.all(odd == 2.0 * g.dimension / g.spacing ** 2)))]
 
 
-def _schur_counts(op: _Slices, lams: np.ndarray, scale: float) -> np.ndarray:
-    """Negative eigenvalues of (A - lam) per lam, by elimination over the
-    slices of the operand.  Slices couple through c * I, so the Schur
-    complements are S_k = T_k - lam - c^2 S_{k-1}^{-1}, and
-    #neg(A - lam) = sum_k #neg(S_k) (Haynsworth).  One batched ``eigh`` per
-    slice gives the inertia and the inverse of S_k; an energy at which some S_k
-    is within 1e-12 * |H| of singular is counted by ``eigvals_banded``."""
-    m = op.inner.shape[0]
-    tol = _BREAKDOWN_REL * max(scale, 1.0)
-    counts = np.zeros(lams.size, dtype=np.int64)
-    live = np.arange(lams.size)
-    shift = lams[:, None, None] * np.eye(m)
+def _schur_counts(op: _Banded, lams: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues of (A_j - lam), (k, n_lam) counts, for each operand
+    A_j of a stack, by elimination over slices along the slowest non-unit
+    axis.  Slices couple through c * I, so the Schur complements are
+    S_s = T_s - lam - c^2 S_{s-1}^{-1}, and #neg(A - lam) = sum_s #neg(S_s)
+    (Haynsworth).  One batched ``eigh`` per slice over all (operator, energy)
+    lanes gives the inertia and the inverse of S_s; a lane whose S_s is
+    within 1e-12 * |A_j| of singular is counted by ``eigvals_banded`` on the
+    band of A_j."""
+    k, ext = op.d.shape[0], op.d.shape[1:]
+    lead = next(a for a, n in enumerate(ext) if n > 1)
+    m = math.prod(ext[lead + 1:])
+    # bonds within a slice: those of one slice as a grid of its own
+    band = grid_band(np.zeros(ext[lead + 1:]), op.coupling, op.root2)
+    lower = sum(np.diag(b[:m - j], -j) for j, b in enumerate(band[1:], 1))
+    inner, eye = lower + lower.T, np.eye(m)
+    shift = lams[:, None, None] * eye
+    tol = np.repeat(_BREAKDOWN_REL * np.maximum(scale, 1.0), lams.size)
+    lanes = k * lams.size
+    counts = np.zeros(lanes, dtype=np.int64)
+    live = np.arange(lanes)
     sinv = 0.0
-    for dk in op.blocks:
-        w, v = np.linalg.eigh(op.inner + np.diag(dk) - shift - op.coupling ** 2 * sinv)
-        ok = np.all(np.abs(w) >= tol, axis=1)
+    for dk in np.moveaxis(op.d.reshape(k, -1, m), 1, 0):
+        a = ((inner + dk[:, :, None] * eye)[:, None] - shift).reshape(lanes, m, m)
+        w, v = np.linalg.eigh((a if live.size == lanes else a[live]) - op.coupling ** 2 * sinv)
+        ok = np.all(np.abs(w) >= tol[live, None], axis=1)
         if not ok.all():
-            live, w, v, shift = live[ok], w[ok], v[ok], shift[ok]
+            live, w, v = live[ok], w[ok], v[ok]
         counts[live] += np.count_nonzero(w < 0.0, axis=1)
         sinv = (v / w[:, None, :]) @ v.transpose(0, 2, 1)
-    for i in np.setdiff1d(np.arange(lams.size), live):
+    for i in np.setdiff1d(np.arange(lanes), live):
+        j, lam = i // lams.size, lams[i % lams.size]
         try:  # the spectrum lies inside [-scale, scale] (Gershgorin)
-            vals = sla.eigvals_banded(op.band, lower=True, select="v",
-                                      select_range=(-scale - 1.0, lams[i]))
+            vals = sla.eigvals_banded(grid_band(op.d[j], op.coupling, op.root2),
+                                      lower=True, select="v",
+                                      select_range=(-scale[j] - 1.0, lam))
         except (sla.LinAlgError, ValueError) as exc:  # pragma: no cover - defensive
-            raise CountingError(f"banded count failed at lam={lams[i]}") from exc
-        counts[i] = np.searchsorted(np.sort(vals), lams[i], side="left")
-    return counts
+            raise CountingError(f"banded count failed at lam={lam}") from exc
+        counts[i] = np.searchsorted(np.sort(vals), lam, side="left")
+    return counts.reshape(k, lams.size)
 
 
 def _dense_ldl_count(a: np.ndarray, lam: float, scale: float):
@@ -208,11 +271,12 @@ def count_below(h, lam):
     """Number of eigenvalues of H strictly below lam, without diagonalising.
 
     lam is a scalar (the count is an int) or a 1D array of energies (the
-    counts are an int64 array); the operand is classified once per call and
-    one kernel counts all the energies.  Exact whenever lam keeps a
-    relative distance ~1e-10 from the spectrum; tests and experiments choose
-    off-spectrum lam.  On factorization breakdown a count falls back to an
-    eigenvalue-range count and finally raises CountingError instead of
+    counts are an int64 array); a stack of k operators (diag (k, n)) adds a
+    leading axis of length k.  The operand is classified once per call and
+    one kernel counts every operator at every energy.  Exact whenever lam
+    keeps a relative distance ~1e-10 from the spectrum; tests and experiments
+    choose off-spectrum lam.  On factorization breakdown a count falls back
+    to an eigenvalue-range count and finally raises CountingError instead of
     approximating.
     """
     lams = np.asarray(lam, dtype=float)
@@ -220,18 +284,25 @@ def count_below(h, lam):
         raise ValueError("lam must be a scalar or a 1D array")
     if not np.all(np.isfinite(lams)):
         raise ValueError("lam must be finite")
-    counts = _counts(h, lams.ravel(), _scale_of(h))
-    return int(counts[0]) if lams.ndim == 0 else counts
+    shape = lams.shape
+    if isinstance(h, Hamiltonian):  # one operator is a stack of one
+        shape = h.diag.shape[:-1] + shape
+        h = Hamiltonian(h.grid, h.diag.reshape(-1, h.n), h.free)
+    counts = _counts(h, lams.ravel(), _scale_of(h)).reshape(shape)
+    return int(counts) if counts.ndim == 0 else counts
 
 
-def _counts(h, xs: np.ndarray, scale: float, split: bool = True) -> np.ndarray:
-    """count_below on an array of energies; mirror sectors add their counts."""
+def _counts(h, xs: np.ndarray, scale, split: bool = True) -> np.ndarray:
+    """count_below of a stack (or a matrix, a stack of one) on an array of
+    energies, (k, n_lam); mirror sectors add their counts."""
     kind, *payload = _as_structure(h)
     if kind == "banded":
         first, *odd = _sectors(h, split)
         return _schur_counts(first, xs, scale) + sum(_counts(o, xs, scale, False) for o in odd)
-    return np.array(_sturm_counts(*payload, xs, scale) if kind == "tridiag" else
-                    [_dense_count(payload[0], x, scale) for x in xs], dtype=np.int64)
+    if kind == "tridiag":
+        d, e = payload
+        return _sturm_counts(d.reshape(-1, d.shape[-1]), e, xs, np.reshape(scale, -1))
+    return np.array([[_dense_count(payload[0], x, scale) for x in xs]], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +340,7 @@ def eig_all(h, need_vectors: bool = False) -> tuple:
     is a dense eigensolve.  Only the paths that form an n x n array
     (eigenvectors, dense eigensolve) are capped at DENSE_LIMIT sites.
     """
+    _single(h)
     if not need_vectors:
         return _values(h), None
     kind, *payload = _as_structure(h)
@@ -290,7 +362,8 @@ def _values(h, split: bool = True) -> np.ndarray:
         return sla.eigh_tridiagonal(*payload, eigvals_only=True)
     if kind == "banded" and h.n > 512:
         first, *odd = _sectors(h, split)
-        return np.sort(np.concatenate([sla.eigvals_banded(first.band, lower=True),
+        band = grid_band(first.d[0], first.coupling, first.root2)
+        return np.sort(np.concatenate([sla.eigvals_banded(band, lower=True),
                                        *(_values(o, False) for o in odd)]))
     _check_dense(h.n if kind == "banded" else payload[0].shape[0])
     return sla.eigvalsh(h.to_dense() if kind == "banded" else payload[0])
@@ -414,6 +487,7 @@ def matrix_function(h, g) -> np.ndarray:
     product of the axis semigroups, axis 0 first."""
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must come from the built-in function family")
+    _single(h)
     if isinstance(h, Hamiltonian) and h.free and isinstance(g, ExpWeight):
         _check_dense(h.n)
         pairs = _axis_modes(h)
@@ -427,6 +501,7 @@ def diag_of_function(h, g) -> np.ndarray:
     """Diagonal of g(H) without forming the full matrix."""
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must come from the built-in function family")
+    _single(h)
     if isinstance(h, Hamiltonian) and h.free:
         # g(mu_1 + mu_2 + ...) contracted with Psi_a o Psi_a one axis at a time
         mus, psis = zip(*_axis_modes(h))
@@ -435,4 +510,4 @@ def diag_of_function(h, g) -> np.ndarray:
             out = np.tensordot(out, psi ** 2, axes=(0, 1))
         return out.ravel()
     w, u = eig_all(h, need_vectors=True)
-    return (u ** 2) @ g.value(w)
+    return np.square(u, out=u) @ g.value(w)  # u is ours: square it in place

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
+from .model import Hamiltonian
 from .spectral import FUNCTION_FAMILY
 
 
@@ -98,15 +99,18 @@ class SSFSample:
         object.__setattr__(self, "xi_raw", xi.astype(np.int64))
 
 
-def ssf_counting(h, h0, grid: EnergyGrid) -> SSFSample:
-    """xi(lam) = N(lam; H0) - N(lam; H) at every grid energy; a grid that
-    records its distances to the spectra must keep them above 1e-10."""
+def ssf_counting(h: Hamiltonian, h0: Hamiltonian, grid: EnergyGrid) -> SSFSample:
+    """xi(lam) = N(lam; H0) - N(lam; H) at every grid energy, from one count
+    of the stack (H0, H) on their common grid; a grid that records its
+    distances to the spectra must keep them above 1e-10."""
+    if h.grid != h0.grid:
+        raise ValueError("H and H0 must share one grid")
     if grid.distances is not None:
         bad = grid.values[grid.distances <= _ON_SPECTRUM]
         if bad.size:
             raise OnSpectrumError(f"grid energies on spectrum: {bad.tolist()}")
-    xi = spectral.count_below(h0, grid.values) - spectral.count_below(h, grid.values)
-    return SSFSample(grid, xi)
+    n0, n = spectral.count_below(Hamiltonian(h.grid, np.stack([h0.diag, h.diag])), grid.values)
+    return SSFSample(grid, n0 - n)
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,8 @@ def test_surface_sum_rules_fail_only_without_the_root2(root2, monkeypatch):
     # between the line and the next row; Sum lam^2 then misses about 2 per
     # slice, a relative residual near 8e-3 against the 1e-10 tolerance
     if not root2:
-        real = spectral._slices
-        monkeypatch.setattr(spectral, "_slices", lambda d, c, root2=False: real(d, c))
+        real = spectral.grid_band
+        monkeypatch.setattr(spectral, "grid_band", lambda d, c, root2=False: real(d, c))
     cfg = surface_config(realizations=1, schedule=(32,), options={
         "transverse": 11, "margin": 12, "check_transverse": False})
     rec = run_surface(cfg)

@@ -238,3 +238,15 @@ def test_plot_series_two_columns(tmp_path):
     rows = [ln.split() for ln in dat.splitlines() if not ln.startswith("#")]
     assert all(len(r) == 2 for r in rows)
     assert [float(r[0]) for r in rows] == [32.0, 64.0]
+
+
+def test_selftest_with_a_config_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_BULK)
+    for argv in (["selftest", str(cfg)], ["selftest", "--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert "selftest" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bulk-limit"])
+    assert exc.value.code == 2

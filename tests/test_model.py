@@ -161,6 +161,38 @@ def test_lattice_sum_keeps_only_inside_anchors():
     assert abs(pot.values[0]) < abs(full.values[0])
 
 
+@pytest.mark.parametrize("mode", ["none", "sharp", "lattice_sum", "lattice_sum_outside"])
+def test_stacked_assembly_matches_each_field_bitwise(mode):
+    # fields of several realizations, seeds, distributions, signs and shifts
+    # on one window, assembled as one stack and one at a time
+    from ssflab.randomfield import shift_field, split_signs
+    grid = Grid(2, 1.0, (14, 11), (-7, -5))
+    window = IntBox((-5, -4), (5, 4))
+    specs = (DistributionSpec("uniform", low=-1.0, high=1.0),
+             DistributionSpec("bernoulli", p=0.3, values=(-2.0, 3.0)))
+    fields = []
+    for j in range(4):
+        f = sample_couplings(specs[j % 2], window, 3 + j // 2, j)
+        fields += [f, *split_signs(f)]
+    fields.append(shift_field(sample_couplings(specs[0], window.shifted((-1, 0)), 3, 0),
+                              (1, 0)))
+    box = {"none": None, "sharp": IntBox((-3, -2), (4, 3)),
+           "lattice_sum": IntBox((-3, -6), (2, 3)),
+           "lattice_sum_outside": IntBox((8, 8), (9, 9))}[mode]
+    cut = mode.replace("_outside", "")
+    for prof in (SingleSiteProfile.patch(np.arange(1.0, 10.0).reshape(3, 3)),
+                 SingleSiteProfile.exponential(-1.0, 2.0, 2)):
+        stack = assemble_potential(grid, prof, fields, cut, box)
+        assert stack.values.shape == (len(fields), grid.n_sites)
+        for row, f in zip(stack.values, fields):
+            assert row.tobytes() == assemble_potential(grid, prof, f, cut, box).values.tobytes()
+        h = assemble_hamiltonian(grid, stack)
+        sub = dirichlet_restriction(h, IntBox((-2, -2), (3, 1)))
+        assert sub.diag.shape == (len(fields), 24)
+    with pytest.raises(ModelError):
+        assemble_potential(grid, prof, [fields[0], sample_couplings(specs[0], grid.box, 1)])
+
+
 def test_anchor_outside_grid_rejected():
     g = build_grid(1, 1.0, 10)
     field = sample_couplings(constant_couplings(1.0), IntBox((0,), (10,)), 1)

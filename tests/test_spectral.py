@@ -186,12 +186,13 @@ def test_mirror_sectors_match_the_unsplit_operand(lead, half, spacing, seed):
     w = sla.eigvalsh(h.to_dense())
     scale = spectral._scale_of(h)
     lams = _gap_energies(w, seed, 40)
-    whole = spectral._slices(h.diag.reshape(h.grid.extents), h.offdiag)
-    unsplit = spectral._schur_counts(whole, lams, scale)
+    whole = spectral._Banded(h.diag.reshape((1,) + h.grid.extents), h.offdiag, False)
+    unsplit = spectral._schur_counts(whole, lams, np.atleast_1d(scale))[0]
     assert count_below(h, lams).tolist() == unsplit.tolist()
     assert unsplit.tolist() == np.searchsorted(w, lams, side="left").tolist()
     even, odd = sectors
-    split = np.concatenate([sla.eigvals_banded(even.band, lower=True), eig_all(odd)[0]])
+    even_band = spectral.grid_band(even.d[0], even.coupling, even.root2)
+    split = np.concatenate([sla.eigvals_banded(even_band, lower=True), eig_all(odd)[0]])
     assert np.max(np.abs(np.sort(split) - w)) <= 1e-12 * scale
     if h.n > 512:  # eig_all takes the banded path, per sector
         assert np.max(np.abs(eig_all(h)[0] - w)) <= 1e-12 * scale
@@ -221,7 +222,7 @@ def test_mirror_split_falls_back_to_one_operand(case, monkeypatch):
     slices = []
     real = spectral._schur_counts
     monkeypatch.setattr(spectral, "_schur_counts",
-                        lambda op, *a: slices.append(op.inner.shape) or real(op, *a))
+                        lambda op, *a: slices.append(op.d.shape[-1:] * 2) or real(op, *a))
     w = sla.eigvalsh(h.to_dense())
     lams = _gap_energies(w, 3, 40)
     assert count_below(h, lams).tolist() == np.searchsorted(w, lams).tolist()
@@ -234,7 +235,8 @@ def test_mirror_sector_breakdown_falls_back_to_banded_range_count(monkeypatch):
     even, _ = spectral._sectors(h)
     w = sla.eigvalsh(h.to_dense())
     gap = lambda x: np.min(np.abs(w - x))
-    lam = max(sla.eigvalsh(even.inner + np.diag(even.blocks[0])), key=gap)
+    b0, b1 = spectral.grid_band(even.d[0, 0], even.coupling, even.root2)  # slice 0
+    lam = max(sla.eigvalsh_tridiagonal(b0, b1[:-1]), key=gap)
     assert gap(lam) > 1e-3
     calls = []
     real = sla.eigvals_banded
@@ -309,10 +311,112 @@ def test_sturm_fixed_point_runs_match_reference_bitwise():
             rng.uniform(0.0, 4.0 / h ** 2, 3), rng.uniform(-4.0, 0.0, 2),
             [d[0], d[int(rng.integers(0, d.size))]]])
         scale = float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
-        got = spectral._sturm_counts(d, e, lams, scale)
-        assert got == _sturm_reference(d, e, lams, scale)
+        got = spectral._sturm_counts(d[None], e, lams, np.array([scale]))
+        assert got[0].tolist() == _sturm_reference(d, e, lams, scale)
         cases += lams.size
     assert cases == 3000
+
+
+def test_sturm_lanes_match_python_floats_bitwise():
+    # stacks of chains with free and random runs, e = 0 bonds and zero pivots
+    # (lam = d_0j, or lam = d_ij between two e = 0 bonds): the numpy lanes and the
+    # Python-float walk site by site, and _sturm_counts with its run shortcut
+    # on either side of the _LANES crossover (k * n_lam from 8 to 48 lanes),
+    # agree bitwise with each other and with the reference
+    rng = np.random.default_rng(43)
+    sides = set()
+    for _ in range(120):
+        h, k = float(rng.choice([1.0, 0.5])), int(rng.integers(1, 7))
+        parts, es = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 200))
+            free = rng.random() < 0.6
+            parts.append(np.full((k, n), 2.0 / h ** 2) if free
+                         else rng.uniform(-3.0, 5.0, (k, n)))
+            es += [-1.0 / h ** 2] * n if free else rng.uniform(-2.0, 0.0, n).tolist()
+        d, e = np.concatenate(parts, axis=1), np.array(es[1:])
+        at = int(rng.integers(0, e.size)) if e.size else 0
+        e[at:at + 2] = 0.0  # a zero pivot at site at + 1 is then divided into 0
+        lams = np.concatenate([rng.uniform(-4.0, 4.0 / h ** 2, 6),
+                               [d[0, 0], d[-1, min(at + 1, d.shape[1] - 1)]]])
+        scale = np.abs(d).max(axis=1) + 2.0 * np.abs(e).max(initial=0.0)
+        pivmin = np.maximum(scale, 1.0) * 2.3e-308
+        spans = [(0, d.shape[1] - 1)]  # every site walked; _sturm_counts takes the runs
+        floats = [spectral._sturm_floats(d[j], e * e, spans, lams, float(pivmin[j]))
+                  for j in range(k)]
+        lanes = spectral._sturm_lanes(d, e * e, spans, lams, pivmin[:, None])
+        counts = spectral._sturm_counts(d, e, lams, scale)
+        assert lanes.tolist() == floats == counts.tolist()
+        assert floats == [_sturm_reference(d[j], e, lams, scale[j]) for j in range(k)]
+        sides.add(k * lams.size >= spectral._LANES)
+    assert sides == {False, True}
+
+
+def _stack_case(kind, k, seed):
+    """k operators on one grid: chains, asymmetric strips or mirror-symmetric
+    strips (every diagonal even about the middle row)."""
+    if kind == "chain":
+        ops = [alloy_hamiltonian((int(30 + seed % 20),), seed + j, amplitude=-2.0)
+               for j in range(k)]
+    elif kind == "strip":
+        ops = [alloy_hamiltonian((7, 5), seed + j, amplitude=-2.0) for j in range(k)]
+    else:
+        ops = [mirrored_hamiltonian((6, 7), seed + j) for j in range(k)]
+    return ops, Hamiltonian(ops[0].grid, np.stack([h.diag for h in ops]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["chain", "strip", "mirrored"]), k=st.integers(1, 9),
+       seed=st.integers(0, 10**6), n_lam=st.integers(1, 12))
+@example(kind="chain", k=9, seed=0, n_lam=12)
+@example(kind="mirrored", k=9, seed=1, n_lam=12)
+@example(kind="strip", k=1, seed=2, n_lam=1)
+def test_stack_counts_match_each_operator_and_the_oracle(kind, k, seed, n_lam):
+    ops, stack = _stack_case(kind, k, seed)
+    spectra = [sla.eigvalsh(h.to_dense()) for h in ops]
+    lams = _gap_energies(np.sort(np.concatenate(spectra)), seed, n_lam)
+    counts = count_below(stack, lams)
+    assert counts.dtype == np.int64 and counts.shape == (k, lams.size)
+    for row, h, w in zip(counts, ops, spectra):
+        assert row.tolist() == count_below(h, lams).tolist()
+        assert row.tolist() == np.searchsorted(w, lams, side="left").tolist()
+    assert count_below(stack, lams[0]).tolist() == counts[:, 0].tolist()
+
+
+@pytest.mark.parametrize("kind", ["strip", "mirrored"])
+def test_stack_lane_breakdown_falls_back_alone(kind, monkeypatch):
+    # lam = an eigenvalue of the first slice of operator 1 (of its even sector
+    # when mirrored) makes that lane's S_0 singular; only it takes the range count
+    ops, stack = _stack_case(kind, 3, 5)
+    first, *_ = spectral._sectors(ops[1])
+    b0, b1 = spectral.grid_band(first.d[0, 0], first.coupling, first.root2)
+    spectra = [sla.eigvalsh(h.to_dense()) for h in ops]
+    merged = np.concatenate(spectra)
+    lam = max(sla.eigvalsh_tridiagonal(b0, b1[:-1]), key=lambda x: np.min(np.abs(merged - x)))
+    assert np.min(np.abs(merged - lam)) > 1e-3
+    calls = []
+    real = sla.eigvals_banded
+
+    def counted(band, **kwargs):
+        calls.append((band.shape, kwargs["select_range"][1]))
+        return real(band, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigvals_banded", counted)
+    lams = np.array([merged.min() - 1.0, lam, merged.max() + 1.0])
+    counts = count_below(stack, lams)
+    assert [c for _, c in calls] == [lam]
+    for row, w in zip(counts, spectra):
+        assert row.tolist() == np.searchsorted(w, lams, side="left").tolist()
+
+
+def test_stacks_rejected_where_one_operator_is_needed():
+    _, stack = _stack_case("strip", 2, 3)
+    for call in (lambda: eig_all(stack), lambda: eig_all(stack, need_vectors=True),
+                 lambda: spectral.matrix_function(stack, ExpWeight(1.0)),
+                 lambda: heat_semigroup(stack, 1.0),
+                 lambda: diag_of_function(stack, ExpWeight(1.0)), stack.to_dense):
+        with pytest.raises(ValueError):
+            call()
 
 
 @settings(max_examples=30, deadline=None)
