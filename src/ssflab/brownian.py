@@ -48,11 +48,12 @@ _FAR = 40.0         # a face product a >= _FAR dt: exp(-a/dt) < 2^-54, a bridge 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Target set B for the first hitting time.
+    """Region B: a hitting target of simulate_hitting, or the box of
+    joint_bound_check.
 
     kinds:
       * half_space(axis, threshold, side): B = {x : side*(x_axis - threshold) >= 0}
-      * box(lo, hi):                       the closed box
+      * box(lo, hi):                       the closed box (joint bound only)
     """
 
     kind: str
@@ -206,15 +207,15 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     bridge between the step's end points misses B, so the hit chance
     1 - survival dominates plain endpoint detection pathwise.  A half-space
     takes the exact factor 1 - exp(-a/dt), a = (b - x0)(b - x1), evaluated only
-    where a < _FAR dt (elsewhere it is 1.0 bitwise).  A box target has no
-    closed form in nu >= 2: its factor is the exact chance that some
-    coordinate's bridge misses its interval, exact for nu = 1 and otherwise a
-    lower bound, which makes the estimate an upper bound.
+    where a < _FAR dt (elsewhere it is 1.0 bitwise).  Targets are half-spaces:
+    a box raises RegionError.
 
     Each block of a sweep draws into its own slice and sums its own hit
     chances and their squares, added in block order, so estimates are bitwise
     those of block-by-block runs.
     """
+    if any(r.kind != "half_space" for r in regions):
+        raise RegionError("simulate_hitting takes half-space targets only")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
     sweeps = _sweeps(times, paths, seed)
@@ -241,20 +242,12 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
                     r, s = regions[k], survive[i, k]
                     if not bridge:
                         s *= ~r.contains(new)
-                    elif r.kind == "half_space":
+                    else:
                         # flipping the signs of b, x0 and x1 (side -1) leaves
                         # a bitwise unchanged, so one formula serves both sides
                         a = (r.threshold - old[:, r.axis]) * (r.threshold - new[:, r.axis])
                         idx = (a < _FAR * step_dt).nonzero()[0]
                         s[idx] *= _avoid(a[idx], step_dt)
-                    else:
-                        meet = 1.0  # chance that every coordinate meets its interval
-                        for j, (lo, hi) in enumerate(zip(r.lo, r.hi)):
-                            face = np.where(old[:, j] < lo, lo, hi)
-                            a = (face - old[:, j]) * (face - new[:, j])
-                            a[(old[:, j] >= lo) & (old[:, j] <= hi)] = 0.0
-                            meet = meet * (1.0 - _avoid(a, step_dt))
-                        s *= 1.0 - meet
                 pos[i], spare[i] = new, old
         for block, _ in sweep:
             for i, k in itertools.product(range(len(times)), outside):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,17 +23,49 @@ class ExperimentError(RuntimeError):
     """A validated precondition failed while running an experiment."""
 
 
-# experiment -> tolerance name -> default; a config's tolerances override these
-DEFAULT_TOLERANCES = {
-    "bulk-limit": {"bulk_deviation": 0.02, "variance_slack": 1.2},
-    "locality": {"slope_low": -1.3, "slope_high": -0.7},
-    "cutoff": {},
-    "cluster": {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
-    "subadditive": {},
-    "surface": {"relative_change": 0.05, "transverse_tol": 0.05, "sum_rule": 1e-10},
-    "kirsch": {"dual_rel": 1e-8},
-    "resolvent": {"slope_low": 0.7, "slope_high": 1.3},
-    "brownian": {},
+class CampaignKeys(NamedTuple):
+    """The config keys one campaign takes.  The parser copies the tolerance
+    defaults into every parsed config; option defaults stay here, read by
+    ``opt``.  Each key's type is its default's (a list: its first element's)."""
+
+    required: tuple
+    tolerances: dict
+    options: dict
+
+
+_MODEL = ("grid.dimension", "distribution.kind", "profile.kind", "schedule")
+
+# experiment -> its required keys, tolerance defaults and option defaults
+CAMPAIGNS = {
+    "bulk-limit": CampaignKeys(
+        _MODEL + ("energies",), {"bulk_deviation": 0.02, "variance_slack": 1.2},
+        {"ambient_factor": 4}),
+    "locality": CampaignKeys(
+        _MODEL, {"slope_low": -1.3, "slope_high": -0.7},
+        {"margin": 12, "bump_lo": -1.0, "bump_hi": 2.0}),
+    "cutoff": CampaignKeys(
+        _MODEL, {}, {"margin": 24, "bump_lo": -2.5, "bump_hi": 1.0,
+                     "decay_comparison": (1.0, 2.0, 4.0)}),
+    "cluster": CampaignKeys(
+        _MODEL, {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
+        {"margin": 8, "box_side": 8, "t": 1.0, "additivity_sites": 320,
+         "additivity_block": 48, "additivity_gap": 32}),
+    "subadditive": CampaignKeys(
+        _MODEL, {}, {"margin": 6, "t": 1.0, "safety_factor": 1.5}),
+    "surface": CampaignKeys(
+        _MODEL + ("energies",),
+        {"relative_change": 0.05, "transverse_tol": 0.05, "sum_rule": 1e-10},
+        {"margin": 16, "transverse": 11, "check_transverse": True}),
+    "kirsch": CampaignKeys(
+        ("grid.dimension", "profile.kind", "schedule", "energies", "times"),
+        {"dual_rel": 1e-8}, {}),
+    "resolvent": CampaignKeys(
+        _MODEL, {"slope_low": 0.7, "slope_high": 1.3},
+        {"margin": 8, "box_side": 8, "power": 2, "e_values": (1.0, 2.0, 4.0),
+         "e_main": 2.0}),
+    "brownian": CampaignKeys(
+        (), {}, {"distances": (0.5, 1.0, 2.0), "nus": (1, 2), "paths": 100_000,
+                 "bridge": True, "joint_t": 0.5}),
 }
 
 _KIRSCH_PATCH = np.array([[0.25, 0.5, 0.25],
@@ -67,13 +100,12 @@ class ExperimentConfig:
         if self.realizations < 1:
             raise ExperimentError("realizations must be >= 1")
 
+    # a name CAMPAIGNS does not declare for the experiment raises KeyError
     def tol(self, name: str) -> float:
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        return float(DEFAULT_TOLERANCES[self.experiment][name])
+        return float(self.tolerances.get(name, CAMPAIGNS[self.experiment].tolerances[name]))
 
-    def opt(self, name: str, default):
-        return self.options.get(name, default)
+    def opt(self, name: str):
+        return self.options.get(name, CAMPAIGNS[self.experiment].options[name])
 
     def build_profile(self) -> SingleSiteProfile:
         kind = self.profile.get("kind", "point")
@@ -188,6 +220,15 @@ def ambient_for(box: IntBox, margin: int, spacing: float) -> Grid:
     coordinates; ``grid.box`` is the window a coupling field must cover."""
     padded = box.padded(margin)
     return Grid(box.dim, float(spacing), padded.extents, padded.lo)
+
+
+def halve(box: IntBox) -> tuple:
+    """The two halves of the box along axis 0, whose extent must be even."""
+    e0 = box.extents[0]
+    if e0 % 2:
+        raise ExperimentError(f"an odd side {e0} along axis 0 cannot be halved")
+    mid = box.lo[0] + e0 // 2
+    return IntBox(box.lo, (mid - 1,) + box.hi[1:]), IntBox((mid,) + box.lo[1:], box.hi)
 
 
 def gershgorin_window_check(energies, v_values: np.ndarray, dim: int, spacing: float):

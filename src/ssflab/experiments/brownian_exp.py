@@ -20,11 +20,11 @@ from .base import ExperimentConfig, ExperimentError, ResultRecord
 
 
 def run_brownian(config: ExperimentConfig) -> ResultRecord:
-    distances = [float(d) for d in config.opt("distances", (0.5, 1.0, 2.0))]
+    distances = config.opt("distances")
     times = [float(t) for t in (config.times or (0.25, 1.0))]
-    nus = [int(v) for v in config.opt("nus", (1, 2))]
-    paths = int(config.opt("paths", 100_000))
-    bridge = bool(config.opt("bridge", True))
+    nus = config.opt("nus")
+    paths = config.opt("paths")
+    bridge = config.opt("bridge")
     if paths < 1000:
         raise ExperimentError("paths must be at least 1e3")
 
@@ -62,7 +62,7 @@ def run_brownian(config: ExperimentConfig) -> ResultRecord:
                   "1D estimates within 3 sigma of erfc(d / 2 sqrt(t))")
 
     # joint expectation bound: one start inside the box, one outside
-    t_joint = float(config.opt("joint_t", 0.5))
+    t_joint = config.opt("joint_t")
     box = br.box_region((-1.0, -1.0), (1.0, 1.0))
 
     def joint(k):

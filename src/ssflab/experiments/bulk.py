@@ -49,7 +49,7 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
         raise ExperimentError("bulk limit needs a schedule and energies")
     if any(lam >= 0.0 for lam in config.energies):
         raise ExperimentError("bulk-limit energies must be negative (below the free spectrum)")
-    factor = int(config.opt("ambient_factor", 4))
+    factor = config.opt("ambient_factor")
     if factor < 4:
         raise ExperimentError("ambient grid must be at least 4x the largest box")
 

@@ -21,21 +21,15 @@ from ..model import IntBox, PotentialField, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, free_hamiltonian, interface_measure
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, fit_loglog
+    ambient_for, fit_loglog, halve
 
 
 def _geometry(config: ExperimentConfig, width: int, t: float) -> tuple:
     """(grid, (Lambda, Lambda_1, Lambda_2), exp(-tH0)) for one width:
     everything of the four-term combination but the field."""
-    margin = int(config.opt("margin", 8))
-    side = int(config.opt("box_side", 8))
-    if side % 2:
-        raise ExperimentError("box_side must be even for the hyperplane split")
-    lam = IntBox.centered((side, width))
-    lam1 = IntBox(lam.lo, (lam.lo[0] + side // 2 - 1, lam.hi[1]))
-    lam2 = IntBox((lam.lo[0] + side // 2, lam.lo[1]), lam.hi)
-    grid = ambient_for(lam, margin, config.spacing)
-    return grid, (lam, lam1, lam2), spectral.heat_semigroup(free_hamiltonian(grid), t)
+    lam = IntBox.centered((config.opt("box_side"), width))
+    grid = ambient_for(lam, config.opt("margin"), config.spacing)
+    return grid, (lam, *halve(lam)), spectral.heat_semigroup(free_hamiltonian(grid), t)
 
 
 def _four_term_norm(config: ExperimentConfig, geometry, realization: int,
@@ -58,9 +52,9 @@ def _four_term_norm(config: ExperimentConfig, geometry, realization: int,
 def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     """1D: max over an off-spectrum grid of |xi_12 - xi_1 - xi_2|."""
     h = config.spacing
-    sites = int(config.opt("additivity_sites", 320))
-    block = int(config.opt("additivity_block", 48))
-    gap = int(config.opt("additivity_gap", 32))
+    sites = config.opt("additivity_sites")
+    block = config.opt("additivity_block")
+    gap = config.opt("additivity_gap")
     grid = ambient_for(IntBox.centered((sites,)), 0, h)
     field = sample_couplings(config.distribution, grid.box, config.seed,
                              1000 + realization)
@@ -96,7 +90,7 @@ def run_cluster(config: ExperimentConfig) -> ResultRecord:
         raise ExperimentError("cluster interface scaling is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("cluster needs an interface-length schedule")
-    t = float(config.opt("t", 1.0))
+    t = config.opt("t")
 
     rec = ResultRecord("cluster", config.seed, config.digest())
     reals = list(range(config.realizations))

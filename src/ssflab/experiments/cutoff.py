@@ -9,6 +9,8 @@ literally identical, which is flagged as a degenerate (still valid) run.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .. import spectral, ssf
@@ -20,12 +22,11 @@ from .base import ExperimentConfig, ExperimentError, ResultRecord, ambient_for
 
 def _norm_diff(config: ExperimentConfig, profile, length: int, realization: int) -> float:
     dim, h = config.dimension, config.spacing
-    margin = int(config.opt("margin", 24))
+    margin = config.opt("margin")
     lmax = max(config.schedule)
     grid = ambient_for(IntBox.centered((lmax,) * dim), margin, h)
     field = sample_couplings(config.distribution, grid.box, config.seed, realization)
-    g = spectral.BumpFunction(float(config.opt("bump_lo", -2.5)),
-                              float(config.opt("bump_hi", 1.0)))
+    g = spectral.BumpFunction(config.opt("bump_lo"), config.opt("bump_hi"))
     box = IntBox.centered((length,) * dim)
     pot_sharp = assemble_potential(grid, profile, field, "sharp", box)
     pot_lat = assemble_potential(grid, profile, field, "lattice_sum", box)
@@ -67,14 +68,12 @@ def run_cutoff_equivalence(config: ExperimentConfig) -> ResultRecord:
         rec.add_check("strictly_decreasing", "hard", decreasing, per_length, None,
                       "normalised trace difference falls along the schedule")
 
-        decays = [float(v) for v in config.opt("decay_comparison", (1.0, 2.0, 4.0))]
-        if len(decays) >= 2 and not profile.is_compact:
+        decays = config.opt("decay_comparison")
+        if len(decays) >= 2:
             length0 = config.schedule[len(config.schedule) // 2]
             vals = []
             for a in decays:
-                prof_a = config.build_profile().__class__.exponential(
-                    float(config.profile.get("amplitude", -1.0)), a,
-                    config.dimension, config.spacing)
+                prof_a = replace(config, profile={**config.profile, "decay": a}).build_profile()
                 vals.append(_norm_diff(config, prof_a, length0, 0))
             rec.aggregates["decay_comparison"] = dict(zip(map(str, decays), vals))
             mono = all(b < a for a, b in zip(vals, vals[1:]))

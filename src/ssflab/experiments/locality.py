@@ -50,11 +50,10 @@ def run_locality(config: ExperimentConfig) -> ResultRecord:
         raise ExperimentError("locality needs at least two box sizes")
 
     rec = ResultRecord("locality", config.seed, config.digest())
-    margin = int(config.opt("margin", 12))
+    margin = config.opt("margin")
     grid = ambient_for(IntBox.centered((max(config.schedule),) * config.dimension),
                        margin, config.spacing)
-    g = spectral.BumpFunction(float(config.opt("bump_lo", -1.0)),
-                              float(config.opt("bump_hi", 2.0)))
+    g = spectral.BumpFunction(config.opt("bump_lo"), config.opt("bump_hi"))
     diag_free = spectral.diag_of_function(free_hamiltonian(grid), g)
     results = parallel_map(
         lambda r: _one_realization(config, grid, g, diag_free, r),

@@ -23,9 +23,9 @@ def _norms_for(config: ExperimentConfig, width: int, realization: int, energies)
     """({E: trace norm of the difference}, meas(dB)) for one realization: one
     eigenpair each of H, H_B and H_C serves every E."""
     h = config.spacing
-    margin = int(config.opt("margin", 8))
-    side = int(config.opt("box_side", 8))
-    m = int(config.opt("power", 2))
+    margin = config.opt("margin")
+    side = config.opt("box_side")
+    m = config.opt("power")
     box = IntBox.centered((side, width))
     grid = ambient_for(box, margin, h)
     field = sample_couplings(config.distribution, grid.box, config.seed, realization)
@@ -57,8 +57,8 @@ def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
         raise ExperimentError("resolvent campaign is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("resolvent needs an interface schedule")
-    e_values = [float(v) for v in config.opt("e_values", (1.0, 2.0, 4.0))]
-    e_main = float(config.opt("e_main", 2.0))
+    e_values = config.opt("e_values")
+    e_main = config.opt("e_main")
 
     rec = ResultRecord("resolvent", config.seed, config.digest())
     reals = list(range(config.realizations))

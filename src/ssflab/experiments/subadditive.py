@@ -18,13 +18,13 @@ from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
     free_hamiltonian
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
-    ambient_for, mean_and_var
+    ambient_for, halve, mean_and_var
 
 
 def _f_lambda(config: ExperimentConfig, box: IntBox, realization: int,
               t: float) -> float:
     """Heat-trace functional of the box potential on its own padded ambient."""
-    grid = ambient_for(box, int(config.opt("margin", 6)), config.spacing)
+    grid = ambient_for(box, config.opt("margin"), config.spacing)
     field = sample_couplings(config.distribution, grid.box, config.seed, realization)
     pot = assemble_potential(grid, config.build_profile(), field, "lattice_sum", box)
     ham = assemble_hamiltonian(grid, pot)
@@ -32,23 +32,12 @@ def _f_lambda(config: ExperimentConfig, box: IntBox, realization: int,
     return spectral.heat_trace(ham, t) - spectral.heat_trace(h0, t)
 
 
-def _split(box: IntBox) -> tuple:
-    """Halve the box along axis 0 (extent must be even)."""
-    e0 = box.extents[0]
-    if e0 % 2:
-        raise ExperimentError("schedule boxes must have even side for splitting")
-    mid = box.lo[0] + e0 // 2
-    b1 = IntBox(box.lo, (mid - 1,) + box.hi[1:])
-    b2 = IntBox((mid,) + box.lo[1:], box.hi)
-    return b1, b2
-
-
 def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     if config.dimension != 2:
         raise ExperimentError("subadditivity campaign is two-dimensional")
     if len(config.schedule) < 2:
         raise ExperimentError("subadditive needs a growing schedule")
-    t = float(config.opt("t", 1.0))
+    t = config.opt("t")
     h = config.spacing
 
     rec = ResultRecord("subadditive", config.seed, config.digest())
@@ -58,7 +47,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     split_rows = []
     for length in config.schedule:
         box = IntBox.centered((length, length))
-        b1, b2 = _split(box)
+        b1, b2 = halve(box)
         iface = length * h  # common surface of the two halves
 
         def one(r, box=box, b1=b1, b2=b2):
@@ -77,7 +66,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
 
     gaps = np.array([row["split_gap"] / row["interface"] for row in split_rows])
     c_raw = float(gaps.max())
-    safety = float(config.opt("safety_factor", 1.5))
+    safety = config.opt("safety_factor")
     c_cal = safety * c_raw
     rec.aggregates["calibrated_C"] = c_cal
     rec.aggregates["raw_C"] = c_raw
@@ -89,7 +78,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     for row in split_rows:
         length = row["L"]
         box = IntBox.centered((length, length))
-        b1, b2 = _split(box)
+        b1, b2 = halve(box)
         half_c = 0.5 * c_cal
         fp = row["F"] + half_c * box.surface_measure(h)
         fp1 = row["F1"] + half_c * b1.surface_measure(h)

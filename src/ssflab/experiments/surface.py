@@ -21,10 +21,13 @@ from ..randomfield import sample_couplings, split_signs
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
     ambient_for, mean_and_var
 
+# the grid energy nearest this one carries the convergence and transverse checks
+CONVERGENCE_ENERGY = -0.5
+
 
 def _strip(config: ExperimentConfig, line_len: int, transverse: int):
     """(grid, line window) of one strip around the line x_2 = 0."""
-    margin = int(config.opt("margin", 16))
+    margin = config.opt("margin")
     grid = ambient_for(IntBox.centered((line_len + 2 * margin, transverse)), 0,
                        config.spacing)
     return grid, IntBox.centered((line_len,))
@@ -70,7 +73,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
         raise ExperimentError("surface campaign uses a 2D strip (nu1 = 1)")
     if not config.schedule or not config.energies:
         raise ExperimentError("surface needs a line schedule and energies")
-    transverse = int(config.opt("transverse", 11))
+    transverse = config.opt("transverse")
     profile_width = max(config.build_profile().values.shape)
     if transverse < 8 * profile_width:
         raise ExperimentError("transverse extent must be >= 8x the profile width")
@@ -78,8 +81,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
 
     rec = ResultRecord("surface", config.seed, config.digest())
     lam_grid = np.asarray(config.energies)
-    lam_star = float(config.opt("convergence_energy", -0.5))
-    star = int(np.argmin(np.abs(lam_grid - lam_star)))
+    star = int(np.argmin(np.abs(lam_grid - CONVERGENCE_ENERGY)))
     reals = list(range(config.realizations))
 
     chain_exact = True
@@ -133,7 +135,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     rec.aggregates["xi_per_length"] = dict(zip(map(str, config.schedule), per_len_mean))
     rec.aggregates["variance"] = dict(zip(map(str, config.schedule), per_len_var))
 
-    if config.opt("check_transverse", True):
+    if config.opt("check_transverse"):
         l0 = config.schedule[0]
         wide_strip = _strip(config, l0, 2 * transverse + 1)
         wide = _shifts(config, wide_strip, [0])[0][0][star]

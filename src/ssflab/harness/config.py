@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..experiments.base import DEFAULT_TOLERANCES, ExperimentConfig
+from ..experiments.base import CAMPAIGNS, ExperimentConfig
 from ..randomfield import DistributionSpec, FieldError
 
 
@@ -22,10 +22,9 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
 
 
-EXPERIMENTS = ("bulk-limit", "locality", "cutoff", "cluster", "subadditive",
-               "surface", "kirsch", "resolvent", "brownian")
+EXPERIMENTS = tuple(CAMPAIGNS)
 
-# key -> value kind
+# key -> value kind, for the keys every campaign takes
 _SCHEMA = {
     "experiment": "str",
     "seed": "int",
@@ -46,50 +45,26 @@ _SCHEMA = {
     "schedule": "int_list",
     "energies": "float_list",
     "times": "float_list",
-    "tolerances.bulk_deviation": "float",
-    "tolerances.variance_slack": "float",
-    "tolerances.slope_low": "float",
-    "tolerances.slope_high": "float",
-    "tolerances.relative_change": "float",
-    "tolerances.transverse_tol": "float",
-    "tolerances.additivity": "float",
-    "tolerances.dual_rel": "float",
-    "options.margin": "int",
-    "options.ambient_factor": "int",
-    "options.transverse": "int",
-    "options.box_side": "int",
-    "options.t": "float",
-    "options.safety_factor": "float",
-    "options.e_values": "float_list",
-    "options.e_main": "float",
-    "options.power": "int",
-    "options.bump_lo": "float",
-    "options.bump_hi": "float",
-    "options.decay_comparison": "float_list",
-    "options.additivity_sites": "int",
-    "options.additivity_block": "int",
-    "options.additivity_gap": "int",
-    "options.check_transverse": "bool",
-    "options.paths": "int",
-    "options.bridge": "bool",
-    "options.distances": "float_list",
-    "options.nus": "int_list",
-    "options.joint_t": "float",
 }
 
-_REQUIRED = {
-    "bulk-limit": ("grid.dimension", "distribution.kind", "profile.kind",
-                   "schedule", "energies"),
-    "locality": ("grid.dimension", "distribution.kind", "profile.kind", "schedule"),
-    "cutoff": ("grid.dimension", "distribution.kind", "profile.kind", "schedule"),
-    "cluster": ("grid.dimension", "distribution.kind", "profile.kind", "schedule"),
-    "subadditive": ("grid.dimension", "distribution.kind", "profile.kind", "schedule"),
-    "surface": ("grid.dimension", "distribution.kind", "profile.kind",
-                "schedule", "energies"),
-    "kirsch": ("grid.dimension", "profile.kind", "schedule", "energies", "times"),
-    "resolvent": ("grid.dimension", "distribution.kind", "profile.kind", "schedule"),
-    "brownian": (),
-}
+
+def _kind(default) -> str:
+    """A declared key's kind, from its default: bool, int, float or a list."""
+    if isinstance(default, tuple):
+        return type(default[0]).__name__ + "_list"
+    return type(default).__name__
+
+
+def _schema(experiment) -> dict:
+    """Every key the experiment takes, with its kind; for a missing or unknown
+    experiment the keys of any campaign, so only keys none takes are reported."""
+    schema = dict(_SCHEMA)
+    for keys in [CAMPAIGNS[experiment]] if experiment in CAMPAIGNS else CAMPAIGNS.values():
+        for section in ("tolerances", "options"):
+            schema.update((f"{section}.{name}", _kind(default))
+                          for name, default in getattr(keys, section).items())
+    return schema
+
 
 def _coerce(kind: str, raw: str):
     if kind == "int":
@@ -166,25 +141,28 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     violations: list = []
     raw = _parse_lines(text, violations)
 
-    vals = {}
-    for key, rawval in raw.items():
-        if key not in _SCHEMA:
-            violations.append(f"{key}: unknown key")
-            continue
-        try:
-            vals[key] = _coerce(_SCHEMA[key], rawval)
-        except ValueError as exc:
-            violations.append(f"{key}: {exc}")
-    vals.update((k, v) for k, v in (overrides or {}).items() if v is not None)
-
-    experiment = vals.get("experiment")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    experiment = overrides.get("experiment", raw.get("experiment"))
     if experiment is None:
         violations.append("experiment: missing")
-    elif experiment not in EXPERIMENTS:
+    elif experiment not in CAMPAIGNS:
         violations.append(f"experiment: unknown experiment {experiment!r}")
+    schema = _schema(experiment)
 
-    if experiment in _REQUIRED:
-        for req in _REQUIRED[experiment]:
+    vals = {}
+    for key, rawval in raw.items():
+        if key not in schema:
+            violations.append(f"{key}: unknown key" + (
+                f" for {experiment}" if experiment in CAMPAIGNS else ""))
+            continue
+        try:
+            vals[key] = _coerce(schema[key], rawval)
+        except ValueError as exc:
+            violations.append(f"{key}: {exc}")
+    vals.update(overrides)
+
+    if experiment in CAMPAIGNS:
+        for req in CAMPAIGNS[experiment].required:
             if req not in vals:
                 violations.append(f"{req}: required for {experiment}")
 
@@ -207,7 +185,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     if violations:
         raise ConfigError(violations)
 
-    tolerances = dict(DEFAULT_TOLERANCES.get(experiment, {}))
+    tolerances = dict(CAMPAIGNS[experiment].tolerances)
     options = {}
     profile = {}
     for key, value in vals.items():

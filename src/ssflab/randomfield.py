@@ -122,14 +122,6 @@ class DistributionSpec:
         idx = np.minimum(idx, len(self.values) - 1)
         return np.asarray(self.values, dtype=float)[idx]
 
-    def mean(self) -> float:
-        if self.kind == "bernoulli":
-            v0, v1 = self.values
-            return (1.0 - self.p) * v0 + self.p * v1
-        if self.kind == "uniform":
-            return 0.5 * (self.low + self.high)
-        return float(np.dot(self.values, self.weights))
-
     def describe(self) -> str:
         if self.kind == "bernoulli":
             return f"bernoulli(p={self.p},values={self.values})"

@@ -101,24 +101,6 @@ def test_mirrored_halfspace_same_law():
     assert abs(down.p_hat - exact) <= 3.0 * down.stderr
 
 
-def test_box_target_bridge():
-    # in 1D a box target is an interval, and it is hit exactly when its near
-    # face is: the bridged estimate follows the closed form
-    (est,), = simulate_hitting(np.zeros(1), [box_region((1.0,), (2.0,))], [1.0],
-                               paths=40000, seed=4)
-    assert est.bridge
-    assert abs(est.p_hat - halfspace_exact(1.0, 1.0)) <= 3.0 * est.stderr
-    # in 2D the bridged estimate dominates endpoint detection, and a box that
-    # spans the other axis far beyond the paths' reach acts as its half-space
-    x = np.zeros(2)
-    regions = [box_region((-1.0, 1.0), (1.0, 2.0)), box_region((-50.0, 1.0), (50.0, 2.0))]
-    bridged, = simulate_hitting(x, regions, [0.5], paths=20000, seed=4)
-    plain, = simulate_hitting(x, regions, [0.5], paths=20000, bridge=False, seed=4)
-    assert all(b.p_hat > p.p_hat for b, p in zip(bridged, plain))
-    (slab,), = simulate_hitting(x, [half_space(1, 1.0)], [0.5], paths=20000, seed=4)
-    assert abs(bridged[1].p_hat - slab.p_hat) <= 1e-12
-
-
 def test_dt_and_path_preconditions():
     with pytest.raises(RegionError):
         simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0], paths=10)
@@ -129,6 +111,9 @@ def test_dt_and_path_preconditions():
         simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], [0.0])
     with pytest.raises(RegionError):
         joint_bound_check(np.zeros(2), box_region((-1.0, -1.0), (1.0, 1.0)), 0.0)
+    with pytest.raises(RegionError):  # a box is the joint bound's, not a hitting target
+        simulate_hitting(np.zeros(2), [half_space(0, 1.0), box_region((1.0, -1.0), (2.0, 1.0))],
+                         [1.0], paths=1000)
 
 
 def test_simulation_deterministic_in_seed():
@@ -155,19 +140,10 @@ def _reference_p_hat(x, region, t, paths, seed, bridge=True):
             new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, x.shape[0]))
             if not bridge:
                 survive *= ~region.contains(new)
-            elif region.kind == "half_space":
+            else:
                 c, d = region.side * pos[:, region.axis], region.side * new[:, region.axis]
                 a = (region.side * region.threshold - c) * (region.side * region.threshold - d)
                 survive *= _bridge_avoid(a, dt)
-            else:
-                # the step misses the box when some coordinate misses its interval
-                meet = 1.0
-                for j, (lo, hi) in enumerate(zip(region.lo, region.hi)):
-                    face = np.where(pos[:, j] < lo, lo, hi)
-                    a = np.where((pos[:, j] < lo) | (pos[:, j] > hi),
-                                 (face - pos[:, j]) * (face - new[:, j]), 0.0)
-                    meet = meet * (1.0 - _bridge_avoid(a, dt))
-                survive *= 1.0 - meet
             pos = new
         total += float(np.sum(1.0 - survive))
         squares += float(np.sum((1.0 - survive) ** 2))
@@ -191,10 +167,9 @@ def test_shared_paths_equal_separate_calls(nu):
         assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 5000, 3)
 
 
-def test_list_form_endpoint_detection_and_box_bridge():
+def test_list_form_endpoint_detection_and_bridge():
     x = np.array([2.0, 0.0])
-    box = box_region((-1.0, -1.0), (1.0, 1.0))
-    regions = [half_space(0, 3.0), box, half_space(1, -1.0, side=-1)]
+    regions = [half_space(0, 3.0), half_space(1, -1.0, side=-1)]
     plain, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=False, seed=4)
     assert not any(e.bridge for e in plain)
     for r, est in zip(regions, plain):
@@ -211,8 +186,7 @@ def test_list_form_endpoint_detection_and_box_bridge():
 @pytest.mark.parametrize("nu", [1, 2])
 def test_times_share_one_draw(nu, bridge):
     x = np.zeros(nu)
-    box = box_region((1.0,) + (-1.0,) * (nu - 1), (2.0,) + (1.0,) * (nu - 1))
-    regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1), box,
+    regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1),
                half_space(0, -0.5)]  # the last one holds the start
     times = [0.25, 1.0]
     joint = simulate_hitting(x, regions, times, paths=2000, bridge=bridge, seed=3)
@@ -221,8 +195,8 @@ def test_times_share_one_draw(nu, bridge):
         alone, = simulate_hitting(x, regions, [t], paths=2000, bridge=bridge, seed=3)
         assert ests == alone
         assert all(e.bridge == bridge for e in ests)
-        assert ests[3].p_hat == 1.0 and ests[3].stderr == 0.0
-        for r, est in zip(regions[:3], ests):
+        assert ests[2].p_hat == 1.0 and ests[2].stderr == 0.0
+        for r, est in zip(regions[:2], ests):
             assert 0.0 < est.p_hat < 1.0
             assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 3, bridge=bridge)
 
@@ -304,8 +278,8 @@ def test_sweep_boundary_matches_block_references():
         == [[br._PATH_BLOCK] * 4, [1000]]
     x = np.zeros(2)
     # at this key, summing the hit chances over a whole sweep at once moves the
-    # box estimate by one ulp
-    regions = [half_space(0, 0.5), box_region((0.5, -1.0), (2.0, 1.0))]
+    # standard error of the side -1 estimate by one ulp
+    regions = [half_space(0, 0.5), half_space(1, -0.5, side=-1)]
     ests, = simulate_hitting(x, regions, [0.25], paths=paths, seed=3)
     for r, est in zip(regions, ests):
         assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.25, paths, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ssflab.experiments import RUNNERS
+from ssflab.experiments.base import CAMPAIGNS
 from ssflab.harness.cli import main
 from ssflab.harness.config import ConfigError, config_digest, parse_config
 from ssflab.harness.parallel import parallel_map
@@ -107,6 +109,76 @@ def test_unknown_experiment_rejected():
 def test_digest_roundtrip():
     assert config_digest(MINIMAL_BULK) == hashlib.sha256(
         MINIMAL_BULK.encode()).hexdigest()
+
+
+# -- the campaign key table ------------------------------------------------------
+
+def _shipped(experiment):
+    """The text of the first shipped config of the experiment."""
+    return next(t for t in (p.read_text() for p in sorted(CONFIGS.glob("*.cfg")))
+                if f"experiment = {experiment}\n" in t)
+
+
+def _text(value):
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _declared():
+    return [(exp, section, name, default) for exp, keys in CAMPAIGNS.items()
+            for section in ("tolerances", "options")
+            for name, default in getattr(keys, section).items()]
+
+
+def test_runners_are_the_declared_campaigns():
+    assert set(RUNNERS) == set(CAMPAIGNS)
+
+
+@pytest.mark.parametrize("exp, section, name, default", _declared(),
+                         ids=[f"{e}-{n}" for e, _, n, _ in _declared()])
+def test_declared_key_reaches_tol_and_opt(exp, section, name, default):
+    if isinstance(default, bool):
+        value = not default
+    elif isinstance(default, tuple):
+        value = default + (default[-1] + 1,)
+    else:
+        value = default + 1
+    key = f"{section}.{name}"
+    kept = [line for line in _shipped(exp).splitlines()
+            if line.split("=")[0].strip() != key]
+    cfg = parse_config("\n".join(kept + [f"{key} = {_text(value)}"]))
+    got = cfg.tol(name) if section == "tolerances" else cfg.opt(name)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("exp", sorted(CAMPAIGNS))
+def test_another_campaigns_key_is_a_violation(exp):
+    own = {(s, n) for e, s, n, _ in _declared() if e == exp}
+    foreign = {f"{s}.{n}": d for _, s, n, d in _declared() if (s, n) not in own}
+    text = _shipped(exp) + "".join(f"{k} = {_text(d)}\n" for k, d in foreign.items())
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    named = {v.split(":")[0] for v in err.value.violations}
+    assert named == set(foreign)
+
+
+def test_opt_rejects_an_undeclared_name():
+    cfg = parse_config(_shipped("surface"))
+    assert cfg.opt("transverse") == 11
+    with pytest.raises(KeyError):
+        cfg.opt("convergence_energy")
+    with pytest.raises(KeyError):
+        dataclasses.replace(cfg, options={"bridge": False}).opt("bridge")
+
+
+def test_readme_lists_every_declared_option():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    listing = readme[readme.index("Per-experiment options"):readme.index("## Library layout")]
+    bullets = {b.split("`")[1]: b for b in listing.split("\n* ")[1:]}
+    for exp, keys in CAMPAIGNS.items():
+        for name in keys.options:
+            assert f"`{name}`" in bullets[exp], (exp, name)
 
 
 # -- parallel map ----------------------------------------------------------------
