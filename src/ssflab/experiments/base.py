@@ -92,6 +92,13 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        keys = CAMPAIGNS.get(self.experiment)
+        if keys is None:
+            raise ExperimentError(f"unknown experiment {self.experiment!r}")
+        for section, declared in (("tolerances", keys.tolerances), ("options", keys.options)):
+            stray = sorted(set(getattr(self, section)) - set(declared))
+            if stray:
+                raise ExperimentError(f"{section}.{stray[0]}: unknown key for {self.experiment}")
         object.__setattr__(self, "schedule", tuple(int(v) for v in self.schedule))
         object.__setattr__(self, "energies", tuple(float(v) for v in self.energies))
         object.__setattr__(self, "times", tuple(float(v) for v in self.times))

@@ -68,12 +68,9 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
         raise ExperimentError("additivity supports overlap")
 
     h0 = free_hamiltonian(grid)
-    mk = lambda box: assemble_hamiltonian(grid, assemble_potential(
-        grid, profile, field, "sharp", box))
-    h1, h2 = mk(b1), mk(b2)
-    v12 = assemble_potential(grid, profile, field, "sharp", b1).values \
-        + assemble_potential(grid, profile, field, "sharp", b2).values
-    h12 = assemble_hamiltonian(grid, PotentialField(grid, v12))
+    v1, v2 = (assemble_potential(grid, profile, field, "sharp", b) for b in (b1, b2))
+    h1, h2, h12 = (assemble_hamiltonian(grid, v) for v in
+                   (v1, v2, PotentialField(grid, v1.values + v2.values)))
 
     spectra = [spectral.eig_all(x)[0] for x in (h0, h1, h2, h12)]
     lo = min(s.min() for s in spectra) - 0.5

@@ -3,13 +3,12 @@
 Counting never diagonalises H; one kernel per operand kind runs all energies
 of a call, and for a stack of operators on one grid (a Hamiltonian with diag
 (k, n)) all operators at once, each (operator, energy) lane bitwise as if
-counted alone.  Chains (1D, or one axis longer than one site) run the Sturm
-recurrence, on Python floats for a few lanes and on numpy lanes otherwise,
-which walk a long constant run only to its fixed point; other grid
-Hamiltonians a block-Schur elimination over slices with one batched ``eigh``
-per slice over all lanes; plain symmetric matrices the LAPACK
-symmetric-indefinite factorization.  A near-breakdown (pivot below
-1e-12 * |H|, per operator) falls back to an eigenvalue-based count
+counted alone.  Chains (1D, or one axis longer than one site) run one Sturm
+walk over all lanes at once, which takes a long constant run only to its
+fixed point; other grid Hamiltonians a block-Schur elimination over slices
+with one batched ``eigh`` per slice over all lanes; plain symmetric matrices
+the LAPACK symmetric-indefinite factorization.  A near-breakdown (pivot
+below 1e-12 * |H|, per operator) falls back to an eigenvalue-based count
 (``eigvals_banded`` over a range on that operator's band) rather than
 silently approximating.  A grid H (every operator of a stack) that commutes
 with the mirror of an odd trailing axis is counted and banded-diagonalised
@@ -39,7 +38,6 @@ from .model import Grid, Hamiltonian, grid_band
 DENSE_LIMIT = 4000
 _BREAKDOWN_REL = 1e-12
 _RUN = 32  # shortest constant Sturm run that is walked only to its fixed point
-_LANES = 24  # fewest (operator, energy) lanes that the numpy Sturm walk takes
 
 
 class SizeLimitError(RuntimeError):
@@ -89,76 +87,30 @@ def _single(h) -> None:
 def _sturm_counts(d: np.ndarray, e: np.ndarray, lams: np.ndarray, scale) -> np.ndarray:
     """Negative pivots of the LDLT of (T_j - lam), (k, n_lam) counts, for the
     tridiagonal T_j with diagonal d[j] (d is (k, n)) and off-diagonal e.
-    Exact zero pivots are replaced by +pivmin of T_j: an eigenvalue sitting
-    exactly at lam is then not counted (strictly below).  A run of at least
-    _RUN sites with constant (d_ji, e_i^2) for every j is walked only until
-    every pivot repeats bitwise: every later site of the run repeats it.
-    Each (operator, energy) lane runs the same float operations; below
-    _LANES lanes on Python floats, else all at once on numpy arrays."""
-    pivmin = np.maximum(scale, 1.0) * 2.3e-308
+    Every (operator, energy) lane runs the same float operations, all lanes
+    at once in one (k, n_lam) array, walked in blocks of sites.  Exact zero
+    pivots are replaced by +pivmin of T_j (a block that meets one is walked
+    again): an eigenvalue sitting exactly at lam is then not counted
+    (strictly below).  A run of at least _RUN sites with constant
+    (d_ji, e_i^2) for every j ends after the first block whose last two
+    pivots agree in every lane: a lane at its fixed point repeats bitwise."""
     rest, e2s = d[:, 1:], e * e
     change = np.any(rest[:, 1:] != rest[:, :-1], axis=0) | (e2s[1:] != e2s[:-1])
     edges = np.flatnonzero(np.concatenate(([True], change, [True])))
     runs = np.flatnonzero(np.diff(edges) >= _RUN)
     cuts = [0, *np.stack([edges[runs], edges[runs + 1]], 1).ravel().tolist(), rest.shape[1]]
-    spans = list(zip(cuts, cuts[1:]))  # alternate: sites walked one by one, a long run
-    if d.shape[0] * lams.size >= _LANES:
-        return _sturm_lanes(d, e2s, spans, lams, pivmin[:, None])
-    return np.array([_sturm_floats(dj, e2s, spans, lams, float(pj))
-                     for dj, pj in zip(d, pivmin)], dtype=np.int64).reshape(-1, lams.size)
-
-
-def _sturm_floats(d: np.ndarray, e2s: np.ndarray, spans: list, lams: np.ndarray,
-                  pivmin: float) -> list:
-    """_sturm_counts of one chain on Python floats, one energy at a time."""
-    d0, rest = float(d[0]), d[1:]
-    segs = [(float(rest[lo]), float(e2s[lo]), hi - lo) if i % 2 else
-            (rest[lo:hi].tolist(), e2s[lo:hi].tolist())
-            for i, (lo, hi) in enumerate(spans)]
-    counts = []
-    for lam in lams.tolist():
-        q = d0 - lam
-        if q == 0.0:
-            q = pivmin
-        count = 1 if q < 0.0 else 0
-        for i, seg in enumerate(segs):
-            if i % 2:
-                a, e2 = seg[0] - lam, seg[1]
-                for left in range(seg[2], 0, -1):
-                    p, q = q, a - e2 / q
-                    if q == 0.0:
-                        q = pivmin
-                    if q == p:  # this site and all `left` - 1 after it
-                        count += left if q < 0.0 else 0
-                        break
-                    count += q < 0.0
-                continue
-            for di, e2 in zip(*seg):
-                q = (di - lam) - e2 / q
-                if q == 0.0:
-                    q = pivmin
-                if q < 0.0:
-                    count += 1
-        counts.append(count)
-    return counts
-
-
-def _sturm_lanes(d: np.ndarray, e2s: np.ndarray, spans: list, lams: np.ndarray,
-                 pivmin: np.ndarray) -> np.ndarray:
-    """_sturm_counts with every (operator, energy) lane in one (k, n_lam)
-    array, walked in blocks of sites; a run ends after the first block whose
-    last two pivots agree in every lane (a lane at its fixed point repeats)."""
-    piv = np.broadcast_to(pivmin, (d.shape[0], lams.size))
+    piv = np.broadcast_to(np.maximum(scale, 1.0)[:, None] * 2.3e-308, (d.shape[0], lams.size))
     q = d[:, :1] - lams
     np.copyto(q, piv, where=q == 0.0)
     count = (q < 0.0).astype(np.int64)
     block = max(_RUN, 2 ** 16 // q.size)
-    for i, (lo, hi) in enumerate(spans):
+    # spans alternate: sites walked one by one, a long run
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
         step = _RUN // 2 if i % 2 else block
         for at in range(lo, hi, step):
             end = min(at + step, hi)
-            dl = np.broadcast_to(d[:, lo + 1, None] - lams, (end - at,) + q.shape) \
-                if i % 2 else d[:, at + 1:end + 1].T[:, :, None] - lams
+            dl = np.broadcast_to(rest[:, lo, None] - lams, (end - at,) + q.shape) \
+                if i % 2 else rest[:, at:end].T[:, :, None] - lams
             qs = np.empty(dl.shape)
             for fix in (False, True):  # a block that meets a zero pivot is walked again
                 p = q

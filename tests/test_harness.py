@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ssflab.experiments import RUNNERS
-from ssflab.experiments.base import CAMPAIGNS
+from ssflab.experiments.base import CAMPAIGNS, ExperimentError
 from ssflab.harness.cli import main
 from ssflab.harness.config import ConfigError, config_digest, parse_config
 from ssflab.harness.parallel import parallel_map
@@ -168,8 +168,19 @@ def test_opt_rejects_an_undeclared_name():
     assert cfg.opt("transverse") == 11
     with pytest.raises(KeyError):
         cfg.opt("convergence_energy")
-    with pytest.raises(KeyError):
-        dataclasses.replace(cfg, options={"bridge": False}).opt("bridge")
+    with pytest.raises(ExperimentError, match="options.bridge"):
+        dataclasses.replace(cfg, options={"bridge": False})
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"experiment": "bulk"}, "'bulk'"),
+    ({"tolerances": {"dual_rel": 1e-8}}, "tolerances.dual_rel"),
+], ids=["experiment", "tolerance"])
+def test_config_built_in_code_checks_its_keys(fields, key):
+    cfg = parse_config(_shipped("surface"))
+    with pytest.raises(ExperimentError, match=key):
+        dataclasses.replace(cfg, **fields)
+    assert dataclasses.replace(cfg, options={"transverse": 5}).opt("transverse") == 5
 
 
 def test_readme_lists_every_declared_option():
