@@ -11,6 +11,8 @@ path's survival by the chance that the Brownian bridge between its end points
 misses the target (Glasserman, Monte Carlo Methods in Financial Engineering,
 6.4; Borodin & Salminen, Handbook of Brownian Motion), so the estimates are
 unbiased at any step count; endpoint detection alone (bridge=False) is not.
+Work that cannot move a bit is skipped: no box factor from a start outside
+the box, and image terms past the face terms only on steps nearly across it.
 
 One call estimates many regions and times from one draw of the counter-based
 paths (Philox keyed by seed and block), each bitwise as if simulated alone.
@@ -40,6 +42,7 @@ _SWEEP = 4          # blocks advanced together per step; larger sweeps leave cac
 _N_STEPS = 32
 _EPS = 1.0          # eps of the joint bound's envelope constant C_eps
 _FAR = 40.0         # a face product a >= _FAR dt: exp(-a/dt) < 2^-54, a bridge factor of 1.0
+_TAIL = 45.0        # box image terms below exp(-_TAIL) are dropped
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +148,19 @@ def _sweeps(times, paths: int, seed: int) -> list:
             for first in range(0, len(blocks), _SWEEP)]
 
 
-def _avoid(a, dt):
-    """1 - exp(-a/dt): the chance that a Brownian bridge over a step dt misses a
-    face at signed distances from its end points whose product is a (0 if a <= 0)."""
-    return 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / dt))
-
-
 def _stay_in_box(x0, x1, lo, hi, dt, survive) -> None:
     """Multiply each live path's survival by the exact chance that its Brownian
     bridge from x0 to x1 over a step dt stays in the open box (lo, hi): over the
     independent coordinates, the product of the image series (width w,
     u = x0 - lo, v = x1 - lo, s = 2 dt)
         sum_k exp(-2kw(kw + v - u)/s) - exp(-2(kw - u)(kw - v)/s),
-    which is 0 when an end point leaves the interval.  Paths with both face
-    products a, b >= _FAR dt are skipped: every term is then below exp(-40) and
-    the factor rounds to 1.0.  It keeps |k| <= K, K the least with
-    K(K+1) w^2 >= 45 dt: each dropped term is below exp(-45), and they fall off
-    geometrically, so together they stay below 2^-54.  Dead paths are skipped."""
+    which is 0 when an end point leaves the interval.  Dead paths are skipped,
+    and so are paths with both face products a, b >= _FAR dt: every term is
+    then below exp(-40) and the factor rounds to 1.0.  The k >= 1 terms are
+    evaluated only where a step nearly crosses the interval,
+    w(w - |v - u|) < _TAIL dt, and there for k <= K, K the least with
+    K(K+1) w^2 >= _TAIL dt.  Each dropped term is below exp(-_TAIL), and they
+    fall off geometrically, so together they stay below 2^-54."""
     for j, (lo_j, hi_j) in enumerate(zip(lo, hi)):
         a = (x0[:, j] - lo_j) * (x1[:, j] - lo_j)
         b = (hi_j - x0[:, j]) * (hi_j - x1[:, j])
@@ -169,10 +168,14 @@ def _stay_in_box(x0, x1, lo, hi, dt, survive) -> None:
         a, b, w = a[idx], b[idx], hi_j - lo_j
         u, v = x0[idx, j] - lo_j, x1[idx, j] - lo_j
         f = 1.0 - np.exp(-a / dt) - np.exp(-b / dt)  # the two faces' k = 0, 1 terms
-        K = next(k for k in itertools.count(1) if k * (k + 1) * w * w >= 45.0 * dt)
-        for kw in w * np.arange(1.0, K + 1):  # term by term, into (m,) buffers
-            f += np.exp(-kw * (kw + v - u) / dt) + np.exp(-kw * (kw - v + u) / dt)
-            f -= np.exp(-(kw + u) * (kw + v) / dt) + np.exp(-(kw + w - u) * (kw + w - v) / dt)
+        near = (w * (w - np.abs(v - u)) < _TAIL * dt).nonzero()[0]
+        if near.size:  # the k >= 1 terms, term by term
+            u, v = u[near], v[near]
+            K = next(k for k in itertools.count(1) if k * (k + 1) * w * w >= _TAIL * dt)
+            for kw in w * np.arange(1.0, K + 1):
+                f[near] += np.exp(-kw * (kw + v - u) / dt) + np.exp(-kw * (kw - v + u) / dt)
+                f[near] -= (np.exp(-(kw + u) * (kw + v) / dt)
+                            + np.exp(-(kw + w - u) * (kw + w - v) / dt))
         f[(a <= 0.0) | (b <= 0.0)] = 0.0
         survive[idx] *= np.maximum(f, 0.0)
 
@@ -206,9 +209,9 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     bridge=True each step multiplies a path's survival by the chance that the
     bridge between the step's end points misses B, so the hit chance
     1 - survival dominates plain endpoint detection pathwise.  A half-space
-    takes the exact factor 1 - exp(-a/dt), a = (b - x0)(b - x1), evaluated only
-    where a < _FAR dt (elsewhere it is 1.0 bitwise).  Targets are half-spaces:
-    a box raises RegionError.
+    takes the exact factor 1 - exp(-a/dt), a = (b - x0)(b - x1) (0 if a <= 0),
+    evaluated only where a < _FAR dt (elsewhere it is 1.0 bitwise).  Targets
+    are half-spaces: a box raises RegionError.
 
     Each block of a sweep draws into its own slice and sums its own hit
     chances and their squares, added in block order, so estimates are bitwise
@@ -247,7 +250,8 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
                         # a bitwise unchanged, so one formula serves both sides
                         a = (r.threshold - old[:, r.axis]) * (r.threshold - new[:, r.axis])
                         idx = (a < _FAR * step_dt).nonzero()[0]
-                        s[idx] *= _avoid(a[idx], step_dt)
+                        a = a[idx]
+                        s[idx] *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / step_dt))
                 pos[i], spare[i] = new, old
         for block, _ in sweep:
             for i, k in itertools.product(range(len(times)), outside):
@@ -299,6 +303,9 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     with envelope 1 inside the box and C_eps exp(-d^2/(2(4+eps)t)) outside,
     eps = 1.  Each path carries its survival S, the product of the exact step
     factors of _stay_in_box, so p_exit = E[1 - S], lhs = E[1{X_t in B}(1 - S)].
+    From a start outside the box S is 0 at tau = 0 and no factor is evaluated;
+    the paths are still drawn, since lhs reads their end points.  Inside,
+    _stay_in_box adds image terms only on steps that nearly cross the box.
     Returns the estimates with their standard errors, the closed-form exit
     chance p_exit_exact, the analytic right side and a 3-sigma verdict.
     Paths advance in sweeps as in simulate_hitting, bitwise as block by block.
@@ -322,7 +329,8 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
             for block, rng in sweep:
                 rng.standard_normal(out=new[block])
             new = np.add(pos, np.multiply(new, sigma, out=new), out=new)
-            _stay_in_box(pos, new, box_b.lo, box_b.hi, dt, survive)
+            if alive:  # from a start outside the box every factor multiplies 0
+                _stay_in_box(pos, new, box_b.lo, box_b.hi, dt, survive)
             pos, new = new, pos
         in_b = box_b.contains(pos)
         for block, _ in sweep:

@@ -13,33 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 from .. import spectral
-from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
-    dirichlet_restriction, free_hamiltonian
+from ..model import IntBox, assemble_hamiltonian, assemble_potential, dirichlet_restriction
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
     ambient_for, gershgorin_window_check, mean_and_var
 
 
-def _ambient(config, ambient_factor, lam_grid):
-    """(grid, profile, N(lam; H0), cutoff box per length) of the ambient box."""
-    side = ambient_factor * max(config.schedule)
-    grid = ambient_for(IntBox.centered((side,) * config.dimension), 0, config.spacing)
-    cuts = {length: IntBox.centered((length,) * config.dimension)
-            for length in config.schedule}
-    return grid, config.build_profile(), \
-        spectral.count_below(free_hamiltonian(grid), lam_grid), cuts
-
-
-def _xi_per_meas(config, ambient, fields, length, lam_grid):
-    """(xi(lam) per field, (k, n_lam), and meas(Lambda)) for one cutoff
-    length: the fields' Hamiltonians counted as one stack."""
-    grid, profile, c0, cuts = ambient
-    pot = assemble_potential(grid, profile, fields, "lattice_sum", cuts[length])
+def _xi_per_meas(config, grid, fields, length, lam_grid):
+    """(xi(lam) per field, (k, n_lam), and meas(Lambda)) for the cutoff box of
+    one length: the fields' Hamiltonians counted as one stack.  Every lam is
+    negative and H0 > 0, so N(lam; H0) = 0 and xi = -N(lam; H)."""
+    cut = IntBox.centered((length,) * config.dimension)
+    pot = assemble_potential(grid, config.build_profile(), fields, "lattice_sum", cut)
     # the lowest upper spectral edge of the stack bounds every energy
     gershgorin_window_check(lam_grid, pot.values.max(axis=1).min(), config.dimension,
                             config.spacing)
-    xi = c0 - spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
-    return xi, cuts[length].measure(config.spacing)
+    xi = -spectral.count_below(assemble_hamiltonian(grid, pot), lam_grid)
+    return xi, cut.measure(config.spacing)
 
 
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
@@ -57,10 +47,10 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     lam_grid = np.asarray(config.energies)
     reals = range(config.realizations)
 
-    ambient = _ambient(config, factor, lam_grid)
-    grid, profile, _, cuts = ambient
+    side = factor * max(config.schedule)
+    grid = ambient_for(IntBox.centered((side,) * config.dimension), 0, config.spacing)
     fields = [sample_couplings(config.distribution, grid.box, config.seed, r) for r in reals]
-    per_length = {length: _xi_per_meas(config, ambient, fields, length, lam_grid)
+    per_length = {length: _xi_per_meas(config, grid, fields, length, lam_grid)
                   for length in config.schedule}
     for length in config.schedule:
         xis, meas = per_length[length]
@@ -71,7 +61,8 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
 
     # the -N(lam) proxy: Dirichlet counting per volume at the largest box, on
     # the full potential there, which only anchors within the profile's reach add to
-    box = cuts[max(config.schedule)]
+    box = IntBox.centered((max(config.schedule),) * config.dimension)
+    profile = config.build_profile()
     reach = max(max(-o, n - 1 + o) for o, n in zip(profile.offset, profile.values.shape))
     pot = assemble_potential(grid, profile, fields, "lattice_sum", box.padded(reach))
     restricted = dirichlet_restriction(assemble_hamiltonian(grid, pot), box)
@@ -122,8 +113,8 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
                       gap <= 3.0 * pooled + 1e-15, gap, 3.0 * pooled,
                       "disjoint realization blocks agree within 3 sigma")
 
-    wide = _ambient(config, 2 * factor, lam_grid)
-    field = sample_couplings(config.distribution, wide[0].box, config.seed, 0)
+    wide = ambient_for(IntBox.centered((2 * side,) * config.dimension), 0, config.spacing)
+    field = sample_couplings(config.distribution, wide.box, config.seed, 0)
     xi_b, _ = _xi_per_meas(config, wide, [field], last, lam_grid)
     shift = float(np.abs(xis[0] - xi_b[0]).max() / meas)
     rec.aggregates["ambient_doubling_shift"] = shift

@@ -1,3 +1,5 @@
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -314,6 +316,93 @@ def test_box_bridge_factor_matches_eigenfunction_series():
     br._stay_in_box(np.array([[0.0], [0.0], [1.0]]), np.array([[1.5], [-1.0], [0.5]]),
                     (-1.0,), (1.0,), 0.1, survive)
     assert survive.tolist() == [0.0, 0.0, 0.0]
+
+
+def _full_k_factor(u, v, w, dt):
+    """The box bridge factor on (0, w) with every image term up to K evaluated
+    on every path, in _stay_in_box's operation order."""
+    f = 1.0 - np.exp(-(u * v) / dt) - np.exp(-((w - u) * (w - v)) / dt)
+    K = next(k for k in itertools.count(1) if k * (k + 1) * w * w >= 45.0 * dt)
+    for kw in w * np.arange(1.0, K + 1):
+        f += np.exp(-kw * (kw + v - u) / dt) + np.exp(-kw * (kw - v + u) / dt)
+        f -= np.exp(-(kw + u) * (kw + v) / dt) + np.exp(-(kw + w - u) * (kw + w - v) / dt)
+    return np.where((u * v <= 0.0) | ((w - u) * (w - v) <= 0.0), 0.0, np.maximum(f, 0.0))
+
+
+def _stay_by_eigenfunctions_decimal(u, v, w, dt):
+    """_bridge_stay_by_eigenfunctions in 60-digit decimals: when a step nearly
+    crosses the interval both densities are tiny, and the float sine series
+    loses most of its digits to cancellation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        pi = D("3.14159265358979323846264338327950288419716939937510582097494459")
+
+        def sin(x):  # Taylor series after reduction to [0, 2 pi)
+            x = x % (2 * pi)
+            term = total = x
+            for k in itertools.count(1):
+                term *= -x * x / ((2 * k) * (2 * k + 1))
+                total += term
+                if abs(term) < D(10) ** -70:
+                    return total
+
+        u, v, w, dt = map(D, (u, v, w, dt))
+        killed = sum(2 / w * sin(n * pi * u / w) * sin(n * pi * v / w)
+                     * (-n * n * pi * pi * dt / (w * w)).exp() for n in range(1, 150))
+        return float(killed / ((-(v - u) ** 2 / (4 * dt)).exp() / (4 * pi * dt).sqrt()))
+
+
+def test_step_nearly_across_the_box_keeps_its_image_terms():
+    # from next to one face to next to the other in one step: the first image
+    # term is about exp(-1.9), so dropping it would lose 0.147 of the factor
+    u, v, w, dt = 0.01, 1.98, 2.0, 1.0 / 32
+    assert w * (w - abs(v - u)) < br._TAIL * dt
+    survive = np.ones(1)
+    br._stay_in_box(np.array([[u]]), np.array([[v]]), (0.0,), (w,), dt, survive)
+    assert survive[0] == _full_k_factor(np.array([u]), np.array([v]), w, dt)[0]
+    assert survive[0] == pytest.approx(_stay_by_eigenfunctions_decimal(u, v, w, dt), rel=1e-12)
+    face_terms_only = 1.0 - math.exp(-u * v / dt) - math.exp(-(w - u) * (w - v) / dt)
+    assert survive[0] - face_terms_only > 0.1
+
+
+@pytest.mark.parametrize("dt", [1.0 / 64, 1.0 / 32, 0.5, 2.0])
+def test_image_term_cut_within_its_bound(dt):
+    # random steps from within 0.3 of a face of (0, 2), every path evaluated
+    # (_FAR = inf): half Gaussian steps, half landing near the other face;
+    # at dt = 2 the series needs K = 5
+    rng = np.random.default_rng(11)
+    w = 2.0
+    u = np.where(rng.random(4000) < 0.5, 0.3, w - 0.3) + rng.uniform(-0.3, 0.3, 4000)
+    v = np.where(rng.random(4000) < 0.5, u + math.sqrt(2.0 * dt) * rng.standard_normal(4000),
+                 w - u + rng.uniform(-0.05, 0.05, 4000))
+    survive = np.ones(u.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(br, "_FAR", math.inf)
+        br._stay_in_box(u[:, None], v[:, None], (0.0,), (w,), dt, survive)
+    full = _full_k_factor(u, v, w, dt)
+    assert np.all(np.abs(survive - full) <= 2.0 ** -54)
+    live = (0.0 < v) & (v < w)
+    near = w * (w - np.abs(v - u)) < br._TAIL * dt
+    # live steps keep their image terms, bitwise as the full evaluation, and
+    # drop them wherever the cut can apply at all (w^2 >= _TAIL dt)
+    assert np.any(live & near)
+    assert np.any(live & ~near) == (w * w >= br._TAIL * dt)
+    assert np.array_equal(survive[near], full[near])
+
+
+def test_start_outside_the_box_evaluates_no_box_factor(monkeypatch):
+    box = box_region((-1.0, -1.0), (1.0, 1.0))
+    starts = ((2.0, 0.0), (0.0, 0.0))
+    want = [_reference_joint(np.array(s), box, 0.5, 2000, 5) for s in starts]
+    calls = []
+    stay = br._stay_in_box
+    monkeypatch.setattr(br, "_stay_in_box", lambda *args: calls.append(1) or stay(*args))
+    outside = joint_bound_check(np.array(starts[0]), box, 0.5, paths=2000, seed=5)
+    assert calls == [] and _joint(outside) == want[0]
+    assert outside["p_exit"] == 1.0 and 0.0 < outside["lhs"] < 1.0
+    inside = joint_bound_check(np.array(starts[1]), box, 0.5, paths=2000, seed=5)
+    assert len(calls) == br._N_STEPS and _joint(inside) == want[1]
 
 
 def test_interval_survival_matches_eigenfunction_series():
