@@ -12,7 +12,9 @@ misses the target (Glasserman, Monte Carlo Methods in Financial Engineering,
 6.4; Borodin & Salminen, Handbook of Brownian Motion), so the estimates are
 unbiased at any step count; endpoint detection alone (bridge=False) is not.
 Work that cannot move a bit is skipped: no box factor from a start outside
-the box, and image terms past the face terms only on steps nearly across it.
+the box, image terms past the face terms only on steps nearly across it, no
+step of a hitting estimate that exactly rescales another (B_{s^2 t} = s B_t,
+s a power of two), which is copied, and no axis that no target reads.
 
 One call estimates many regions and times from one draw of the counter-based
 paths (Philox keyed by seed and block), each bitwise as if simulated alone.
@@ -199,6 +201,31 @@ def _mean_and_stderr(total: float, squares: float, paths: int) -> tuple:
     return p, math.sqrt(max(squares / paths - p * p, 0.0) / (paths - 1))
 
 
+def _plan_lanes(x, regions, outside, steps) -> tuple:
+    """Split the (time, target) pairs of the targets in ``outside`` into lanes,
+    which are stepped, and twins, which copy a lane: (lanes, {twin: lane}).
+    Pair (i, k) is the twin of an earlier lane (i', k') when the targets share
+    axis and side, x is 0 on that axis, s = sigma_i / sigma_i' is a power of
+    two, and dt_i = s^2 dt_i' and b_k = s b_k' exactly (then sigma_i =
+    sqrt(2 dt_i) = s sigma_i' exactly too).  Scaling by s is exact outside the
+    subnormal range, so the twin's positions and gaps are s times its lane's,
+    and a / dt, the _FAR skip and the survival are bitwise its lane's."""
+    lanes, twins = [], {}
+    for i, k in itertools.product(range(len(steps)), outside):
+        (dt, sigma), r = steps[i], regions[k]
+        for i0, k0 in lanes:
+            (dt0, sigma0), r0 = steps[i0], regions[k0]
+            s = sigma / sigma0
+            if ((r.axis, r.side) == (r0.axis, r0.side) and x[r.axis] == 0.0
+                    and math.frexp(s)[0] == 0.5 and dt == s * s * dt0
+                    and r.threshold == s * r0.threshold):
+                twins[i, k] = (i0, k0)
+                break
+        else:
+            lanes.append((i, k))
+    return lanes, twins
+
+
 def simulate_hitting(x, regions, times, paths: int = 100_000,
                      bridge: bool = True, seed: int = 0) -> list:
     """Estimate P_x{tau_B <= t} for each region B and time t by direct path
@@ -213,9 +240,13 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     evaluated only where a < _FAR dt (elsewhere it is 1.0 bitwise).  Targets
     are half-spaces: a box raises RegionError.
 
-    Each block of a sweep draws into its own slice and sums its own hit
-    chances and their squares, added in block order, so estimates are bitwise
-    those of block-by-block runs.
+    Only the lanes of _plan_lanes are stepped; an exact-rescaling twin copies
+    its lane's sums.  Each (time, axis) that a lane reads advances one
+    contiguous position array (every axis is still drawn, so the Philox
+    stream is unchanged), and each lane carries its gap b - x from the end of
+    one step to the start of the next.  Each block of a sweep draws into its
+    own slice and sums its own hit chances and their squares, added in block
+    order, so estimates are bitwise those of block-by-block runs.
     """
     if any(r.kind != "half_space" for r in regions):
         raise RegionError("simulate_hitting takes half-space targets only")
@@ -225,38 +256,46 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     steps = [(t / _N_STEPS, math.sqrt(2.0 * (t / _N_STEPS))) for t in times]
     # a start inside B is a hit at tau = 0 on every path and needs no draw
     inside = [bool(r.contains(x[None, :])[0]) for r in regions]
-    outside = [k for k, hit in enumerate(inside) if not hit]
+    lanes, twins = _plan_lanes(x, regions, [k for k, hit in enumerate(inside) if not hit], steps)
+    tracks = {}  # (time, axis) -> the lanes reading that position
+    for lane, (i, k) in enumerate(lanes):
+        tracks.setdefault((i, regions[k].axis), []).append(lane)
     # per time and region: the sums of the hit chances and of their squares
     sums = np.tile(np.where(inside, float(paths), 0.0), (2, len(times), 1))
 
-    for sweep in sweeps if outside else ():
+    for sweep in sweeps if lanes else ():
         n = sweep[-1][0].stop
         z = np.empty((n, nu))  # every time scales it by its sigma
-        pos = [np.tile(x, (n, 1)) for _ in times]
-        spare = [np.empty((n, nu)) for _ in times]
-        survive = np.ones((len(times), len(regions), n))
+        pos = {track: np.full(n, x[track[1]]) for track in tracks}
+        gaps = [np.full(n, regions[k].threshold - x[regions[k].axis]) for _, k in lanes]
+        spare, spare_gap = np.empty(n), np.empty(n)
+        survive = np.ones((len(lanes), n))
         for _ in range(_N_STEPS):
             for block, rng in sweep:
                 rng.standard_normal(out=z[block])
-            for i, (step_dt, sigma) in enumerate(steps):
-                old = pos[i]
-                new = np.add(old, np.multiply(z, sigma, out=spare[i]), out=spare[i])
-                for k in outside:
-                    r, s = regions[k], survive[i, k]
-                    if not bridge:
-                        s *= ~r.contains(new)
+            for (i, j), readers in tracks.items():
+                step_dt, sigma = steps[i]
+                new = np.add(pos[i, j], np.multiply(z[:, j], sigma, out=spare), out=spare)
+                pos[i, j], spare = new, pos[i, j]
+                for lane in readers:
+                    r, s = regions[lanes[lane][1]], survive[lane]
+                    gap = np.subtract(r.threshold, new, out=spare_gap)
+                    if not bridge:  # new - b is exactly -(b - new)
+                        s *= r.side * gap > 0.0
                     else:
                         # flipping the signs of b, x0 and x1 (side -1) leaves
-                        # a bitwise unchanged, so one formula serves both sides
-                        a = (r.threshold - old[:, r.axis]) * (r.threshold - new[:, r.axis])
+                        # a bitwise unchanged, so one formula serves both sides;
+                        # a crossing, a <= 0, makes exp >= 1 and the factor 0.0
+                        a = gaps[lane] * gap
                         idx = (a < _FAR * step_dt).nonzero()[0]
-                        a = a[idx]
-                        s[idx] *= 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / step_dt))
-                pos[i], spare[i] = new, old
+                        s[idx] *= np.maximum(1.0 - np.exp(a[idx] / -step_dt), 0.0)
+                    gaps[lane], spare_gap = gap, gaps[lane]
         for block, _ in sweep:
-            for i, k in itertools.product(range(len(times)), outside):
-                h = 1.0 - survive[i, k, block]
+            for lane, (i, k) in enumerate(lanes):
+                h = 1.0 - survive[lane, block]
                 sums[:, i, k] += (float(np.sum(h)), float(np.sum(h * h)))
+    for (i, k), (i0, k0) in twins.items():
+        sums[:, i, k] = sums[:, i0, k0]
 
     return [[HittingEstimate(*_mean_and_stderr(total, squares, paths), paths, bridge)
              for total, squares in zip(*row)]

@@ -26,11 +26,24 @@ class ExperimentError(RuntimeError):
 class CampaignKeys(NamedTuple):
     """The config keys one campaign takes.  The parser copies the tolerance
     defaults into every parsed config; option defaults stay here, read by
-    ``opt``.  Each key's type is its default's (a list: its first element's)."""
+    ``opt``.  Each key's kind is its default's ``value_kind``."""
 
     required: tuple
     tolerances: dict
     options: dict
+
+
+def value_kind(value) -> str:
+    """A config value's kind: bool, int, float or str, or for a tuple
+    "<kind>_list" when its elements share one kind ("empty_list" when it has
+    none, "mixed_list" when they differ).  The parser reads a key's text as
+    its default's kind, and a config built in code must give that kind."""
+    if isinstance(value, tuple):
+        kinds = {value_kind(v) for v in value}
+        if len(kinds) != 1:
+            return "mixed_list" if kinds else "empty_list"
+        return kinds.pop() + "_list"
+    return type(value).__name__
 
 
 _MODEL = ("grid.dimension", "distribution.kind", "profile.kind", "schedule")
@@ -99,6 +112,10 @@ class ExperimentConfig:
             stray = sorted(set(getattr(self, section)) - set(declared))
             if stray:
                 raise ExperimentError(f"{section}.{stray[0]}: unknown key for {self.experiment}")
+            for name, value in getattr(self, section).items():
+                kind, got = value_kind(declared[name]), value_kind(value)
+                if got != kind and not (got == "empty_list" and kind.endswith("_list")):
+                    raise ExperimentError(f"{section}.{name}: expected {kind}, got {value!r}")
         object.__setattr__(self, "schedule", tuple(int(v) for v in self.schedule))
         object.__setattr__(self, "energies", tuple(float(v) for v in self.energies))
         object.__setattr__(self, "times", tuple(float(v) for v in self.times))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 
-from ..experiments.base import CAMPAIGNS, ExperimentConfig
+from ..experiments.base import CAMPAIGNS, ExperimentConfig, value_kind
 from ..randomfield import DistributionSpec, FieldError
 
 
@@ -48,20 +48,13 @@ _SCHEMA = {
 }
 
 
-def _kind(default) -> str:
-    """A declared key's kind, from its default: bool, int, float or a list."""
-    if isinstance(default, tuple):
-        return type(default[0]).__name__ + "_list"
-    return type(default).__name__
-
-
 def _schema(experiment) -> dict:
     """Every key the experiment takes, with its kind; for a missing or unknown
     experiment the keys of any campaign, so only keys none takes are reported."""
     schema = dict(_SCHEMA)
     for keys in [CAMPAIGNS[experiment]] if experiment in CAMPAIGNS else CAMPAIGNS.values():
         for section in ("tolerances", "options"):
-            schema.update((f"{section}.{name}", _kind(default))
+            schema.update((f"{section}.{name}", value_kind(default))
                           for name, default in getattr(keys, section).items())
     return schema
 

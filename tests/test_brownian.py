@@ -203,6 +203,53 @@ def test_times_share_one_draw(nu, bridge):
             assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 3, bridge=bridge)
 
 
+def _planned(monkeypatch):
+    """The (lanes, twins) plans of the simulate_hitting calls that follow."""
+    plans = []
+    plan = br._plan_lanes
+    monkeypatch.setattr(br, "_plan_lanes", lambda *args: plans.append(plan(*args)) or plans[-1])
+    return plans
+
+
+@pytest.mark.parametrize("bridge", [True, False])
+@pytest.mark.parametrize("nu", [1, 2])
+def test_rescaling_twins_on_the_shipped_grid(nu, bridge, monkeypatch):
+    # (d, t) = (1, 1) rescales (0.5, 0.25) and (2, 1) rescales (1, 0.25) by
+    # s = 2 exactly, so 4 of the 6 (time, target) pairs are stepped
+    plans = _planned(monkeypatch)
+    x, times = np.zeros(nu), [0.25, 1.0]
+    regions = [half_space(0, d) for d in (0.5, 1.0, 2.0)]
+    ests = simulate_hitting(x, regions, times, paths=2000, bridge=bridge, seed=8)
+    (lanes, twins), = plans
+    assert len(lanes) == 4 and twins == {(1, 1): (0, 0), (1, 2): (0, 1)}
+    for t, row in zip(times, ests):
+        for r, est in zip(regions, row):
+            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 8, bridge=bridge)
+
+
+@pytest.mark.parametrize("x, regions, times", [
+    ([0.1], [half_space(0, d) for d in (0.5, 1.0, 2.0)], [0.25, 1.0]),
+    ([0.0], [half_space(0, d) for d in (0.5, 1.0, 2.0)], [0.25, 0.5]),
+    ([0.0], [half_space(0, 0.5), half_space(0, 1.5)], [0.25, 2.25]),
+    ([0.0], [half_space(0, 0.5), half_space(0, 1.0)], [0.25, math.nextafter(1.0, 2.0)]),
+    ([0.0], [half_space(0, 0.5), half_space(0, -1.0, side=-1)], [0.25, 1.0]),
+    ([0.0, 0.0], [half_space(0, 0.5), half_space(1, 1.0)], [0.25, 1.0]),
+], ids=["start-off-zero", "sigma-ratio-sqrt2", "ratio-3", "dt-off-by-an-ulp",
+        "opposite-side", "other-axis"])
+def test_near_rescalings_are_stepped(x, regions, times, monkeypatch):
+    # each misses one condition of an exact rescaling, so no pair is a twin:
+    # at ratio 3 sigma, dt and b all scale exactly, but z sigma does not; one
+    # ulp above t = 1, sigma still rounds to twice that of t = 0.25, dt does not
+    plans = _planned(monkeypatch)
+    x = np.array(x)
+    ests = simulate_hitting(x, regions, times, paths=2000, seed=8)
+    (lanes, twins), = plans
+    assert twins == {} and len(lanes) == len(regions) * len(times)
+    for t, row in zip(times, ests):
+        for r, est in zip(regions, row):
+            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 8)
+
+
 @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0], []])
 @pytest.mark.parametrize("start", [0.0, 2.0])
 def test_every_time_checked_before_the_draw(times, start):

@@ -183,6 +183,32 @@ def test_config_built_in_code_checks_its_keys(fields, key):
     assert dataclasses.replace(cfg, options={"transverse": 5}).opt("transverse") == 5
 
 
+@pytest.mark.parametrize("exp, section, name, value", [
+    ("brownian", "options", "paths", "16384"),
+    ("brownian", "options", "paths", 16384.0),
+    ("brownian", "options", "bridge", 1),
+    ("brownian", "options", "distances", (1, 2.0)),
+    ("brownian", "options", "nus", [1, 2]),
+    ("surface", "tolerances", "sum_rule", "1e-10"),
+])
+def test_config_built_in_code_checks_its_value_kinds(exp, section, name, value):
+    cfg = parse_config(_shipped(exp))
+    with pytest.raises(ExperimentError, match=f"{section}.{name}: expected"):
+        dataclasses.replace(cfg, **{section: {name: value}})
+    # every declared default has its key's kind
+    for e, sec, key, default in _declared():
+        if e == exp:
+            dataclasses.replace(cfg, **{sec: {key: default}})
+
+
+def test_an_empty_list_fits_a_list_key():
+    # the parser reads "options.nus =" as ()
+    cfg = dataclasses.replace(parse_config(_shipped("brownian")), options={"nus": ()})
+    assert cfg.opt("nus") == ()
+    with pytest.raises(ExperimentError, match="options.paths: expected int"):
+        dataclasses.replace(cfg, options={"paths": ()})
+
+
 def test_readme_lists_every_declared_option():
     readme = (CONFIGS.parent / "README.md").read_text()
     listing = readme[readme.index("Per-experiment options"):readme.index("## Library layout")]
