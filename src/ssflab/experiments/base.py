@@ -23,12 +23,24 @@ class ExperimentError(RuntimeError):
     """A validated precondition failed while running an experiment."""
 
 
+class ConfigError(ExperimentError, ValueError):
+    """Config rejected; ``violations`` lists every offending key path."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
+
+
 class CampaignKeys(NamedTuple):
-    """The config keys one campaign takes.  The parser copies the tolerance
-    defaults into every parsed config; option defaults stay here, read by
-    ``opt``.  Each key's kind is its default's ``value_kind``."""
+    """What one campaign takes: its required keys, its grid dimensions (None:
+    no grid), the fewest schedule entries it needs, and its tolerance and
+    option defaults.  The parser copies the tolerance defaults into every
+    parsed config; option defaults stay here, read by ``opt``.  Each key's
+    kind is its default's ``value_kind``."""
 
     required: tuple
+    dims: tuple | None
+    schedule: int
     tolerances: dict
     options: dict
 
@@ -46,39 +58,44 @@ def value_kind(value) -> str:
     return type(value).__name__
 
 
+def seed_violations(seed: int) -> list:
+    """Seeds (config key, ``--seed``, ``selftest``) are unsigned 64-bit."""
+    return [] if 0 <= seed < 2 ** 64 else ["seed: must be in [0, 2**64)"]
+
+
 _MODEL = ("grid.dimension", "distribution.kind", "profile.kind", "schedule")
 
-# experiment -> its required keys, tolerance defaults and option defaults
+# experiment -> its required keys, dimensions, fewest schedule entries,
+# tolerance defaults and option defaults
 CAMPAIGNS = {
     "bulk-limit": CampaignKeys(
-        _MODEL + ("energies",), {"bulk_deviation": 0.02, "variance_slack": 1.2},
-        {"ambient_factor": 4}),
+        _MODEL + ("energies",), (1, 2), 1,
+        {"bulk_deviation": 0.02, "variance_slack": 1.2}, {"ambient_factor": 4}),
     "locality": CampaignKeys(
-        _MODEL, {"slope_low": -1.3, "slope_high": -0.7},
+        _MODEL, (2,), 2, {"slope_low": -1.3, "slope_high": -0.7},
         {"margin": 12, "bump_lo": -1.0, "bump_hi": 2.0}),
     "cutoff": CampaignKeys(
-        _MODEL, {}, {"margin": 24, "bump_lo": -2.5, "bump_hi": 1.0,
-                     "decay_comparison": (1.0, 2.0, 4.0)}),
+        _MODEL, (1, 2), 2, {}, {"margin": 24, "bump_lo": -2.5, "bump_hi": 1.0,
+                                "decay_comparison": (1.0, 2.0, 4.0)}),
     "cluster": CampaignKeys(
-        _MODEL, {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
+        _MODEL, (2,), 2, {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
         {"margin": 8, "box_side": 8, "t": 1.0, "additivity_sites": 320,
          "additivity_block": 48, "additivity_gap": 32}),
-    "subadditive": CampaignKeys(
-        _MODEL, {}, {"margin": 6, "t": 1.0, "safety_factor": 1.5}),
+    "subadditive": CampaignKeys(_MODEL, (2,), 2, {}, {"margin": 6, "t": 1.0}),
     "surface": CampaignKeys(
-        _MODEL + ("energies",),
+        _MODEL + ("energies",), (2,), 1,
         {"relative_change": 0.05, "transverse_tol": 0.05, "sum_rule": 1e-10},
         {"margin": 16, "transverse": 11, "check_transverse": True}),
     "kirsch": CampaignKeys(
-        ("grid.dimension", "profile.kind", "schedule", "energies", "times"),
+        ("grid.dimension", "profile.kind", "schedule", "energies", "times"), (2,), 1,
         {"dual_rel": 1e-8}, {}),
     "resolvent": CampaignKeys(
-        _MODEL, {"slope_low": 0.7, "slope_high": 1.3},
+        _MODEL, (2,), 2, {"slope_low": 0.7, "slope_high": 1.3},
         {"margin": 8, "box_side": 8, "power": 2, "e_values": (1.0, 2.0, 4.0),
          "e_main": 2.0}),
     "brownian": CampaignKeys(
-        (), {}, {"distances": (0.5, 1.0, 2.0), "nus": (1, 2), "paths": 100_000,
-                 "bridge": True, "joint_t": 0.5}),
+        (), None, 0, {}, {"distances": (0.5, 1.0, 2.0), "nus": (1, 2),
+                          "paths": 100_000, "bridge": True, "joint_t": 0.5}),
 }
 
 _KIRSCH_PATCH = np.array([[0.25, 0.5, 0.25],
@@ -105,24 +122,37 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = CAMPAIGNS.get(self.experiment)
-        if keys is None:
-            raise ExperimentError(f"unknown experiment {self.experiment!r}")
-        for section, declared in (("tolerances", keys.tolerances), ("options", keys.options)):
-            stray = sorted(set(getattr(self, section)) - set(declared))
-            if stray:
-                raise ExperimentError(f"{section}.{stray[0]}: unknown key for {self.experiment}")
-            for name, value in getattr(self, section).items():
-                kind, got = value_kind(declared[name]), value_kind(value)
-                if got != kind and not (got == "empty_list" and kind.endswith("_list")):
-                    raise ExperimentError(f"{section}.{name}: expected {kind}, got {value!r}")
+        """Check every rule that reads only the config; raise one ConfigError
+        listing each violation."""
         object.__setattr__(self, "schedule", tuple(int(v) for v in self.schedule))
         object.__setattr__(self, "energies", tuple(float(v) for v in self.energies))
         object.__setattr__(self, "times", tuple(float(v) for v in self.times))
-        if self.schedule and any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise ExperimentError("schedule must be strictly increasing")
-        if self.realizations < 1:
-            raise ExperimentError("realizations must be >= 1")
+        keys = CAMPAIGNS.get(self.experiment)
+        if keys is None:
+            raise ConfigError([f"experiment: unknown experiment {self.experiment!r}"])
+        bad = seed_violations(self.seed)
+        for section, declared in (("tolerances", keys.tolerances), ("options", keys.options)):
+            for name, value in getattr(self, section).items():
+                if name not in declared:
+                    bad.append(f"{section}.{name}: unknown key for {self.experiment}")
+                elif value_kind(value) != value_kind(declared[name]):
+                    bad.append(f"{section}.{name}: expected "
+                               f"{value_kind(declared[name])}, got {value!r}")
+        bad += [f"{name}: must be >= 1" for name in ("realizations", "workers")
+                if getattr(self, name) < 1]
+        if not self.spacing > 0.0:
+            bad.append("grid.spacing: must be positive")
+        if keys.dims is not None and self.dimension not in keys.dims:
+            bad.append(f"grid.dimension: {self.experiment} runs in dimension "
+                       + " or ".join(map(str, keys.dims)))
+        if len(self.schedule) < keys.schedule:
+            bad.append(f"schedule: {self.experiment} needs at least {keys.schedule} entries")
+        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
+            bad.append("schedule: must be strictly increasing")
+        if "energies" in keys.required and not self.energies:
+            bad.append(f"energies: {self.experiment} needs at least one energy")
+        if bad:
+            raise ConfigError(bad)
 
     # a name CAMPAIGNS does not declare for the experiment raises KeyError
     def tol(self, name: str) -> float:
@@ -131,9 +161,13 @@ class ExperimentConfig:
     def opt(self, name: str):
         return self.options.get(name, CAMPAIGNS[self.experiment].options[name])
 
+    @property
+    def amplitude(self) -> float:
+        return float(self.profile.get("amplitude", -1.0))
+
     def build_profile(self) -> SingleSiteProfile:
         kind = self.profile.get("kind", "point")
-        amp = float(self.profile.get("amplitude", -1.0))
+        amp = self.amplitude
         if kind == "point":
             return SingleSiteProfile.point(amp, self.dimension)
         if kind == "exponential":
@@ -260,8 +294,6 @@ def gershgorin_window_check(energies, v_values: np.ndarray, dim: int, spacing: f
     edge max V + 4 nu / h^2.  The discrete proxy truncates the spectrum there,
     so claims above that edge would not reflect the continuum; below the
     spectrum the counting is trivially exact and nothing needs guarding."""
-    if len(energies) == 0:
-        return
     hi = float(np.max(v_values)) + 4.0 * dim / spacing ** 2
     bad = [e for e in energies if e > hi]
     if bad:

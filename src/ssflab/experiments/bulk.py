@@ -33,10 +33,6 @@ def _xi_per_meas(config, grid, fields, length, lam_grid):
 
 
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
-    if config.dimension not in (1, 2):
-        raise ExperimentError("bulk limit runs in 1D or 2D")
-    if not config.schedule or not config.energies:
-        raise ExperimentError("bulk limit needs a schedule and energies")
     if any(lam >= 0.0 for lam in config.energies):
         raise ExperimentError("bulk-limit energies must be negative (below the free spectrum)")
     factor = config.opt("ambient_factor")

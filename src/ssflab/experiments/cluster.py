@@ -59,7 +59,7 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     field = sample_couplings(config.distribution, grid.box, config.seed,
                              1000 + realization)
     # the additivity instance is one-dimensional regardless of the 2D campaign
-    profile = SingleSiteProfile.point(float(config.profile.get("amplitude", -1.0)), 1)
+    profile = SingleSiteProfile.point(config.amplitude, 1)
 
     half_gap = gap // 2
     b1 = IntBox((-half_gap - block,), (-half_gap - 1,))
@@ -83,10 +83,6 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
 
 
 def run_cluster(config: ExperimentConfig) -> ResultRecord:
-    if config.dimension != 2:
-        raise ExperimentError("cluster interface scaling is two-dimensional")
-    if len(config.schedule) < 2:
-        raise ExperimentError("cluster needs an interface-length schedule")
     t = config.opt("t")
 
     rec = ResultRecord("cluster", config.seed, config.digest())

@@ -38,10 +38,6 @@ def _box_pair(config: ExperimentConfig, length: int):
 
 
 def run_kirsch_demo(config: ExperimentConfig) -> ResultRecord:
-    if config.dimension != 2:
-        raise ExperimentError("kirsch demonstration is two-dimensional")
-    if not config.schedule or not config.energies:
-        raise ExperimentError("kirsch needs a box schedule and a lam > 0 grid")
     if any(lam <= 0.0 for lam in config.energies):
         raise ExperimentError("kirsch energies must be positive")
 

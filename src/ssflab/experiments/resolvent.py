@@ -53,10 +53,6 @@ def _norms_for(config: ExperimentConfig, width: int, realization: int, energies)
 
 
 def run_resolvent_power(config: ExperimentConfig) -> ResultRecord:
-    if config.dimension != 2:
-        raise ExperimentError("resolvent campaign is two-dimensional")
-    if len(config.schedule) < 2:
-        raise ExperimentError("resolvent needs an interface schedule")
     e_values = config.opt("e_values")
     e_main = config.opt("e_main")
 

@@ -69,10 +69,6 @@ def _laplace(grid, v, free, times) -> tuple:
 
 
 def run_surface(config: ExperimentConfig) -> ResultRecord:
-    if config.dimension != 2:
-        raise ExperimentError("surface campaign uses a 2D strip (nu1 = 1)")
-    if not config.schedule or not config.energies:
-        raise ExperimentError("surface needs a line schedule and energies")
     transverse = config.opt("transverse")
     profile_width = max(config.build_profile().values.shape)
     if transverse < 8 * profile_width:

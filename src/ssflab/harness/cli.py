@@ -5,7 +5,7 @@
     ssflab selftest [--seed N]
 
 Exit codes: 0 all hard checks pass, 1 hard-check or runtime failure
-(partial outputs flagged in the manifest), 2 config error.
+(partial outputs flagged in the manifest), 2 config error (no outputs).
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from ..experiments import RUNNERS, ExperimentError
+from ..experiments.base import ConfigError, seed_violations
 from . import outputs
-from .config import EXPERIMENTS, ConfigError, config_digest, parse_config, seed_violations
+from .config import EXPERIMENTS, config_digest, parse_config
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,26 +1,18 @@
-"""Key-value config grammar: parsing, validation, digests.
+"""Key-value config grammar: parsing and digests.
 
 Format: one ``key = value`` per line, ``#`` comments, dotted keys for nested
-sections.  Lists are comma separated.  Validation collects *every* violation
-(unknown keys included) and reports them with their key paths, rather than
-stopping at the first problem.
+sections.  Lists are comma separated.  The parser checks the grammar (lines,
+duplicate and unknown keys, value kinds, required keys, the distribution);
+``ExperimentConfig`` checks the values.  Every violation of either is
+reported with its key path, rather than stopping at the first problem.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from ..experiments.base import CAMPAIGNS, ExperimentConfig, value_kind
+from ..experiments.base import CAMPAIGNS, ConfigError, ExperimentConfig, value_kind
 from ..randomfield import DistributionSpec, FieldError
-
-
-class ConfigError(ValueError):
-    """Config rejected; ``violations`` lists every offending key path."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("invalid config:\n" + "\n".join(f"  - {v}" for v in self.violations))
-
 
 EXPERIMENTS = tuple(CAMPAIGNS)
 
@@ -46,6 +38,9 @@ _SCHEMA = {
     "energies": "float_list",
     "times": "float_list",
 }
+
+# the keys whose ExperimentConfig field has another name
+_FIELDS = {"grid.dimension": "dimension", "grid.spacing": "spacing"}
 
 
 def _schema(experiment) -> dict:
@@ -121,16 +116,12 @@ def _build_distribution(vals: dict, violations: list):
     return None
 
 
-def seed_violations(seed: int) -> list:
-    """Seeds (config key, ``--seed``, ``selftest``) are unsigned 64-bit."""
-    return [] if 0 <= seed < 2 ** 64 else ["seed: must be in [0, 2**64)"]
-
-
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate the config grammar; raises ConfigError listing every
-    violated constraint, not just the first.  ``overrides`` (key -> value,
-    None skipped) replace parsed values before validation, so command-line
-    overrides pass the same checks as the config keys."""
+    """Parse the config grammar and build the ExperimentConfig, which checks
+    the values; raises ConfigError listing every violation of either, not
+    just the first.  ``overrides`` (key -> value, None skipped) replace parsed
+    values before validation, so command-line overrides pass the same checks
+    as the config keys."""
     violations: list = []
     raw = _parse_lines(text, violations)
 
@@ -138,15 +129,13 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     experiment = overrides.get("experiment", raw.get("experiment"))
     if experiment is None:
         violations.append("experiment: missing")
-    elif experiment not in CAMPAIGNS:
-        violations.append(f"experiment: unknown experiment {experiment!r}")
+    keys = CAMPAIGNS.get(experiment)
     schema = _schema(experiment)
 
     vals = {}
     for key, rawval in raw.items():
         if key not in schema:
-            violations.append(f"{key}: unknown key" + (
-                f" for {experiment}" if experiment in CAMPAIGNS else ""))
+            violations.append(f"{key}: unknown key" + (f" for {experiment}" if keys else ""))
             continue
         try:
             vals[key] = _coerce(schema[key], rawval)
@@ -154,57 +143,27 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             violations.append(f"{key}: {exc}")
     vals.update(overrides)
 
-    if experiment in CAMPAIGNS:
-        for req in CAMPAIGNS[experiment].required:
-            if req not in vals:
-                violations.append(f"{req}: required for {experiment}")
-
-    if "grid.spacing" in vals and not vals["grid.spacing"] > 0.0:
-        violations.append("grid.spacing: must be positive")
-    if "grid.dimension" in vals and vals["grid.dimension"] not in (1, 2, 3):
-        violations.append("grid.dimension: must be 1, 2 or 3")
-    if "seed" in vals:
-        violations += seed_violations(vals["seed"])
-    if "realizations" in vals and vals["realizations"] < 1:
-        violations.append("realizations: must be >= 1")
-    if "workers" in vals and vals["workers"] < 1:
-        violations.append("workers: must be >= 1")
-    sched = vals.get("schedule", ())
-    if sched and any(b <= a for a, b in zip(sched, sched[1:])):
-        violations.append("schedule: must be strictly increasing")
-
+    missing = [req for req in (keys.required if keys else ()) if req not in vals]
+    violations += [f"{req}: required for {experiment}" for req in missing]
     distribution = _build_distribution(vals, violations)
 
-    if violations:
-        raise ConfigError(violations)
-
-    tolerances = dict(CAMPAIGNS[experiment].tolerances)
-    options = {}
-    profile = {}
+    fields = {"profile": {}, "tolerances": dict(keys.tolerances) if keys else {}, "options": {}}
     for key, value in vals.items():
         section, _, name = key.partition(".")
-        if section == "tolerances":
-            tolerances[name] = value
-        elif section == "options":
-            options[name] = value
-        elif section == "profile":
-            profile[name] = value
-
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=vals.get("seed", 0),
-        realizations=vals.get("realizations", 1),
-        workers=vals.get("workers", 1),
-        dimension=vals.get("grid.dimension", 1),
-        spacing=vals.get("grid.spacing", 1.0),
-        distribution=distribution,
-        profile=profile,
-        schedule=vals.get("schedule", ()),
-        energies=vals.get("energies", ()),
-        times=vals.get("times", (1.0,)),
-        tolerances=tolerances,
-        options=options,
-    )
+        if section in ("profile", "tolerances", "options"):
+            fields[section][name] = value
+        elif section != "distribution":
+            fields[_FIELDS.get(key, key)] = value
+    config = None
+    if experiment is not None:
+        try:
+            config = ExperimentConfig(distribution=distribution, **fields)
+        except ConfigError as exc:
+            # a missing key is reported once, not again as the default's violation
+            violations += [v for v in exc.violations if v.split(":")[0] not in missing]
+    if violations:
+        raise ConfigError(violations)
+    return config
 
 
 def config_digest(text: str) -> str:

@@ -201,12 +201,43 @@ def test_config_built_in_code_checks_its_value_kinds(exp, section, name, value):
             dataclasses.replace(cfg, **{sec: {key: default}})
 
 
-def test_an_empty_list_fits_a_list_key():
-    # the parser reads "options.nus =" as ()
-    cfg = dataclasses.replace(parse_config(_shipped("brownian")), options={"nus": ()})
-    assert cfg.opt("nus") == ()
+def _set(text, values):
+    """The config text with the keys of ``values`` (key -> text) set to them."""
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in values]
+    return "\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n"
+
+
+def test_an_empty_list_option_is_a_violation(tmp_path, capsys):
+    # the parser reads "options.nus =" as (), which would check nothing
+    text = _set(_shipped("brownian"), {"options.nus": ""})
+    with pytest.raises(ConfigError, match=r"options.nus: expected int_list, got \(\)"):
+        parse_config(text)
+    cfg = parse_config(_shipped("brownian"))
+    with pytest.raises(ConfigError, match="options.nus: expected int_list"):
+        dataclasses.replace(cfg, options={"nus": ()})
     with pytest.raises(ExperimentError, match="options.paths: expected int"):
         dataclasses.replace(cfg, options={"paths": ()})
+    out = tmp_path / "o"
+    assert main(["brownian", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+    assert "options.nus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exp", sorted(CAMPAIGNS))
+def test_config_outside_its_campaigns_geometry_is_a_config_error(exp):
+    keys, cfg = CAMPAIGNS[exp], parse_config(_shipped(exp))
+    for dim in keys.dims or (1, 2, 3):  # brownian takes no grid: any dimension
+        assert dataclasses.replace(cfg, dimension=dim).dimension == dim
+    for dim in {1, 2, 3} - set(keys.dims or (1, 2, 3)):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, dimension=dim)
+        assert [v.split(":")[0] for v in err.value.violations] == ["grid.dimension"]
+    if keys.schedule:
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, schedule=cfg.schedule[:keys.schedule - 1])
+        assert [v.split(":")[0] for v in err.value.violations] == ["schedule"]
+    else:
+        assert dataclasses.replace(cfg, schedule=()).schedule == ()
 
 
 def test_readme_lists_every_declared_option():
@@ -288,6 +319,17 @@ def test_cli_overrides_checked_like_config_keys(override, tmp_path, capsys):
     assert main(["bulk-limit", str(cfg), "--out", str(tmp_path / "o"), *override]) == 2
     assert override[0].lstrip("-") in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_reports_every_value_violation_exit_2(tmp_path, capsys):
+    # three rules of ExperimentConfig, none of the grammar
+    bad = {"realizations": "0", "grid.dimension": "1", "schedule": "8"}
+    cfg = write_cfg(tmp_path, _set(_shipped("locality"), bad))
+    out = tmp_path / "o"
+    assert main(["locality", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"- {key}:" in err for key in bad), err
+    assert not out.exists()
 
 
 def test_cli_subcommand_mismatch_exit_2(tmp_path):
