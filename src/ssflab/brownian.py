@@ -11,13 +11,15 @@ path's survival by the chance that the Brownian bridge between its end points
 misses the target (Glasserman, Monte Carlo Methods in Financial Engineering,
 6.4; Borodin & Salminen, Handbook of Brownian Motion), so the estimates are
 unbiased at any step count; endpoint detection alone (bridge=False) is not.
-Work that cannot move a bit is skipped: no box factor from a start outside
-the box, image terms past the face terms only on steps nearly across it, no
-step of a hitting estimate that exactly rescales another (B_{s^2 t} = s B_t,
-s a power of two), which is copied, and no axis that no target reads.
+Work that cannot move a bit is skipped: image terms past the face terms only
+on steps nearly across the box, no step of a hitting estimate that exactly
+rescales another (B_{s^2 t} = s B_t, s a power of two), which is copied, and
+no draw for an axis that no target reads.  From a start outside the box no
+box factor is evaluated, and each path takes one exact step of length t.
 
 One call estimates many regions and times from one draw of the counter-based
-paths (Philox keyed by seed and block), each bitwise as if simulated alone.
+paths (Philox keyed by seed and block, one stream per axis), each bitwise as
+if simulated alone and at any dimension.
 Each step advances a sweep of up to _SWEEP blocks as one array, so memory is
 bounded by the sweep, and estimates are bitwise those of block-by-block runs.
 """
@@ -241,17 +243,19 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     are half-spaces: a box raises RegionError.
 
     Only the lanes of _plan_lanes are stepped; an exact-rescaling twin copies
-    its lane's sums.  Each (time, axis) that a lane reads advances one
-    contiguous position array (every axis is still drawn, so the Philox
-    stream is unchanged), and each lane carries its gap b - x from the end of
-    one step to the start of the next.  Each block of a sweep draws into its
-    own slice and sums its own hit chances and their squares, added in block
-    order, so estimates are bitwise those of block-by-block runs.
+    its lane's sums.  Only the axes that a lane reads are drawn, each into a
+    contiguous array from its own stream: axis 0 from the block's generator,
+    axis j >= 1 from it jumped j times.  So an estimate depends only on
+    (seed, x_j, target, time), at any nu.  Each (time, axis) that a lane
+    reads advances one contiguous position array, and each lane carries its
+    gap b - x from the end of one step to the start of the next.  Each block
+    of a sweep draws into its own slice and sums its own hit chances and
+    their squares, added in block order, so estimates are bitwise those of
+    block-by-block runs.
     """
     if any(r.kind != "half_space" for r in regions):
         raise RegionError("simulate_hitting takes half-space targets only")
     x = np.asarray(x, dtype=float)
-    nu = x.shape[0]
     sweeps = _sweeps(times, paths, seed)
     steps = [(t / _N_STEPS, math.sqrt(2.0 * (t / _N_STEPS))) for t in times]
     # a start inside B is a hit at tau = 0 on every path and needs no draw
@@ -263,19 +267,22 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
     # per time and region: the sums of the hit chances and of their squares
     sums = np.tile(np.where(inside, float(paths), 0.0), (2, len(times), 1))
 
+    axes = {j for _, j in tracks}
     for sweep in sweeps if lanes else ():
         n = sweep[-1][0].stop
-        z = np.empty((n, nu))  # every time scales it by its sigma
+        draws = [(block, j, rng if j == 0 else np.random.Generator(rng.bit_generator.jumped(j)))
+                 for block, rng in sweep for j in axes]
+        z = {j: np.empty(n) for j in axes}  # every time scales z[j] by its sigma
         pos = {track: np.full(n, x[track[1]]) for track in tracks}
         gaps = [np.full(n, regions[k].threshold - x[regions[k].axis]) for _, k in lanes]
         spare, spare_gap = np.empty(n), np.empty(n)
         survive = np.ones((len(lanes), n))
         for _ in range(_N_STEPS):
-            for block, rng in sweep:
-                rng.standard_normal(out=z[block])
+            for block, j, rng in draws:
+                rng.standard_normal(out=z[j][block])
             for (i, j), readers in tracks.items():
                 step_dt, sigma = steps[i]
-                new = np.add(pos[i, j], np.multiply(z[:, j], sigma, out=spare), out=spare)
+                new = np.add(pos[i, j], np.multiply(z[j], sigma, out=spare), out=spare)
                 pos[i, j], spare = new, pos[i, j]
                 for lane in readers:
                     r, s = regions[lanes[lane][1]], survive[lane]
@@ -342,8 +349,8 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     with envelope 1 inside the box and C_eps exp(-d^2/(2(4+eps)t)) outside,
     eps = 1.  Each path carries its survival S, the product of the exact step
     factors of _stay_in_box, so p_exit = E[1 - S], lhs = E[1{X_t in B}(1 - S)].
-    From a start outside the box S is 0 at tau = 0 and no factor is evaluated;
-    the paths are still drawn, since lhs reads their end points.  Inside,
+    From a start outside the box S is 0 at tau = 0, so no factor is evaluated
+    and lhs reads only X_t: each path takes one exact step of length t.  Inside,
     _stay_in_box adds image terms only on steps that nearly cross the box.
     Returns the estimates with their standard errors, the closed-form exit
     chance p_exit_exact, the analytic right side and a 3-sigma verdict.
@@ -353,10 +360,11 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
         raise RegionError("joint bound expects a box region")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    dt = t / _N_STEPS
-    sigma = math.sqrt(2.0 * dt)
     # a start outside the box has left it at tau = 0
     alive = float(box_b.contains(x[None, :])[0])
+    n_steps = _N_STEPS if alive else 1
+    dt = t / n_steps
+    sigma = math.sqrt(2.0 * dt)
 
     # sums of h = 1 - S, of h^2, of 1{X_t in B} h and of its square
     sums = np.zeros(4)
@@ -364,7 +372,7 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
         n = sweep[-1][0].stop
         pos, new = np.tile(x, (n, 1)), np.empty((n, nu))
         survive = np.full(n, alive)
-        for _ in range(_N_STEPS):
+        for _ in range(n_steps):
             for block, rng in sweep:
                 rng.standard_normal(out=new[block])
             new = np.add(pos, np.multiply(new, sigma, out=new), out=new)

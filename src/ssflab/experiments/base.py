@@ -151,6 +151,8 @@ class ExperimentConfig:
             bad.append("schedule: must be strictly increasing")
         if "energies" in keys.required and not self.energies:
             bad.append(f"energies: {self.experiment} needs at least one energy")
+        if not self.times or not all(t > 0.0 for t in self.times):
+            bad.append("times: needs at least one time, and every t positive")
         if bad:
             raise ConfigError(bad)
 

@@ -87,12 +87,10 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
     for line_len in config.schedule:
         strip = _strip(config, line_len, transverse)
         xi_full, xi_plus, xi_minus, pots = _shifts(config, strip, reals)
-        laplace = [([], 0.0)] * len(reals)
-        if config.times:
-            h0 = free_hamiltonian(strip[0])
-            free = h0, spectral.eig_all(h0)[0]
-            laplace = parallel_map(lambda v: _laplace(strip[0], v, free, config.times),
-                                   list(pots), config.workers)
+        h0 = free_hamiltonian(strip[0])
+        free = h0, spectral.eig_all(h0)[0]
+        laplace = parallel_map(lambda v: _laplace(strip[0], v, free, config.times),
+                               list(pots), config.workers)
         if line_len == config.schedule[0]:
             base = xi_full[0][star]
         meas1 = line_len * h
@@ -115,11 +113,10 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
 
     rec.add_check("chain_rule_exact", "hard", chain_exact, chain_exact, None,
                   "xi = xi_plus + xi_minus exactly at every grid energy")
-    if config.times:
-        rec.aggregates["sum_rule_residual"] = worst_residual
-        tol = config.tol("sum_rule")
-        rec.add_check("spectrum_sum_rules", "hard", worst_residual <= tol, worst_residual,
-                      tol, "Laplace spectra meet sum(lam) = tr H and sum(lam^2) = ||H||_F^2")
+    rec.aggregates["sum_rule_residual"] = worst_residual
+    tol = config.tol("sum_rule")
+    rec.add_check("spectrum_sum_rules", "hard", worst_residual <= tol, worst_residual,
+                  tol, "Laplace spectra meet sum(lam) = tr H and sum(lam^2) = ||H||_F^2")
 
     tol = config.tol("relative_change")
     if len(config.schedule) >= 2:

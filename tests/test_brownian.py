@@ -132,14 +132,18 @@ def _bridge_avoid(a, dt):
 
 def _reference_p_hat(x, region, t, paths, seed, bridge=True):
     """One region alone, block by block, every bridge factor evaluated on every
-    path and step, side -1 mirrored onto side +1.  Returns (p_hat, stderr)."""
-    dt = t / br._N_STEPS
+    path and step, side -1 mirrored onto side +1.  Only the region's axis j
+    moves, drawn from the block's stream jumped j times.  Returns (p_hat, stderr)."""
+    dt, j = t / br._N_STEPS, region.axis
     total = squares = 0.0
     for m, rng in br._path_blocks((t,), paths, seed):
+        if j:
+            rng = np.random.Generator(rng.bit_generator.jumped(j))
         pos = np.tile(x, (m, 1))
         survive = np.ones(m)
         for _ in range(br._N_STEPS):
-            new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, x.shape[0]))
+            new = pos.copy()
+            new[:, j] += math.sqrt(2.0 * dt) * rng.standard_normal(m)
             if not bridge:
                 survive *= ~region.contains(new)
             else:
@@ -258,6 +262,67 @@ def test_every_time_checked_before_the_draw(times, start):
         simulate_hitting(np.array([start]), [half_space(0, 1.0)], times, paths=1000)
 
 
+class _Normals:
+    """A generator that records how many normals it draws and scales them by
+    ``scale`` (1: left as drawn)."""
+
+    def __init__(self, rng, drawn, scale):
+        self.rng, self.drawn, self.scale = rng, drawn, scale
+        self.bit_generator = rng.bit_generator
+
+    def standard_normal(self, *, out):
+        self.rng.standard_normal(out=out)
+        if self.scale != 1.0:
+            out *= self.scale
+        self.drawn.append(out.size)
+
+
+def _wrap_generators(monkeypatch, scale=1.0):
+    """Route every Generator made from here on through _Normals; returns the
+    list of the sizes drawn."""
+    drawn, make = [], np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda bits: _Normals(make(bits), drawn, scale))
+    return drawn
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_an_axis_estimate_reads_only_its_own_stream(axis):
+    # an estimate on axis j depends only on (seed, x_j, target, time): bitwise
+    # the same at every nu > j, alone or beside targets on the other axes,
+    # whatever the start's other coordinates
+    times, mine = [0.25, 1.0], [half_space(axis, 0.8), half_space(axis, -0.6, side=-1)]
+    runs = []
+    for nu in range(axis + 1, 4):
+        x = np.full(nu, 0.05 * nu)
+        x[axis] = 0.1
+        alone = simulate_hitting(x, mine, times, paths=2000, seed=4)
+        others = [half_space(j, 0.5) for j in range(nu) if j != axis]
+        shared = simulate_hitting(x, others + mine, times, paths=2000, seed=4)
+        assert [row[len(others):] for row in shared] == alone
+        runs.append(alone)
+    assert all(run == runs[0] for run in runs)
+    for t, row in zip(times, runs[0]):
+        for r, est in zip(mine, row):
+            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 4)
+
+
+def test_only_the_normals_read_are_drawn(monkeypatch):
+    drawn = _wrap_generators(monkeypatch)
+    paths, box = 5000, box_region((-1.0, -1.0), (1.0, 1.0))
+    on_axis_0 = [half_space(0, d) for d in (0.5, 1.0, 2.0)]
+    simulate_hitting(np.zeros(2), on_axis_0, [0.25, 1.0], paths=paths, seed=2)
+    assert sum(drawn) == paths * br._N_STEPS
+    drawn.clear()
+    simulate_hitting(np.zeros(3), [half_space(2, 1.0)] + on_axis_0, [1.0], paths=paths, seed=2)
+    assert sum(drawn) == paths * br._N_STEPS * 2
+    drawn.clear()
+    joint_bound_check(np.array([2.0, 0.0]), box, 0.5, paths=paths, seed=3)
+    assert sum(drawn) == paths * 2
+    drawn.clear()
+    joint_bound_check(np.zeros(2), box, 0.5, paths=paths, seed=3)
+    assert sum(drawn) == paths * 2 * br._N_STEPS
+
+
 # -- joint bound ---------------------------------------------------------------------
 
 def test_envelope_constant_closed_form():
@@ -286,15 +351,17 @@ def test_joint_bound_inside_and_outside():
 
 def _reference_joint(x, box, t, paths, seed):
     """(lhs, lhs_stderr, p_exit, p_exit_stderr) of joint_bound_check, block by
-    block, with the box bridge factor evaluated on every live path and step."""
-    dt = t / br._N_STEPS
+    block, with the box bridge factor evaluated on every live path and step;
+    from a start outside the box, one step of length t."""
+    n_steps = br._N_STEPS if box.contains(x[None, :])[0] else 1
+    dt = t / n_steps
     sums = np.zeros(4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(br, "_FAR", math.inf)
         for m, rng in br._path_blocks((t,), paths, seed):
             pos = np.tile(x, (m, 1))
             survive = box.contains(pos).astype(float)
-            for _ in range(br._N_STEPS):
+            for _ in range(n_steps):
                 new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, 2))
                 br._stay_in_box(pos, new, box.lo, box.hi, dt, survive)
                 pos = new
@@ -327,7 +394,7 @@ def test_sweep_boundary_matches_block_references():
         == [[br._PATH_BLOCK] * 4, [1000]]
     x = np.zeros(2)
     # at this key, summing the hit chances over a whole sweep at once moves the
-    # standard error of the side -1 estimate by one ulp
+    # mean and standard error of the axis-0 estimate in their last bits
     regions = [half_space(0, 0.5), half_space(1, -0.5, side=-1)]
     ests, = simulate_hitting(x, regions, [0.25], paths=paths, seed=3)
     for r, est in zip(regions, ests):
@@ -450,6 +517,27 @@ def test_start_outside_the_box_evaluates_no_box_factor(monkeypatch):
     assert outside["p_exit"] == 1.0 and 0.0 < outside["lhs"] < 1.0
     inside = joint_bound_check(np.array(starts[1]), box, 0.5, paths=2000, seed=5)
     assert len(calls) == br._N_STEPS and _joint(inside) == want[1]
+
+
+def _lhs_off_its_closed_form(x, box, t, paths, seed) -> bool:
+    """Whether joint_bound_check's lhs from a start outside the box lies more
+    than 3 sigma from P_x{X_t in B} = prod_j [Phi((hi_j - x_j)/sqrt(2t))
+    - Phi((lo_j - x_j)/sqrt(2t))], its value when S = 0 on every path."""
+    sd = math.sqrt(2.0 * t)
+    phi = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))
+    exact = math.prod(phi((hi - c) / sd) - phi((lo - c) / sd)
+                      for c, lo, hi in zip(x.tolist(), box.lo, box.hi))
+    out = joint_bound_check(x, box, t, paths=paths, seed=seed)
+    return abs(out["lhs"] - exact) > 3.0 * out["lhs_stderr"]
+
+
+def test_outside_lhs_matches_its_closed_form(monkeypatch):
+    x, box = np.array([2.0, 0.0]), box_region((-1.0, -1.0), (1.0, 1.0))
+    assert not _lhs_off_its_closed_form(x, box, 0.5, 8192, 4)
+    # planted defect: the step taken at sigma = sqrt(t), not sqrt(2t), by
+    # scaling every normal by 1/sqrt(2)
+    _wrap_generators(monkeypatch, scale=math.sqrt(0.5))
+    assert _lhs_off_its_closed_form(x, box, 0.5, 8192, 4)
 
 
 def test_interval_survival_matches_eigenfunction_series():

@@ -332,6 +332,19 @@ def test_cli_reports_every_value_violation_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("times", ["", "0.5, 0", "-1"])
+@pytest.mark.parametrize("exp", ["kirsch", "brownian", "surface"])
+def test_cli_rejects_an_empty_or_nonpositive_time_grid_exit_2(exp, times, tmp_path, capsys):
+    # an empty grid would check nothing (surface) or fail at run time (kirsch, brownian)
+    cfg = write_cfg(tmp_path, _set(_shipped(exp), {"times": times}))
+    out = tmp_path / "o"
+    assert main([exp, str(cfg), "--out", str(out)]) == 2
+    assert "- times:" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="times: needs at least one time"):
+        dataclasses.replace(parse_config(_shipped(exp)), times=())
+
+
 def test_cli_subcommand_mismatch_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_BULK)
     assert main(["locality", str(cfg), "--out", str(tmp_path / "o")]) == 2
