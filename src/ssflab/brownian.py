@@ -40,9 +40,10 @@ class RegionError(ValueError):
 _PATH_BLOCK = 4096  # fixed partition of paths into RNG blocks
 _SWEEP = 4          # blocks advanced together per step; larger sweeps leave cache
 # Time steps per path, each t / _N_STEPS long.  With exact bridge factors the
-# count sets only speed and variance.  At 16 the traced mc-paths benchmark
-# (perfbench/README.md) read trace.coverage below its 0.95 gate in 2 of 31
-# repetitions, since fixed set-up time then dominates; at 32 it read 0.98.
+# count sets only speed and variance.  Fewer steps lower the traced mc-paths
+# benchmark's trace.coverage (perfbench/README.md, gate 0.95), since fixed
+# set-up time then dominates: at 16 it fell below the gate in 2 of 31
+# repetitions, and even at 32 its minimum is 0.933 over 168.
 _N_STEPS = 32
 _EPS = 1.0          # eps of the joint bound's envelope constant C_eps
 _FAR = 40.0         # a face product a >= _FAR dt: exp(-a/dt) < 2^-54, a bridge factor of 1.0

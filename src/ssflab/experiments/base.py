@@ -33,16 +33,18 @@ class ConfigError(ExperimentError, ValueError):
 
 class CampaignKeys(NamedTuple):
     """What one campaign takes: its required keys, its grid dimensions (None:
-    no grid), the fewest schedule entries it needs, and its tolerance and
-    option defaults.  The parser copies the tolerance defaults into every
-    parsed config; option defaults stay here, read by ``opt``.  Each key's
-    kind is its default's ``value_kind``."""
+    no grid), the fewest schedule entries it needs, its tolerance and option
+    defaults, and the range rules of its options (name -> (test, rule)).
+    The parser copies the tolerance defaults into every parsed config; option
+    defaults stay here, read by ``opt``.  Each key's kind is its default's
+    ``value_kind``."""
 
     required: tuple
     dims: tuple | None
     schedule: int
     tolerances: dict
     options: dict
+    ranges: dict = {}  # read only
 
 
 def value_kind(value) -> str:
@@ -66,11 +68,12 @@ def seed_violations(seed: int) -> list:
 _MODEL = ("grid.dimension", "distribution.kind", "profile.kind", "schedule")
 
 # experiment -> its required keys, dimensions, fewest schedule entries,
-# tolerance defaults and option defaults
+# tolerance defaults, option defaults and option ranges
 CAMPAIGNS = {
     "bulk-limit": CampaignKeys(
         _MODEL + ("energies",), (1, 2), 1,
-        {"bulk_deviation": 0.02, "variance_slack": 1.2}, {"ambient_factor": 4}),
+        {"bulk_deviation": 0.02, "variance_slack": 1.2}, {"ambient_factor": 4},
+        {"ambient_factor": (lambda v: v >= 4, "must be >= 4")}),
     "locality": CampaignKeys(
         _MODEL, (2,), 2, {"slope_low": -1.3, "slope_high": -0.7},
         {"margin": 12, "bump_lo": -1.0, "bump_hi": 2.0}),
@@ -95,7 +98,11 @@ CAMPAIGNS = {
          "e_main": 2.0}),
     "brownian": CampaignKeys(
         (), None, 0, {}, {"distances": (0.5, 1.0, 2.0), "nus": (1, 2),
-                          "paths": 100_000, "bridge": True, "joint_t": 0.5}),
+                          "paths": 100_000, "bridge": True, "joint_t": 0.5},
+        {"paths": (lambda v: v >= 1000, "must be >= 1000"),
+         "nus": (lambda v: all(n >= 1 for n in v), "every entry must be >= 1"),
+         "distances": (lambda v: all(d > 0.0 for d in v), "every entry must be > 0"),
+         "joint_t": (lambda v: v > 0.0, "must be > 0")}),
 }
 
 _KIRSCH_PATCH = np.array([[0.25, 0.5, 0.25],
@@ -138,6 +145,10 @@ class ExperimentConfig:
                 elif value_kind(value) != value_kind(declared[name]):
                     bad.append(f"{section}.{name}: expected "
                                f"{value_kind(declared[name])}, got {value!r}")
+                elif section == "options" and name in keys.ranges:
+                    holds, rule = keys.ranges[name]
+                    if not holds(value):
+                        bad.append(f"options.{name}: {rule}")
         bad += [f"{name}: must be >= 1" for name in ("realizations", "workers")
                 if getattr(self, name) < 1]
         if not self.spacing > 0.0:

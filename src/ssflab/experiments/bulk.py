@@ -35,15 +35,12 @@ def _xi_per_meas(config, grid, fields, length, lam_grid):
 def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     if any(lam >= 0.0 for lam in config.energies):
         raise ExperimentError("bulk-limit energies must be negative (below the free spectrum)")
-    factor = config.opt("ambient_factor")
-    if factor < 4:
-        raise ExperimentError("ambient grid must be at least 4x the largest box")
 
     rec = ResultRecord("bulk-limit", config.seed, config.digest())
     lam_grid = np.asarray(config.energies)
     reals = range(config.realizations)
 
-    side = factor * max(config.schedule)
+    side = config.opt("ambient_factor") * max(config.schedule)
     grid = ambient_for(IntBox.centered((side,) * config.dimension), 0, config.spacing)
     fields = [sample_couplings(config.distribution, grid.box, config.seed, r) for r in reals]
     per_length = {length: _xi_per_meas(config, grid, fields, length, lam_grid)

@@ -364,6 +364,26 @@ def test_brownian_reproducible_across_workers():
     assert serial == threaded
 
 
+def _hitting_rows(rec, nu):
+    return [(r["d"], r["t"], r["p_hat"], r["stderr"]) for r in rec.rows if r["nu"] == nu]
+
+
+def test_brownian_one_hitting_simulation_serves_every_nu(monkeypatch):
+    # every target is on axis 0, which has its own stream: one call at the
+    # largest nu gives each nu's estimates, and nu sets only the envelope
+    calls = []
+    real = br.simulate_hitting
+    monkeypatch.setattr(br, "simulate_hitting",
+                        lambda x, *a, **kw: calls.append(len(x)) or real(x, *a, **kw))
+    rec = run_brownian(BROWNIAN_SMALL)
+    assert calls == [2]
+    assert _hitting_rows(rec, 2) == _hitting_rows(rec, 1)
+    alone = run_brownian(dataclasses.replace(
+        BROWNIAN_SMALL, options={**BROWNIAN_SMALL.options, "nus": (2,)}))
+    assert _hitting_rows(alone, 2) == _hitting_rows(rec, 2)
+    assert [r["bound"] for r in alone.rows] == [r["bound"] for r in rec.rows if r["nu"] == 2]
+
+
 @pytest.mark.parametrize("bridge", [False, True])
 def test_brownian_exact_law_check_fails_only_without_the_bridge(bridge):
     # planted defect: endpoint detection misses crossings between steps, so at

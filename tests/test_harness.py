@@ -345,6 +345,24 @@ def test_cli_rejects_an_empty_or_nonpositive_time_grid_exit_2(exp, times, tmp_pa
         dataclasses.replace(parse_config(_shipped(exp)), times=())
 
 
+@pytest.mark.parametrize("exp, key, text, value", [
+    ("brownian", "options.paths", "10", 10),
+    ("brownian", "options.nus", "1, 0", (1, 0)),
+    ("brownian", "options.distances", "0, 1", (0.0, 1.0)),
+    ("brownian", "options.joint_t", "-1", -1.0),
+    ("bulk-limit", "options.ambient_factor", "3", 3),
+], ids=["paths", "nus", "distances", "joint_t", "ambient_factor"])
+def test_cli_rejects_an_option_out_of_range_exit_2(exp, key, text, value, tmp_path, capsys):
+    # each would otherwise fail at run time (exit 1, partial outputs)
+    cfg = write_cfg(tmp_path, _set(_shipped(exp), {key: text}))
+    out = tmp_path / "o"
+    assert main([exp, str(cfg), "--out", str(out)]) == 2
+    assert f"- {key}:" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(parse_config(_shipped(exp)), options={key.split(".")[1]: value})
+
+
 def test_cli_subcommand_mismatch_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_BULK)
     assert main(["locality", str(cfg), "--out", str(tmp_path / "o")]) == 2
