@@ -34,7 +34,8 @@ class ConfigError(ExperimentError, ValueError):
 class CampaignKeys(NamedTuple):
     """What one campaign takes: its required keys, its grid dimensions (None:
     no grid), the fewest schedule entries it needs, its tolerance and option
-    defaults, and the range rules of its options (name -> (test, rule)).
+    defaults, and the range rules of its options (name -> (test, rule); the
+    test reads every option, defaults filled in).
     The parser copies the tolerance defaults into every parsed config; option
     defaults stay here, read by ``opt``.  Each key's kind is its default's
     ``value_kind``."""
@@ -66,6 +67,8 @@ def seed_violations(seed: int) -> list:
 
 
 _MODEL = ("grid.dimension", "distribution.kind", "profile.kind", "schedule")
+# a margin pads a box (ambient_for)
+_MARGIN = {"margin": (lambda o: o["margin"] >= 0, "must be >= 0")}
 
 # experiment -> its required keys, dimensions, fewest schedule entries,
 # tolerance defaults, option defaults and option ranges
@@ -73,36 +76,45 @@ CAMPAIGNS = {
     "bulk-limit": CampaignKeys(
         _MODEL + ("energies",), (1, 2), 1,
         {"bulk_deviation": 0.02, "variance_slack": 1.2}, {"ambient_factor": 4},
-        {"ambient_factor": (lambda v: v >= 4, "must be >= 4")}),
+        {"ambient_factor": (lambda o: o["ambient_factor"] >= 4, "must be >= 4")}),
     "locality": CampaignKeys(
         _MODEL, (2,), 2, {"slope_low": -1.3, "slope_high": -0.7},
-        {"margin": 12, "bump_lo": -1.0, "bump_hi": 2.0}),
+        {"margin": 12, "bump_lo": -1.0, "bump_hi": 2.0}, _MARGIN),
     "cutoff": CampaignKeys(
         _MODEL, (1, 2), 2, {}, {"margin": 24, "bump_lo": -2.5, "bump_hi": 1.0,
-                                "decay_comparison": (1.0, 2.0, 4.0)}),
+                                "decay_comparison": (1.0, 2.0, 4.0)}, _MARGIN),
     "cluster": CampaignKeys(
         _MODEL, (2,), 2, {"slope_low": 0.7, "slope_high": 1.3, "additivity": 1.1},
         {"margin": 8, "box_side": 8, "t": 1.0, "additivity_sites": 320,
-         "additivity_block": 48, "additivity_gap": 32}),
-    "subadditive": CampaignKeys(_MODEL, (2,), 2, {}, {"margin": 6, "t": 1.0}),
+         "additivity_block": 48, "additivity_gap": 32},
+        # two disjoint supports, gap // 2 apart from the middle, on the chain
+        {**_MARGIN,
+         "additivity_gap": (lambda o: o["additivity_gap"] >= 0, "must be >= 0"),
+         "additivity_block": (lambda o: o["additivity_block"] >= 1, "must be >= 1"),
+         "additivity_sites": (lambda o: o["additivity_gap"] // 2 + o["additivity_block"]
+                              <= o["additivity_sites"] // 2,
+                              "must hold both supports: additivity_gap // 2 + "
+                              "additivity_block <= additivity_sites // 2")}),
+    "subadditive": CampaignKeys(_MODEL, (2,), 2, {}, {"margin": 6, "t": 1.0}, _MARGIN),
     "surface": CampaignKeys(
         _MODEL + ("energies",), (2,), 1,
         {"relative_change": 0.05, "transverse_tol": 0.05, "sum_rule": 1e-10},
-        {"margin": 16, "transverse": 11, "check_transverse": True}),
+        {"margin": 16, "transverse": 11, "check_transverse": True}, _MARGIN),
     "kirsch": CampaignKeys(
         ("grid.dimension", "profile.kind", "schedule", "energies", "times"), (2,), 1,
         {"dual_rel": 1e-8}, {}),
     "resolvent": CampaignKeys(
         _MODEL, (2,), 2, {"slope_low": 0.7, "slope_high": 1.3},
         {"margin": 8, "box_side": 8, "power": 2, "e_values": (1.0, 2.0, 4.0),
-         "e_main": 2.0}),
+         "e_main": 2.0}, _MARGIN),
     "brownian": CampaignKeys(
         (), None, 0, {}, {"distances": (0.5, 1.0, 2.0), "nus": (1, 2),
                           "paths": 100_000, "bridge": True, "joint_t": 0.5},
-        {"paths": (lambda v: v >= 1000, "must be >= 1000"),
-         "nus": (lambda v: all(n >= 1 for n in v), "every entry must be >= 1"),
-         "distances": (lambda v: all(d > 0.0 for d in v), "every entry must be > 0"),
-         "joint_t": (lambda v: v > 0.0, "must be > 0")}),
+        {"paths": (lambda o: o["paths"] >= 1000, "must be >= 1000"),
+         "nus": (lambda o: all(n >= 1 for n in o["nus"]), "every entry must be >= 1"),
+         "distances": (lambda o: all(d > 0.0 for d in o["distances"]),
+                       "every entry must be > 0"),
+         "joint_t": (lambda o: o["joint_t"] > 0.0, "must be > 0")}),
 }
 
 _KIRSCH_PATCH = np.array([[0.25, 0.5, 0.25],
@@ -138,6 +150,7 @@ class ExperimentConfig:
         if keys is None:
             raise ConfigError([f"experiment: unknown experiment {self.experiment!r}"])
         bad = seed_violations(self.seed)
+        options = {**keys.options, **self.options}
         for section, declared in (("tolerances", keys.tolerances), ("options", keys.options)):
             for name, value in getattr(self, section).items():
                 if name not in declared:
@@ -145,10 +158,10 @@ class ExperimentConfig:
                 elif value_kind(value) != value_kind(declared[name]):
                     bad.append(f"{section}.{name}: expected "
                                f"{value_kind(declared[name])}, got {value!r}")
-                elif section == "options" and name in keys.ranges:
-                    holds, rule = keys.ranges[name]
-                    if not holds(value):
-                        bad.append(f"options.{name}: {rule}")
+                    options = None  # the range tests read values of the declared kinds
+        if options is not None:
+            bad += [f"options.{name}: {rule}" for name, (holds, rule) in keys.ranges.items()
+                    if not holds(options)]
         bad += [f"{name}: must be >= 1" for name in ("realizations", "workers")
                 if getattr(self, name) < 1]
         if not self.spacing > 0.0:

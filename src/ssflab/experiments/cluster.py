@@ -64,8 +64,6 @@ def _additivity_defect(config: ExperimentConfig, realization: int) -> int:
     half_gap = gap // 2
     b1 = IntBox((-half_gap - block,), (-half_gap - 1,))
     b2 = IntBox((half_gap,), (half_gap + block - 1,))
-    if b1.hi[0] >= b2.lo[0]:
-        raise ExperimentError("additivity supports overlap")
 
     h0 = free_hamiltonian(grid)
     v1, v2 = (assemble_potential(grid, profile, field, "sharp", b) for b in (b1, b2))

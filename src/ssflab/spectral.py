@@ -16,11 +16,14 @@ per mirror sector (even and odd), at about half the sites and half the
 bandwidth each.
 
 ``eig_all`` returns the sorted spectrum and, on request, the eigenvectors as
-a (values, vectors) pair.  Every g(H), g from ``FUNCTION_FAMILY``, comes from
-one pair: ``matrix_function`` forms the dense (U g(lambda)) U^T and
-``diag_of_function`` its diagonal; free operators use the per-axis sine
-modes.  These take one operator, never a stack.  The paths that form an
-n x n array are capped at DENSE_LIMIT sites.
+a (values, vectors) pair, or only the pairs inside a window (lo, hi): one
+reduction to tridiagonal form, every eigenvalue of T, inverse iteration for
+the window's vectors, back-transformed by the reduction's reflectors.  Every
+g(H), g from ``FUNCTION_FAMILY``, comes from one pair: ``matrix_function``
+forms the dense (U g(lambda)) U^T and ``diag_of_function`` its diagonal,
+from the pairs inside a bump's support alone; free operators use the
+per-axis sine modes.  These take one operator, never a stack.  The paths
+that form an n x n array are capped at DENSE_LIMIT sites.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .model import Grid, Hamiltonian, grid_band
 
@@ -282,26 +286,95 @@ def _check_dense(n: int) -> None:
         raise SizeLimitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
 
 
-def eig_all(h, need_vectors: bool = False) -> tuple:
+def eig_all(h, need_vectors: bool = False, support=None) -> tuple:
     """(values, vectors) of H: the full spectrum sorted ascending, and the
     eigenvectors as columns when need_vectors (else None).
 
     Free Hamiltonians use the closed-form Dirichlet spectrum; 1D uses the
     tridiagonal solver; wide banded matrices without vector requests use the
     banded solver, once per mirror sector when H has them; everything else
-    is a dense eigensolve.  Only the paths that form an n x n array
-    (eigenvectors, dense eigensolve) are capped at DENSE_LIMIT sites.
+    is a dense eigensolve.  support=(lo, hi) with need_vectors says that only
+    the pairs with lo < lambda < hi are needed: eig_all then returns just
+    those, ascending, from one reduction to tridiagonal form T (none in 1D),
+    every eigenvalue of T and inverse iteration for the window's vectors,
+    which the reduction's reflectors take back to H's basis; if inverse
+    iteration does not converge, it returns every pair.  Only the paths that
+    form an n x n array (eigenvectors, dense eigensolve) are capped at
+    DENSE_LIMIT sites.
     """
     _single(h)
     if not need_vectors:
         return _values(h), None
     kind, *payload = _as_structure(h)
     _check_dense(h.n if kind == "banded" else payload[0].shape[0])
+    # overwrite only a matrix built here (symmetric: a.T = a)
+    own = kind == "banded"
+    if support is not None:
+        pairs = _tridiagonal_window(*payload, *support) if kind == "tridiag" else \
+            _window_pairs(h.to_dense().T if own else payload[0], own, *support)
+        if pairs is not None:
+            return pairs
     if kind == "tridiag":
         return sla.eigh_tridiagonal(*payload)
-    # divide and conquer; overwrite only a matrix built here (symmetric: a.T = a)
-    own = kind == "banded"
+    # divide and conquer
     return sla.eigh(h.to_dense().T if own else payload[0], overwrite_a=own, driver="evd")
+
+
+def _tridiagonal_window(d: np.ndarray, e: np.ndarray, lo: float, hi: float):
+    """The pairs of the tridiagonal T (diagonal d, off-diagonal e) with
+    lo < lambda < hi, ascending, or None if LAPACK does not converge.  T
+    splits where e_i^2 < |d_i d_(i+1)| ulp^2 + tiny (LAPACK's dstebz rule);
+    ``dsterf`` takes every eigenvalue of each block, and inverse iteration
+    (``dstein``) the vectors of the window's, block by block."""
+    n = d.size
+    tiny, ulp = np.finfo(float).tiny, np.finfo(float).eps
+    ends = np.append(np.flatnonzero(e * e < np.abs(d[1:] * d[:-1]) * ulp ** 2 + tiny) + 1, n)
+    ws, block = [], []
+    for b, (s, t) in enumerate(zip([0, *ends[:-1]], ends), 1):
+        vals, info = lapack.dsterf(d[s:t], e[s:t - 1]) if t - s > 1 else (d[s:t], 0)
+        if info:
+            return None
+        ws.append(vals[(vals > lo) & (vals < hi)])
+        block += [b] * ws[-1].size
+    w = np.concatenate(ws)
+    if not w.size:
+        return w, np.zeros((n, 0))
+    # the wrapper takes the block maps at length n, and e at length >= 1
+    fill = lambda x: np.pad(np.asarray(x, dtype=np.int32), (0, n - len(x)))
+    z, info = lapack.dstein(d, e if n > 1 else np.zeros(1), w, fill(block), fill(ends))
+    order = np.argsort(w, kind="stable")  # from block order to ascending
+    return None if info else (w[order], z[:, order])
+
+
+def _window_pairs(a: np.ndarray, own: bool, lo: float, hi: float):
+    """The pairs of the dense symmetric A with lo < lambda < hi, ascending,
+    or None if LAPACK does not converge.  A is reduced once to T = Q^T A Q
+    (blocked ``dsytrd``, in place when own), T's window pairs Z come from
+    _tridiagonal_window, and Q Z is formed for those m columns only
+    (``dormqr``), so no n x n array is made beside A."""
+    n = a.shape[0]
+    c, d, e, tau, _ = lapack.dsytrd(a, lower=1, overwrite_a=own,
+                                    lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
+    pairs = _tridiagonal_window(d, e, lo, hi)
+    if pairs is None or n == 1 or not pairs[0].size:
+        return pairs
+    w, z = pairs
+    m = w.size
+    # Q = diag(1, H_1 ... H_(n-1)); H_j is I - tau_j v v^T with v = 1 at row
+    # j + 1 and c[j+2:, j] below.  Read from one element into c's storage
+    # (column stride n), the reflectors lie one row up in an n x (n-1) array
+    # whose last row is c's first row, zeroed here; rows 1.. of Z lie one row
+    # up in an n x m array in the same way, and its last row, which the zero
+    # entry multiplies, is left as it is.  So dormqr reads both in place.
+    c[0, 1:] = 0.0
+    reflectors = c.ravel(order="F")[1:n * (n - 1) + 1].reshape((n, n - 1), order="F")
+    out = np.zeros(n * m + 1)
+    u = out[:-1].reshape((n, m), order="F")
+    u[...] = z
+    rows = out[1:].reshape((n, m), order="F")
+    lwork = int(lapack.dormqr("L", "N", reflectors, tau, rows, -1)[1][0])
+    lapack.dormqr("L", "N", reflectors, tau, rows, lwork, overwrite_c=1)
+    return w, u
 
 
 def _values(h, split: bool = True) -> np.ndarray:
@@ -461,5 +534,7 @@ def diag_of_function(h, g) -> np.ndarray:
         for psi in psis:  # contracts the leading axis and appends the site axis
             out = np.tensordot(out, psi ** 2, axes=(0, 1))
         return out.ravel()
-    w, u = eig_all(h, need_vectors=True)
+    # a bump weighs only the pairs inside its support
+    support = (g.a, g.b) if isinstance(g, BumpFunction) else None
+    w, u = eig_all(h, need_vectors=True, support=support)
     return np.square(u, out=u) @ g.value(w)  # u is ours: square it in place

@@ -132,8 +132,8 @@ options.t = 1.0
 
 # experiment -> (raw.csv digest, result.json digest), one BLAS thread
 PINNED = {
-    "locality": ("5aaceca8413e49d55b3e97d5a2f751e843c197994b89bd4e5d1147dfa75c3526",
-                 "c510837327c438352e4121330b83e33d90a5585102849f73278fd5565e112824"),
+    "locality": ("acf51f47f4bd83d7f799602c15d743c67fd6dc535864116cf51372cc58082aec",
+                 "2e08ebe3c461f54cbbce79423d536bdd47c7f5cff7ee3a90ac75abbb22311609"),
     "cluster": ("bc12b4f9e3525504160fc4c07e29f294a2dee1bc25c3f014796b3d0c0bcc0181",
                 "98af525555b783f695ec0f2c41e998cfdd267b85001017c59b06cba7b4637ef2"),
     "kirsch": ("7c194b393c070d872371f92036362d1ba13ba0c977de7a8db5e36bed3b946102",

@@ -345,13 +345,24 @@ def test_cli_rejects_an_empty_or_nonpositive_time_grid_exit_2(exp, times, tmp_pa
         dataclasses.replace(parse_config(_shipped(exp)), times=())
 
 
+# the campaigns that pad a box by options.margin; locality's case is the
+# run-time failure (box not inside the grid) the rule replaced
+_PADDED = ("locality", "cutoff", "cluster", "subadditive", "surface", "resolvent")
+
+
 @pytest.mark.parametrize("exp, key, text, value", [
     ("brownian", "options.paths", "10", 10),
     ("brownian", "options.nus", "1, 0", (1, 0)),
     ("brownian", "options.distances", "0, 1", (0.0, 1.0)),
     ("brownian", "options.joint_t", "-1", -1.0),
     ("bulk-limit", "options.ambient_factor", "3", 3),
-], ids=["paths", "nus", "distances", "joint_t", "ambient_factor"])
+    *((exp, "options.margin", "-3", -3) for exp in _PADDED),
+    ("cluster", "options.additivity_gap", "-2", -2),
+    ("cluster", "options.additivity_block", "0", 0),
+    ("cluster", "options.additivity_sites", "120", 120),
+], ids=["paths", "nus", "distances", "joint_t", "ambient_factor",
+        *(f"margin-{exp}" for exp in _PADDED),
+        "additivity_gap", "additivity_block", "additivity_sites"])
 def test_cli_rejects_an_option_out_of_range_exit_2(exp, key, text, value, tmp_path, capsys):
     # each would otherwise fail at run time (exit 1, partial outputs)
     cfg = write_cfg(tmp_path, _set(_shipped(exp), {key: text}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ssflab import spectral
 from ssflab.model import Grid, Hamiltonian, IntBox, PotentialField, \
@@ -530,6 +530,110 @@ def test_size_cap_only_on_dense_paths(monkeypatch):
     for h in (free, strip, free_hamiltonian(build_grid(1, 1.0, DENSE_LIMIT + 1))):
         with pytest.raises(SizeLimitError):
             eig_all(h, need_vectors=True)
+
+
+# -- windowed eigenpairs (support=(lo, hi)) --------------------------------------
+
+def _full_solve(h):
+    a = h.to_dense() if isinstance(h, Hamiltonian) else np.array(h, dtype=float)
+    w, u = sla.eigh(a, driver="evd")
+    return a, w, u, np.abs(a).sum(axis=1).max()
+
+
+def _edges_clear(w, lo, hi, scale):
+    """No eigenvalue within rounding of a window edge, where the two solves
+    may place it on opposite sides."""
+    return np.min(np.abs(np.subtract.outer(w, [lo, hi])), initial=np.inf) > 1e-10 * scale
+
+
+def _check_window(h, lo, hi):
+    """The window's pairs against the full evd solve: the same eigenvalues,
+    orthonormal vectors with small residuals, and the same diag g(H) for a
+    bump on the window.  Returns the number of pairs."""
+    a, wf, uf, scale = _full_solve(h)
+    w, u = eig_all(h, need_vectors=True, support=(lo, hi))
+    inside = wf[(wf > lo) & (wf < hi)]
+    assert w.shape == inside.shape and u.shape == (a.shape[0], w.size)
+    assert np.all(np.abs(w - inside) <= 1e-13 * scale)
+    if w.size:
+        assert np.linalg.norm(u.T @ u - np.eye(w.size), 2) <= 1e-12
+        assert np.linalg.norm(a @ u - u * w, 2) <= 1e-12 * scale
+    g = BumpFunction(lo, hi)
+    assert np.max(np.abs(diag_of_function(h, g) - np.square(uf) @ g.value(wf))) <= 1e-13
+    if not isinstance(h, Hamiltonian):  # the caller's matrix is left as it was
+        assert np.array_equal(h, a)
+    return w.size
+
+
+@settings(max_examples=30, deadline=None)
+@given(extents=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+       seed=st.integers(0, 10**6), constant=st.booleans(),
+       lo=st.floats(-2.0, 8.0), width=st.floats(0.1, 6.0))
+@example(extents=[12, 12], seed=0, constant=True, lo=-1.0, width=3.0)
+def test_window_matches_full_solve_on_grids(extents, seed, constant, lo, width):
+    # constant: H0 + 0.5, whose spectrum is exactly degenerate on square boxes
+    h = alloy_hamiltonian(tuple(extents), seed)
+    if constant:
+        h = Hamiltonian(h.grid, free_hamiltonian(h.grid).diag + 0.5)
+    _, w, _, scale = _full_solve(h)
+    assume(_edges_clear(w, lo, lo + width, scale))
+    _check_window(h, lo, lo + width)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 10**6),
+       lo=st.floats(-12.0, 12.0), width=st.floats(0.1, 12.0))
+def test_window_matches_full_solve_on_dense(n, seed, lo, width):
+    a = random_symmetric(np.random.default_rng(seed), n)
+    _, w, _, scale = _full_solve(a)
+    assume(_edges_clear(w, lo, lo + width, scale))
+    _check_window(a, lo, lo + width)
+
+
+def test_window_on_a_block_diagonal_matrix_splits_t(monkeypatch):
+    # the reduction keeps each block's reflectors inside it, so T splits
+    # exactly where the blocks meet, and dstein gets that block map
+    rng = np.random.default_rng(11)
+    sizes = (7, 1, 12, 5)
+    a = sla.block_diag(*(random_symmetric(rng, k) for k in sizes))
+    seen = []
+    dstein = spectral.lapack.dstein
+
+    def spy(d, e, w, iblock, isplit):
+        seen.append((iblock[:w.size].tolist(), isplit[:len(sizes)].tolist()))
+        return dstein(d, e, w, iblock, isplit)
+    monkeypatch.setattr(spectral.lapack, "dstein", spy)
+    w = _full_solve(a)[1]
+    lo, hi = 0.5 * (w[2] + w[3]), 0.5 * (w[-3] + w[-2])
+    assert _check_window(a, lo, hi) == a.shape[0] - 5
+    blocks, ends = seen[0]
+    assert ends == np.cumsum(sizes).tolist()
+    assert len(set(blocks)) > 1 and blocks == sorted(blocks)
+
+
+def test_window_without_eigenvalues():
+    h = alloy_hamiltonian((9, 7), 5)
+    w = _full_solve(h)[1]
+    k = int(np.argmax(np.diff(w)))  # the widest gap
+    for lo, hi in ((w[-1] + 1.0, w[-1] + 2.0), (w[0] - 2.0, w[0] - 1.0),
+                   (w[k] + 0.25 * (w[k + 1] - w[k]), w[k] + 0.75 * (w[k + 1] - w[k]))):
+        assert _check_window(h, lo, hi) == 0
+        assert _check_window(h.to_dense(), lo, hi) == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alloy_hamiltonian((9, 8), 3),
+    lambda: alloy_hamiltonian((9, 8), 3).to_dense(),
+    lambda: alloy_hamiltonian((40,), 3),
+], ids=["grid", "dense", "chain"])
+def test_window_falls_back_to_the_full_solve(make, monkeypatch):
+    # inverse iteration that does not converge: every pair of the full solve
+    h, g = make(), BumpFunction(-1.0, 2.0)
+    w, u = eig_all(h, need_vectors=True)
+    monkeypatch.setattr(spectral.lapack, "dstein", lambda d, e, w, *maps: (None, 1))
+    assert np.array_equal(diag_of_function(h, g), np.square(u) @ g.value(w))
+    again = eig_all(h, need_vectors=True, support=(g.a, g.b))
+    assert np.array_equal(again[0], w) and np.array_equal(again[1], u)
 
 
 # -- heat semigroup -------------------------------------------------------------
