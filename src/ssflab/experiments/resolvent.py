@@ -33,9 +33,10 @@ def _norms_for(config: ExperimentConfig, width: int, realization: int, energies)
     ham = assemble_hamiltonian(grid, pot)
     dense = ham.to_dense()
     blocks = [idx for idx in (grid.indices(box), np.nonzero(~grid.mask(box))[0]) if idx.size]
-    pair = spectral.eig_all(ham, need_vectors=True)
     block_pairs = [spectral.eig_all(dense[np.ix_(idx, idx)], need_vectors=True)
                    for idx in blocks]
+    del dense  # only the blocks read it; H's solve builds its own
+    pair = spectral.eig_all(ham, need_vectors=True)
 
     lam_min = float(pair[0][0])
     if not min(energies) > -lam_min + 0.5:

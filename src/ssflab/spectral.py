@@ -20,10 +20,11 @@ a (values, vectors) pair, or only the pairs inside a window (lo, hi): one
 reduction to tridiagonal form, every eigenvalue of T, inverse iteration for
 the window's vectors, back-transformed by the reduction's reflectors.  Every
 g(H), g from ``FUNCTION_FAMILY``, comes from one pair: ``matrix_function``
-forms the dense (U g(lambda)) U^T and ``diag_of_function`` its diagonal,
-from the pairs inside a bump's support alone; free operators use the
-per-axis sine modes.  These take one operator, never a stack.  The paths
-that form an n x n array are capped at DENSE_LIMIT sites.
+forms the dense U g(lambda) U^T as a signed rank-k update (``dsyrk``) of
+U sqrt|g(lambda)|, mirrored to exact symmetry, and ``diag_of_function``
+its diagonal, from the pairs inside a bump's support alone; free operators
+use the per-axis sine modes.  These take one operator, never a stack.  The
+paths that form an n x n array are capped at DENSE_LIMIT sites.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .model import Grid, Hamiltonian, grid_band
 
 DENSE_LIMIT = 4000
 _BREAKDOWN_REL = 1e-12
 _RUN = 32  # shortest constant Sturm run that is walked only to its fixed point
+_MIRROR = 64  # columns per block when a lower triangle is mirrored
 
 
 class SizeLimitError(RuntimeError):
@@ -250,11 +252,21 @@ def count_below(h, lam):
 
 def _counts(h, xs: np.ndarray, scale, split: bool = True) -> np.ndarray:
     """count_below of a stack (or a matrix, a stack of one) on an array of
-    energies, (k, n_lam); mirror sectors add their counts."""
+    energies, (k, n_lam); mirror sectors add their counts.  A free odd
+    sector is the same strip for every operator; it is counted once per
+    distinct scale (which sets the breakdown tolerance), so each lane stays
+    bitwise as if counted alone."""
     kind, *payload = _as_structure(h)
     if kind == "banded":
         first, *odd = _sectors(h, split)
-        return _schur_counts(first, xs, scale) + sum(_counts(o, xs, scale, False) for o in odd)
+        counts = _schur_counts(first, xs, scale)
+        for o in odd:
+            at = slice(None)
+            if o.free:
+                scale, at = np.unique(scale, return_inverse=True)
+                o = Hamiltonian(o.grid, o.diag[:scale.size], True)
+            counts += _counts(o, xs, scale, False)[at]
+        return counts
     if kind == "tridiag":
         d, e = payload
         return _sturm_counts(d.reshape(-1, d.shape[-1]), e, xs, np.reshape(scale, -1))
@@ -506,20 +518,45 @@ FUNCTION_FAMILY = (BumpFunction, ExpWeight, ConstantFunction, ResolventPower)
 
 
 def matrix_function(h, g) -> np.ndarray:
-    """Dense symmetrised g(H) = (U g(lambda)) U^T.  h is a Hamiltonian, a
-    symmetric matrix, or its pair ``eig_all(h, need_vectors=True)``, which
-    then serves many g.  H0 is a Kronecker sum, so exp(-tH0) is the Kronecker
-    product of the axis semigroups, axis 0 first."""
+    """Dense, exactly symmetric g(H) = sum_k g(lambda_k) u_k u_k^T.  h is a
+    Hamiltonian, a symmetric matrix, or its pair ``eig_all(h,
+    need_vectors=True)``, which then serves many g and is left unchanged.
+    H0 is a Kronecker sum, so exp(-tH0) is the Kronecker product of the axis
+    semigroups, axis 0 first."""
     if not isinstance(g, FUNCTION_FAMILY):
         raise ValueError("g must come from the built-in function family")
     _single(h)
     if isinstance(h, Hamiltonian) and h.free and isinstance(g, ExpWeight):
         _check_dense(h.n)
-        pairs = _axis_modes(h)
+        pairs, own = _axis_modes(h), True
     else:
-        pairs = [h if isinstance(h, tuple) else eig_all(h, need_vectors=True)]
-    m = functools.reduce(np.kron, [(u * g.value(w)) @ u.T for w, u in pairs])
-    return 0.5 * (m + m.T)
+        own = not isinstance(h, tuple)
+        pairs = [eig_all(h, need_vectors=True) if own else h]
+    return functools.reduce(np.kron, [_gram(u, g.value(w), own) for w, u in pairs])
+
+
+def _gram(u: np.ndarray, gw: np.ndarray, own: bool) -> np.ndarray:
+    """U diag(gw) U^T as a signed rank-k update: ``dsyrk`` of U diag(sqrt
+    gw) over the columns with gw >= 0, then with alpha = -1 (beta = 1) over
+    U diag(sqrt -gw) for those with gw < 0, into the lower triangle of one
+    n x n array, mirrored in blocks of _MIRROR columns.  U is scaled in
+    place when own, else copied once."""
+    a = np.multiply(u, np.sqrt(np.abs(gw)), out=u if own else None)
+    c = None
+    for alpha, cols in ((1.0, gw >= 0.0), (-1.0, gw < 0.0)):
+        if cols.any():
+            part = a if cols.all() else a[:, cols]
+            f = part.flags.f_contiguous  # dsyrk reads A (trans 0) or A^T (trans 1)
+            c = blas.dsyrk(alpha, part if f else part.T, beta=0.0 if c is None else 1.0,
+                           c=c, trans=int(not f), lower=1, overwrite_c=1)
+    n = c.shape[0]
+    for s in range(0, n, _MIRROR):
+        e = min(s + _MIRROR, n)
+        upper = np.triu_indices(e - s, 1)
+        block = c[s:e, s:e]
+        block[upper] = block.T[upper]
+        c[s:e, e:] = c[e:, s:e].T
+    return c
 
 
 def diag_of_function(h, g) -> np.ndarray:

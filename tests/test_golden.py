@@ -134,12 +134,12 @@ options.t = 1.0
 PINNED = {
     "locality": ("acf51f47f4bd83d7f799602c15d743c67fd6dc535864116cf51372cc58082aec",
                  "2e08ebe3c461f54cbbce79423d536bdd47c7f5cff7ee3a90ac75abbb22311609"),
-    "cluster": ("bc12b4f9e3525504160fc4c07e29f294a2dee1bc25c3f014796b3d0c0bcc0181",
-                "98af525555b783f695ec0f2c41e998cfdd267b85001017c59b06cba7b4637ef2"),
+    "cluster": ("345c4f9bbd35132a4e0e3f5171c65302a163f115aeab546d31a6020cc2d87626",
+                "61f2e28a68fd066f963d76471cf7e835b355846566a3a5883a396b59920b7956"),
     "kirsch": ("7c194b393c070d872371f92036362d1ba13ba0c977de7a8db5e36bed3b946102",
                "e7ca935645f0a6a0df4f246d1dab952180c71c12a1afc827c8262c2f846c3e00"),
-    "resolvent": ("0691c34aeec34ca10031a9767a977f18e627dcbee94d418c5080d5a83eb952ec",
-                  "3e7c578f2aced0ea947f9472e8082cc8a8fbe27eaba3c068e621bc3cb59c40f0"),
+    "resolvent": ("0f92d3874668d3874c9ca81532d39c043ec1699a2a4a8b01515e8b5b40fda4b0",
+                  "ba4b379147d9b87ba20113aaf609644b332fd286e32e5ffe408e06f2f134483c"),
     "subadditive": ("fcfe97a6399b1e444ae1beee9ba441cb1d3cd7ebdde3c91cd28df2df982ce97a",
                     "dbc27d0861cca439557d788a249a5575270abbaf87055eba2ba3bd09193e1a22"),
 }

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -403,6 +405,47 @@ def test_stack_lane_breakdown_falls_back_alone(kind, monkeypatch):
         assert row.tolist() == np.searchsorted(w, lams, side="left").tolist()
 
 
+def _line_stack(lead, half, spacing, values):
+    """A stack on the strip lead x (2 half + 1): H0 plus a potential on the
+    middle row of the trailing axis alone, one operator per row of values,
+    so that every operator's odd mirror sector is the same free strip."""
+    g = build_grid(len(lead) + 1, spacing, lead + (2 * half + 1,))
+    d = np.broadcast_to(free_hamiltonian(g).diag.reshape(g.extents),
+                        (len(values),) + g.extents).copy()
+    d[..., half] += np.reshape(values, (len(values),) + lead)
+    return Hamiltonian(g, d.reshape(len(values), -1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lead=st.one_of(st.tuples(st.integers(2, 30)),
+                      st.tuples(st.integers(1, 8), st.integers(2, 4))),
+       half=st.integers(1, 6), spacing=st.sampled_from([1.0, 0.5]),
+       k=st.integers(1, 7), levels=st.integers(1, 3), seed=st.integers(0, 10**6))
+@example(lead=(30,), half=1, spacing=1.0, k=7, levels=1, seed=0)  # odd sector a chain
+@example(lead=(8, 4), half=6, spacing=0.5, k=7, levels=3, seed=1)
+def test_free_odd_sector_counted_once_per_scale(lead, half, spacing, k, levels, seed):
+    # line values drawn from a few levels, so operators share scales
+    rng = np.random.default_rng(seed)
+    values = rng.choice(rng.uniform(-6.0, 6.0, levels), size=(k, math.prod(lead)))
+    values[0] = 0.0  # H0 itself, as in the surface stacks
+    stack = _line_stack(lead, half, spacing, values)
+    ops = [Hamiltonian(stack.grid, d) for d in stack.diag]
+    assert spectral._sectors(stack)[1].free
+    spectra = [sla.eigvalsh(h.to_dense()) for h in ops]
+    lams = _gap_energies(np.sort(np.concatenate(spectra)), seed, 12)
+    calls = []  # operators per kernel call: the even sector's, then the odd's
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_schur_counts", "_sturm_counts"):
+            real = getattr(spectral, name)
+            mp.setattr(spectral, name, lambda op, *a, real=real: calls.append(
+                len(getattr(op, "d", op))) or real(op, *a))
+        counts = count_below(stack, lams)
+    assert calls == [k, np.unique(spectral._scale_of(stack)).size]
+    for row, h, w in zip(counts, ops, spectra):
+        assert row.tolist() == count_below(h, lams).tolist()
+        assert row.tolist() == np.searchsorted(w, lams, side="left").tolist()
+
+
 def test_stacks_rejected_where_one_operator_is_needed():
     _, stack = _stack_case("strip", 2, 3)
     for call in (lambda: eig_all(stack), lambda: eig_all(stack, need_vectors=True),
@@ -705,6 +748,56 @@ def test_trace_norm_refuses_asymmetric_input():
 
 
 # -- matrix functions -------------------------------------------------------------
+
+def _family(w, t, e_gap, m):
+    """One g of each FUNCTION_FAMILY kind for a spectrum w, the constant
+    negative: a bump over the middle third, exp(-tx), -0.7 and (x + E)^-m;
+    and 1/(x + E) with -E in w's widest gap, which changes sign on w."""
+    third = (w[-1] - w[0]) / 3.0
+    family = [BumpFunction(w[0] + third - 0.1, w[-1] - third + 0.1), ExpWeight(t),
+              ConstantFunction(-0.7), ResolventPower(e_gap - w[0], m)]
+    if w.size > 1:
+        i = int(np.argmax(np.diff(w)))
+        family.append(ResolventPower(-0.5 * (w[i] + w[i + 1]), 1))
+    return family
+
+
+@settings(max_examples=30, deadline=None)
+@given(extents=st.one_of(st.lists(st.integers(1, 9), min_size=2, max_size=2),
+                         st.lists(st.integers(1, 5), min_size=3, max_size=3)),
+       seed=st.integers(0, 10**6), free=st.booleans(), t=st.floats(0.05, 3.0),
+       e_gap=st.floats(0.5, 4.0), m=st.integers(1, 3))
+@example(extents=[9, 9], seed=0, free=False, t=0.5, e_gap=0.5, m=3)
+@example(extents=[13, 12], seed=2, free=False, t=1.0, e_gap=1.0, m=2)  # 3 mirror blocks
+@example(extents=[5, 4, 5], seed=1, free=True, t=3.0, e_gap=1.0, m=2)
+def test_matrix_function_is_a_symmetric_rank_k_update(extents, seed, free, t, e_gap, m):
+    h = alloy_hamiltonian(tuple(extents), seed)
+    if free:
+        h = free_hamiltonian(h.grid)
+    pair = eig_all(h, need_vectors=True)
+    w, u = pair
+    kept = u.copy()
+    for g in _family(w, t, e_gap, m):
+        ref = (u * g.value(w)) @ u.T
+        tol = 1e-13 * np.max(np.abs(g.value(w)))  # relative to |g(H)|_2
+        got = spectral.matrix_function(pair, g)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - ref)) <= tol
+        owned = spectral.matrix_function(h, g)
+        if free and isinstance(g, ExpWeight):  # the Kronecker product of the axes
+            assert np.array_equal(owned, owned.T)
+            assert np.max(np.abs(owned - ref)) <= tol
+        else:
+            assert np.array_equal(owned, got)
+    assert np.array_equal(u, kept)  # a passed pair serves the next g unchanged
+    assert np.max(np.abs(spectral.matrix_function(pair, ConstantFunction(-0.7))
+                         + 0.7 * np.eye(h.n))) <= 1e-13
+
+
+def test_matrix_function_of_a_zero_function_is_zero():
+    h = alloy_hamiltonian((6, 5), 2)
+    assert not np.any(spectral.matrix_function(h, BumpFunction(-30.0, -20.0)))
+
 
 def test_apply_constant_is_identity():
     h = alloy_hamiltonian((12,), 1)
