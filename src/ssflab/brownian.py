@@ -14,8 +14,8 @@ unbiased at any step count; endpoint detection alone (bridge=False) is not.
 Work that cannot move a bit is skipped: image terms past the face terms only
 on steps nearly across the box, no step of a hitting estimate that exactly
 rescales another (B_{s^2 t} = s B_t, s a power of two), which is copied, and
-no draw for an axis that no target reads.  From a start outside the box no
-box factor is evaluated, and each path takes one exact step of length t.
+no draw for an axis that no target reads.  A dead path of the joint check
+leaves its sweep with one exact step to t (from outside the box, all at once).
 
 One call estimates many regions and times from one draw of the counter-based
 paths (Philox keyed by seed and block, one stream per axis), each bitwise as
@@ -41,10 +41,11 @@ _PATH_BLOCK = 4096  # fixed partition of paths into RNG blocks
 _SWEEP = 4          # blocks advanced together per step; larger sweeps leave cache
 # Time steps per path, each t / _N_STEPS long.  With exact bridge factors the
 # count sets only speed and variance.  Fewer steps lower the traced mc-paths
-# benchmark's trace.coverage (perfbench/README.md, gate 0.95), since fixed
-# set-up time then dominates: at 16 it fell below the gate in 2 of 31
-# repetitions, and even at 32 its minimum is 0.933 over 168.
+# benchmark's trace.coverage (perfbench/README.md, gate 0.95), as fixed set-up
+# time then dominates: at 16 it fell below the gate in 2 of 31 repetitions; at
+# 32, with dead joint paths retired, its minimum was 0.954 over 140.
 _N_STEPS = 32
+_RETIRE = 4         # a block retires its dead rows once 1/_RETIRE of its rows are dead
 _EPS = 1.0          # eps of the joint bound's envelope constant C_eps
 _FAR = 40.0         # a face product a >= _FAR dt: exp(-a/dt) < 2^-54, a bridge factor of 1.0
 _TAIL = 45.0        # box image terms below exp(-_TAIL) are dropped
@@ -341,6 +342,17 @@ def envelope_constant(eps: float, nu: int) -> float:
     return ((4.0 + eps) / eps) ** (nu / 4.0)
 
 
+def _step_to_t(x0, rng, span: float) -> np.ndarray:
+    """X_t of paths at x0 with span = t - s left: by the Markov property, one
+    Gaussian step of variance 2 span per axis, drawn from rng."""
+    return x0 + rng.standard_normal(x0.shape) * math.sqrt(2.0 * span)
+
+
+def _tiles(sizes) -> list:
+    """Consecutive slices of the given sizes, from 0."""
+    return [slice(*ends) for ends in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+
+
 def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
                       seed: int = 0) -> dict:
     """Monte Carlo both sides of the joint expectation bound
@@ -350,42 +362,61 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     with envelope 1 inside the box and C_eps exp(-d^2/(2(4+eps)t)) outside,
     eps = 1.  Each path carries its survival S, the product of the exact step
     factors of _stay_in_box, so p_exit = E[1 - S], lhs = E[1{X_t in B}(1 - S)].
-    From a start outside the box S is 0 at tau = 0, so no factor is evaluated
-    and lhs reads only X_t: each path takes one exact step of length t.  Inside,
-    _stay_in_box adds image terms only on steps that nearly cross the box.
+    A dead path (S = 0) has h = 1, and lhs reads only its X_t: at the start of
+    step k, a block with at least 1/_RETIRE of its rows dead retires them to
+    integer counts, each by one exact step of length t - k dt (_step_to_t),
+    and compacts its live rows into the other buffers.  From a start outside
+    the box all paths retire before step 0, and no box factor is evaluated.
     Returns the estimates with their standard errors, the closed-form exit
     chance p_exit_exact, the analytic right side and a 3-sigma verdict.
-    Paths advance in sweeps as in simulate_hitting, bitwise as block by block.
+    Paths advance in sweeps as in simulate_hitting; retirement reads only a
+    block's own rows, so estimates are bitwise those of block-by-block runs.
     """
     if box_b.kind != "box":
         raise RegionError("joint bound expects a box region")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
-    # a start outside the box has left it at tau = 0
-    alive = float(box_b.contains(x[None, :])[0])
-    n_steps = _N_STEPS if alive else 1
-    dt = t / n_steps
+    dt = t / _N_STEPS
     sigma = math.sqrt(2.0 * dt)
 
     # sums of h = 1 - S, of h^2, of 1{X_t in B} h and of its square
     sums = np.zeros(4)
     for sweep in _sweeps((t,), paths, seed):
-        n = sweep[-1][0].stop
-        pos, new = np.tile(x, (n, 1)), np.empty((n, nu))
-        survive = np.full(n, alive)
-        for _ in range(n_steps):
-            for block, rng in sweep:
+        rows = [block.stop - block.start for block, _ in sweep]  # live rows per block
+        pos, new = np.tile(x, (sum(rows), 1)), np.empty((sum(rows), nu))
+        # a start outside the box has left it at tau = 0
+        survive, spare = np.full(len(pos), float(box_b.contains(x)[0])), np.empty(len(pos))
+        retired = np.zeros((len(sweep), 2), dtype=int)  # per block: rows retired, of them in B
+        for k in range(_N_STEPS):
+            dead = survive[:sum(rows)] == 0.0
+            for b, (block, (_, rng)) in enumerate(zip(_tiles(rows), sweep)):
+                d = np.count_nonzero(dead[block])
+                if d == 0 or _RETIRE * d < rows[b]:
+                    dead[block] = False  # the block keeps its dead rows this step
+                    continue
+                x_t = _step_to_t(pos[block][dead[block]], rng, t - k * dt)
+                retired[b] += d, np.count_nonzero(box_b.contains(x_t))
+                rows[b] -= d
+            live = sum(rows)
+            if live < dead.size:
+                keep = np.logical_not(dead, out=dead).nonzero()[0]
+                np.take(pos, keep, axis=0, out=new[:live], mode="clip")  # "raise" would buffer out
+                np.take(survive, keep, out=spare[:live], mode="clip")
+                pos, new, survive, spare = new, pos, spare, survive
+            if live == 0:
+                break
+            for block, (_, rng) in zip(_tiles(rows), sweep):
                 rng.standard_normal(out=new[block])
-            new = np.add(pos, np.multiply(new, sigma, out=new), out=new)
-            if alive:  # from a start outside the box every factor multiplies 0
-                _stay_in_box(pos, new, box_b.lo, box_b.hi, dt, survive)
+            x0, x1 = pos[:live], new[:live]
+            np.add(x0, np.multiply(x1, sigma, out=x1), out=x1)
+            _stay_in_box(x0, x1, box_b.lo, box_b.hi, dt, survive[:live])
             pos, new = new, pos
-        in_b = box_b.contains(pos)
-        for block, _ in sweep:
+        in_b = box_b.contains(pos[:live])
+        for block, (r, r_in) in zip(_tiles(rows), retired.tolist()):
             h = 1.0 - survive[block]
             g = np.where(in_b[block], h, 0.0)
-            sums += (float(np.sum(h)), float(np.sum(h * h)),
-                     float(np.sum(g)), float(np.sum(g * g)))
+            sums += (r + float(np.sum(h)), r + float(np.sum(h * h)),
+                     r_in + float(np.sum(g)), r_in + float(np.sum(g * g)))
 
     p_exit, exit_se = _mean_and_stderr(sums[0], sums[1], paths)
     lhs, lhs_se = _mean_and_stderr(sums[2], sums[3], paths)

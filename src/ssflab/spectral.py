@@ -488,21 +488,8 @@ class ExpWeight:
 
 
 @dataclass(frozen=True)
-class ConstantFunction:
-    """g identically constant (g' = 0); the degenerate end of the family."""
-
-    c: float = 1.0
-
-    def value(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.c)
-
-    def derivative(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class ResolventPower:
-    """g(x) = (x + e)^(-m); x + e must stay positive on the spectrum."""
+    """g(x) = (x + e)^(-m), 1 at m = 0; campaigns keep x + e > 0 on the spectrum."""
 
     e: float
     m: int
@@ -514,7 +501,7 @@ class ResolventPower:
         return -self.m * (np.asarray(x, dtype=float) + self.e) ** (-self.m - 1)
 
 
-FUNCTION_FAMILY = (BumpFunction, ExpWeight, ConstantFunction, ResolventPower)
+FUNCTION_FAMILY = (BumpFunction, ExpWeight, ResolventPower)
 
 
 def matrix_function(h, g) -> np.ndarray:

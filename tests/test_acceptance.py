@@ -30,7 +30,7 @@ SURFACE_RECORD_SHA256 = "e2a16c402c6ad8cb29c615c69360cb8c4113ac82a8d4c791a459a31
 # SHA-256 of the brownian record's to_json() in the same environment; the
 # record holds no linear algebra, so its bytes do not depend on the BLAS
 # thread count
-BROWNIAN_RECORD_SHA256 = "273d742bcbb8e460f1f6ff1b9c1ee1073b8beb706e980e20d89a27165e1aa14c"
+BROWNIAN_RECORD_SHA256 = "80a43ded77ac2593e59f01130d76031caf918d316d13904cc27f43d4cf8d7cef"
 
 
 def report(num, name, passed, budget, elapsed, detail=""):

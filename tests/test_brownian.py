@@ -270,11 +270,12 @@ class _Normals:
         self.rng, self.drawn, self.scale = rng, drawn, scale
         self.bit_generator = rng.bit_generator
 
-    def standard_normal(self, *, out):
-        self.rng.standard_normal(out=out)
+    def standard_normal(self, size=None, *, out=None):
+        out = self.rng.standard_normal(size, out=out)
         if self.scale != 1.0:
             out *= self.scale
         self.drawn.append(out.size)
+        return out
 
 
 def _wrap_generators(monkeypatch, scale=1.0):
@@ -318,9 +319,14 @@ def test_only_the_normals_read_are_drawn(monkeypatch):
     drawn.clear()
     joint_bound_check(np.array([2.0, 0.0]), box, 0.5, paths=paths, seed=3)
     assert sum(drawn) == paths * 2
+    # from the start inside, a block's dead rows stop drawing once a quarter
+    # of its rows are dead: one normal per axis takes each to X_t
     drawn.clear()
-    joint_bound_check(np.zeros(2), box, 0.5, paths=paths, seed=3)
-    assert sum(drawn) == paths * 2 * br._N_STEPS
+    joint_bound_check(np.zeros(2), box, 0.5, paths=16384, seed=3)
+    inside = sum(drawn)
+    drawn.clear()
+    _reference_joint(np.zeros(2), box, 0.5, 16384, 3)
+    assert inside == sum(drawn) <= 0.75 * 16384 * 2 * br._N_STEPS
 
 
 # -- joint bound ---------------------------------------------------------------------
@@ -351,24 +357,36 @@ def test_joint_bound_inside_and_outside():
 
 def _reference_joint(x, box, t, paths, seed):
     """(lhs, lhs_stderr, p_exit, p_exit_stderr) of joint_bound_check, block by
-    block, with the box bridge factor evaluated on every live path and step;
-    from a start outside the box, one step of length t."""
-    n_steps = br._N_STEPS if box.contains(x[None, :])[0] else 1
-    dt = t / n_steps
+    block, with the box bridge factor evaluated on every live path and step.
+    At the start of step k a block with at least a quarter of its rows dead
+    (S == 0) retires them: each draws one normal per axis and steps to X_t over
+    the time left, t - k dt, and they count as integers.  From a start outside
+    the box every row retires before step 0."""
+    dt = t / br._N_STEPS
     sums = np.zeros(4)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(br, "_FAR", math.inf)
         for m, rng in br._path_blocks((t,), paths, seed):
             pos = np.tile(x, (m, 1))
             survive = box.contains(pos).astype(float)
-            for _ in range(n_steps):
-                new = pos + math.sqrt(2.0 * dt) * rng.standard_normal((m, 2))
+            retired = retired_in_b = 0
+            for k in range(br._N_STEPS):
+                dead = survive == 0.0
+                if dead.any() and 4 * dead.sum() >= dead.size:
+                    x_t = pos[dead] + rng.standard_normal((int(dead.sum()), x.size)) \
+                        * math.sqrt(2.0 * (t - k * dt))
+                    retired += int(dead.sum())
+                    retired_in_b += int(box.contains(x_t).sum())
+                    pos, survive = pos[~dead], survive[~dead]
+                if survive.size == 0:
+                    break
+                new = pos + math.sqrt(2.0 * dt) * rng.standard_normal(pos.shape)
                 br._stay_in_box(pos, new, box.lo, box.hi, dt, survive)
                 pos = new
             h = 1.0 - survive
             g = h * box.contains(pos)
-            sums += (float(np.sum(h)), float(np.sum(h * h)),
-                     float(np.sum(g)), float(np.sum(g * g)))
+            sums += (retired + float(np.sum(h)), retired + float(np.sum(h * h)),
+                     retired_in_b + float(np.sum(g)), retired_in_b + float(np.sum(g * g)))
     p_exit, lhs = sums[0] / paths, sums[2] / paths
     return (lhs, math.sqrt(max(sums[3] / paths - lhs * lhs, 0.0) / (paths - 1)),
             p_exit, math.sqrt(max(sums[1] / paths - p_exit * p_exit, 0.0) / (paths - 1)))
@@ -519,16 +537,22 @@ def test_start_outside_the_box_evaluates_no_box_factor(monkeypatch):
     assert len(calls) == br._N_STEPS and _joint(inside) == want[1]
 
 
-def _lhs_off_its_closed_form(x, box, t, paths, seed) -> bool:
-    """Whether joint_bound_check's lhs from a start outside the box lies more
-    than 3 sigma from P_x{X_t in B} = prod_j [Phi((hi_j - x_j)/sqrt(2t))
-    - Phi((lo_j - x_j)/sqrt(2t))], its value when S = 0 on every path."""
+def _lhs_closed_form(x, box, t) -> float:
+    """lhs = P_x{X_t in B} - prod_j P_j(stay in (lo_j, hi_j) up to t), with
+    P_x{X_t in B} = prod_j [Phi((hi_j - x_j)/sqrt(2t)) - Phi((lo_j - x_j)/sqrt(2t))]:
+    E[1{X_t in B} S] = P_x{tau > t}, since a path that never left the box ends
+    in it.  From a start outside the box the product of stays is 0."""
     sd = math.sqrt(2.0 * t)
     phi = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))
-    exact = math.prod(phi((hi - c) / sd) - phi((lo - c) / sd)
-                      for c, lo, hi in zip(x.tolist(), box.lo, box.hi))
+    c = list(zip(x.tolist(), box.lo, box.hi))
+    return (math.prod(phi((hi - xj) / sd) - phi((lo - xj) / sd) for xj, lo, hi in c)
+            - math.prod(br._interval_survival(*cj, t) for cj in c))
+
+
+def _lhs_off_its_closed_form(x, box, t, paths, seed) -> bool:
+    """Whether joint_bound_check's lhs lies more than 3 sigma from its closed form."""
     out = joint_bound_check(x, box, t, paths=paths, seed=seed)
-    return abs(out["lhs"] - exact) > 3.0 * out["lhs_stderr"]
+    return abs(out["lhs"] - _lhs_closed_form(x, box, t)) > 3.0 * out["lhs_stderr"]
 
 
 def test_outside_lhs_matches_its_closed_form(monkeypatch):
@@ -537,6 +561,20 @@ def test_outside_lhs_matches_its_closed_form(monkeypatch):
     # planted defect: the step taken at sigma = sqrt(t), not sqrt(2t), by
     # scaling every normal by 1/sqrt(2)
     _wrap_generators(monkeypatch, scale=math.sqrt(0.5))
+    assert _lhs_off_its_closed_form(x, box, 0.5, 8192, 4)
+
+
+def test_inside_lhs_matches_its_closed_form(monkeypatch):
+    x, box = np.zeros(2), box_region((-1.0, -1.0), (1.0, 1.0))
+    assert _lhs_closed_form(x, box, 0.5) == pytest.approx(0.4661 - 0.1375, abs=1e-4)
+    assert not _lhs_off_its_closed_form(x, box, 0.5, 8192, 4)
+    step = br._step_to_t
+    # planted defects in the step that takes a retired path to X_t: taken over
+    # the whole t instead of the time left, and X_t frozen where the path was
+    # retired (its normals still drawn)
+    monkeypatch.setattr(br, "_step_to_t", lambda x0, rng, span: step(x0, rng, 0.5))
+    assert _lhs_off_its_closed_form(x, box, 0.5, 8192, 4)
+    monkeypatch.setattr(br, "_step_to_t", lambda x0, rng, span: (step(x0, rng, span), x0)[1])
     assert _lhs_off_its_closed_form(x, box, 0.5, 8192, 4)
 
 

@@ -11,7 +11,7 @@ from ssflab.model import Grid, Hamiltonian, IntBox, PotentialField, \
     free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
 from ssflab.spectral import (
-    DENSE_LIMIT, BumpFunction, ConstantFunction, ExpWeight, ResolventPower,
+    DENSE_LIMIT, BumpFunction, ExpWeight, ResolventPower,
     SizeLimitError, _as_structure, count_below, diag_of_function, eig_all,
     heat_semigroup, heat_trace, trace_norm,
 )
@@ -549,7 +549,7 @@ def test_free_closed_forms_match_dense(extents, spacing, t, lo, width):
     dense = h.to_dense()
     assert np.max(np.abs(heat_semigroup(h, t) - heat_semigroup(dense, t))) <= 1e-13
     for g in (BumpFunction(lo / spacing ** 2, (lo + width) / spacing ** 2),
-              ExpWeight(t), ConstantFunction(0.7), ResolventPower(1.0 + t, 2)):
+              ExpWeight(t), ResolventPower(1.0 + t, 0), ResolventPower(1.0 + t, 2)):
         assert np.max(np.abs(diag_of_function(h, g) - diag_of_function(dense, g))) <= 1e-13
 
 
@@ -750,12 +750,13 @@ def test_trace_norm_refuses_asymmetric_input():
 # -- matrix functions -------------------------------------------------------------
 
 def _family(w, t, e_gap, m):
-    """One g of each FUNCTION_FAMILY kind for a spectrum w, the constant
-    negative: a bump over the middle third, exp(-tx), -0.7 and (x + E)^-m;
-    and 1/(x + E) with -E in w's widest gap, which changes sign on w."""
+    """One g of each FUNCTION_FAMILY kind for a spectrum w: a bump over the
+    middle third, exp(-tx) and (x + E)^-m; 1/(x + E) with -E above w, which
+    is negative on w; and 1/(x + E) with -E in w's widest gap, which changes
+    sign on w."""
     third = (w[-1] - w[0]) / 3.0
     family = [BumpFunction(w[0] + third - 0.1, w[-1] - third + 0.1), ExpWeight(t),
-              ConstantFunction(-0.7), ResolventPower(e_gap - w[0], m)]
+              ResolventPower(e_gap - w[0], m), ResolventPower(-e_gap - w[-1], 1)]
     if w.size > 1:
         i = int(np.argmax(np.diff(w)))
         family.append(ResolventPower(-0.5 * (w[i] + w[i + 1]), 1))
@@ -790,8 +791,8 @@ def test_matrix_function_is_a_symmetric_rank_k_update(extents, seed, free, t, e_
         else:
             assert np.array_equal(owned, got)
     assert np.array_equal(u, kept)  # a passed pair serves the next g unchanged
-    assert np.max(np.abs(spectral.matrix_function(pair, ConstantFunction(-0.7))
-                         + 0.7 * np.eye(h.n))) <= 1e-13
+    assert np.max(np.abs(spectral.matrix_function(pair, ResolventPower(e_gap, 0))  # g = 1
+                         - np.eye(h.n))) <= 1e-13
 
 
 def test_matrix_function_of_a_zero_function_is_zero():
@@ -801,7 +802,7 @@ def test_matrix_function_of_a_zero_function_is_zero():
 
 def test_apply_constant_is_identity():
     h = alloy_hamiltonian((12,), 1)
-    d = diag_of_function(h, ConstantFunction(1.0))
+    d = diag_of_function(h, ResolventPower(10.0, 0))  # g = 1
     assert np.allclose(d, np.ones(12), atol=1e-12)
 
 

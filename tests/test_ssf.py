@@ -6,7 +6,7 @@ from ssflab import spectral
 from ssflab.model import IntBox, SingleSiteProfile, assemble_hamiltonian, \
     assemble_potential, build_grid, free_hamiltonian
 from ssflab.randomfield import DistributionSpec, sample_couplings
-from ssflab.spectral import BumpFunction, ConstantFunction, ExpWeight, ResolventPower
+from ssflab.spectral import BumpFunction, ExpWeight, ResolventPower
 from ssflab.ssf import (
     EnergyGrid, OnSpectrumError, SSFSample,
     birman_krein_residual, invariance_residual, midpoint_energy_grid,
@@ -143,7 +143,7 @@ def test_bk_residual_alloy_within_contract():
 
 def test_bk_constant_g_both_sides_zero():
     h, h0 = alloy_pair(40, 11)
-    assert birman_krein_residual(h, h0, ConstantFunction(2.0)) == 0.0
+    assert birman_krein_residual(h, h0, ResolventPower(10.0, 0)) == 0.0  # g = 1
 
 
 def test_xi_step_function_integer_values():
@@ -165,7 +165,7 @@ def spectra(h, h0):
        seed=st.integers(0, 10**6), amplitude=st.sampled_from([-1.5, -0.5, 0.8]),
        g=st.one_of(st.builds(BumpFunction, st.floats(-2.0, 1.0), st.just(3.0)),
                    st.builds(ExpWeight, st.floats(0.1, 2.0)),
-                   st.builds(ConstantFunction, st.floats(-3.0, 3.0)),
+                   st.builds(ResolventPower, st.floats(2.5, 5.0), st.just(0)),  # g = 1
                    # V >= -1.5 keeps the spectrum above -1.5, clear of -e
                    st.builds(ResolventPower, st.floats(2.5, 5.0), st.sampled_from([1, 2, 3]))))
 def test_trace_identity_alloys(extents, seed, amplitude, g):
