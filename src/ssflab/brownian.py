@@ -6,20 +6,23 @@ the kernel (4 pi t)^(-nu/2) exp(-|x-y|^2 / 4t).  Under this normalisation the
 one-dimensional half-space hitting law is erfc(d / (2 sqrt(t))) and the
 Gaussian envelope reads 2 nu exp(-d^2 / (4 nu t)).
 
+A half-space at distance d from the start, in any dimension, is hit exactly
+when the coordinate along its normal first reaches d, so a hitting estimate
+walks that one coordinate and reads the target through d alone.
 Paths are sampled exactly at the grid times, and each step multiplies a
 path's survival by the chance that the Brownian bridge between its end points
 misses the target (Glasserman, Monte Carlo Methods in Financial Engineering,
 6.4; Borodin & Salminen, Handbook of Brownian Motion), so the estimates are
 unbiased at any step count; endpoint detection alone (bridge=False) is not.
 Work that cannot move a bit is skipped: image terms past the face terms only
-on steps nearly across the box, no step of a hitting estimate that exactly
-rescales another (B_{s^2 t} = s B_t, s a power of two), which is copied, and
-no draw for an axis that no target reads.  A dead path of the joint check
-leaves its sweep with one exact step to t (from outside the box, all at once).
+on steps nearly across the box, and no step of a hitting estimate that exactly
+rescales another (B_{s^2 t} = s B_t, s a power of two), which is copied.  A
+dead path of the joint check leaves its sweep with one exact step to t (from
+outside the box, all at once).
 
-One call estimates many regions and times from one draw of the counter-based
-paths (Philox keyed by seed and block, one stream per axis), each bitwise as
-if simulated alone and at any dimension.
+One call estimates many distances and times from one draw of the
+counter-based paths (Philox keyed by seed and block), each bitwise as if
+simulated alone.
 Each step advances a sweep of up to _SWEEP blocks as one array, so memory is
 bounded by the sweep, and estimates are bitwise those of block-by-block runs.
 """
@@ -52,67 +55,36 @@ _TAIL = 45.0        # box image terms below exp(-_TAIL) are dropped
 
 
 # ---------------------------------------------------------------------------
-# regions
+# the joint bound's box
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Region B: a hitting target of simulate_hitting, or the box of
-    joint_bound_check.
+class Box:
+    """The closed box [lo, hi] of joint_bound_check."""
 
-    kinds:
-      * half_space(axis, threshold, side): B = {x : side*(x_axis - threshold) >= 0}
-      * box(lo, hi):                       the closed box (joint bound only)
-    """
-
-    kind: str
-    axis: int = 0
-    threshold: float = 0.0
-    side: int = +1
-    lo: tuple = ()
-    hi: tuple = ()
+    lo: tuple
+    hi: tuple
 
     def __post_init__(self):
-        if self.kind == "half_space":
-            if self.axis < 0:
-                raise RegionError("axis must be >= 0")
-            if self.side not in (+1, -1):
-                raise RegionError("half_space side must be +1 or -1")
-        elif self.kind == "box":
-            if len(self.lo) != len(self.hi) or not self.lo:
-                raise RegionError("box needs matching lo/hi tuples")
-            if any(a >= b for a, b in zip(self.lo, self.hi)):
-                raise RegionError("degenerate box")
-        else:
-            raise RegionError(f"unknown region kind {self.kind!r}")
+        if len(self.lo) != len(self.hi) or not self.lo:
+            raise RegionError("box needs matching lo/hi tuples")
+        if any(a >= b for a, b in zip(self.lo, self.hi)):
+            raise RegionError("degenerate box")
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """Membership for an (m, nu) array of points."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind == "half_space":
-            return self.side * (x[:, self.axis] - self.threshold) >= 0.0
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((x >= lo) & (x <= hi), axis=1)
+        return np.all((x >= np.asarray(self.lo)) & (x <= np.asarray(self.hi)), axis=1)
 
     def distance(self, x) -> float:
-        """Closed-form Euclidean distance from x to the region."""
+        """Closed-form Euclidean distance from x to the box (0 inside)."""
         x = np.asarray(x, dtype=float)
-        if self.contains(x[None, :])[0]:
-            return 0.0
-        if self.kind == "half_space":
-            return float(self.side * (self.threshold - x[self.axis]))
-        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
-        gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
+        gap = np.maximum(np.maximum(np.asarray(self.lo) - x, x - np.asarray(self.hi)), 0.0)
         return float(np.sqrt(np.sum(gap ** 2)))
 
 
-def half_space(axis: int, threshold: float, side: int = +1) -> RegionSpec:
-    return RegionSpec("half_space", axis=axis, threshold=float(threshold), side=side)
-
-
-def box_region(lo, hi) -> RegionSpec:
-    return RegionSpec("box", lo=tuple(map(float, lo)), hi=tuple(map(float, hi)))
+def box_region(lo, hi) -> Box:
+    return Box(tuple(map(float, lo)), tuple(map(float, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +177,21 @@ def _mean_and_stderr(total: float, squares: float, paths: int) -> tuple:
     return p, math.sqrt(max(squares / paths - p * p, 0.0) / (paths - 1))
 
 
-def _plan_lanes(x, regions, outside, steps) -> tuple:
-    """Split the (time, target) pairs of the targets in ``outside`` into lanes,
-    which are stepped, and twins, which copy a lane: (lanes, {twin: lane}).
-    Pair (i, k) is the twin of an earlier lane (i', k') when the targets share
-    axis and side, x is 0 on that axis, s = sigma_i / sigma_i' is a power of
-    two, and dt_i = s^2 dt_i' and b_k = s b_k' exactly (then sigma_i =
-    sqrt(2 dt_i) = s sigma_i' exactly too).  Scaling by s is exact outside the
-    subnormal range, so the twin's positions and gaps are s times its lane's,
-    and a / dt, the _FAR skip and the survival are bitwise its lane's."""
+def _plan_lanes(distances, steps) -> tuple:
+    """Split the (time, distance) pairs into lanes, which are stepped, and
+    twins, which copy a lane: (lanes, {twin: lane}).  Pair (i, k) is the twin
+    of an earlier lane (i', k') when s = sigma_i / sigma_i' is a power of two,
+    and dt_i = s^2 dt_i' and d_k = s d_k' exactly (then sigma_i = sqrt(2 dt_i)
+    = s sigma_i' exactly too).  Scaling by s is exact outside the subnormal
+    range, so the twin's positions and gaps are s times its lane's, and a / dt,
+    the _FAR skip and the survival are bitwise its lane's."""
     lanes, twins = [], {}
-    for i, k in itertools.product(range(len(steps)), outside):
-        (dt, sigma), r = steps[i], regions[k]
+    for i, k in itertools.product(range(len(steps)), range(len(distances))):
+        (dt, sigma), d = steps[i], distances[k]
         for i0, k0 in lanes:
-            (dt0, sigma0), r0 = steps[i0], regions[k0]
+            (dt0, sigma0), d0 = steps[i0], distances[k0]
             s = sigma / sigma0
-            if ((r.axis, r.side) == (r0.axis, r0.side) and x[r.axis] == 0.0
-                    and math.frexp(s)[0] == 0.5 and dt == s * s * dt0
-                    and r.threshold == s * r0.threshold):
+            if math.frexp(s)[0] == 0.5 and dt == s * s * dt0 and d == s * d0:
                 twins[i, k] = (i0, k0)
                 break
         else:
@@ -230,71 +199,60 @@ def _plan_lanes(x, regions, outside, steps) -> tuple:
     return lanes, twins
 
 
-def simulate_hitting(x, regions, times, paths: int = 100_000,
+def simulate_hitting(distances, times, paths: int = 100_000,
                      bridge: bool = True, seed: int = 0) -> list:
-    """Estimate P_x{tau_B <= t} for each region B and time t by direct path
-    simulation: per time, one HittingEstimate per region.  All share one
-    normal draw; each is bitwise what a call with its region and time gives.
+    """Estimate P_x{tau_B <= t} for a half-space B at each distance d > 0 from
+    x, at each time t, by direct path simulation: per time, one
+    HittingEstimate per distance.  All share one normal draw; each is bitwise
+    what a call with its distance and time gives.
 
-    Starting inside B counts as an immediate hit (tau = 0 convention).  With
-    bridge=True each step multiplies a path's survival by the chance that the
-    bridge between the step's end points misses B, so the hit chance
-    1 - survival dominates plain endpoint detection pathwise.  A half-space
-    takes the exact factor 1 - exp(-a/dt), a = (b - x0)(b - x1) (0 if a <= 0),
-    evaluated only where a < _FAR dt (elsewhere it is 1.0 bitwise).  Targets
-    are half-spaces: a box raises RegionError.
+    Each path walks the coordinate along B's normal from 0, drawn from its
+    block's generator, and B is hit once it reaches d.  With bridge=True each
+    step multiplies a path's survival by the chance that the bridge between
+    the step's end points stays below d, the exact factor 1 - exp(-a/dt),
+    a = (d - x0)(d - x1) (0 if a <= 0), so the hit chance 1 - survival
+    dominates plain endpoint detection pathwise.  The factor is evaluated
+    only where a < _FAR dt (elsewhere it is 1.0 bitwise).
 
     Only the lanes of _plan_lanes are stepped; an exact-rescaling twin copies
-    its lane's sums.  Only the axes that a lane reads are drawn, each into a
-    contiguous array from its own stream: axis 0 from the block's generator,
-    axis j >= 1 from it jumped j times.  So an estimate depends only on
-    (seed, x_j, target, time), at any nu.  Each (time, axis) that a lane
-    reads advances one contiguous position array, and each lane carries its
-    gap b - x from the end of one step to the start of the next.  Each block
-    of a sweep draws into its own slice and sums its own hit chances and
-    their squares, added in block order, so estimates are bitwise those of
-    block-by-block runs.
+    its lane's sums.  Each time that a lane reads advances one contiguous
+    position array, and each lane carries its gap d - x from the end of one
+    step to the start of the next.  Each block of a sweep draws into its own
+    slice and sums its own hit chances and their squares, added in block
+    order, so estimates are bitwise those of block-by-block runs.
     """
-    if any(r.kind != "half_space" for r in regions):
-        raise RegionError("simulate_hitting takes half-space targets only")
-    x = np.asarray(x, dtype=float)
     sweeps = _sweeps(times, paths, seed)
+    distances = [float(d) for d in distances]
+    if not distances or not all(d > 0.0 for d in distances):
+        raise RegionError("need at least one distance, and every d positive")
     steps = [(t / _N_STEPS, math.sqrt(2.0 * (t / _N_STEPS))) for t in times]
-    # a start inside B is a hit at tau = 0 on every path and needs no draw
-    inside = [bool(r.contains(x[None, :])[0]) for r in regions]
-    lanes, twins = _plan_lanes(x, regions, [k for k, hit in enumerate(inside) if not hit], steps)
-    tracks = {}  # (time, axis) -> the lanes reading that position
-    for lane, (i, k) in enumerate(lanes):
-        tracks.setdefault((i, regions[k].axis), []).append(lane)
-    # per time and region: the sums of the hit chances and of their squares
-    sums = np.tile(np.where(inside, float(paths), 0.0), (2, len(times), 1))
+    lanes, twins = _plan_lanes(distances, steps)
+    tracks = {}  # time -> the lanes reading its positions
+    for lane, (i, _) in enumerate(lanes):
+        tracks.setdefault(i, []).append(lane)
+    # per time and distance: the sums of the hit chances and of their squares
+    sums = np.zeros((2, len(times), len(distances)))
 
-    axes = {j for _, j in tracks}
-    for sweep in sweeps if lanes else ():
+    for sweep in sweeps:
         n = sweep[-1][0].stop
-        draws = [(block, j, rng if j == 0 else np.random.Generator(rng.bit_generator.jumped(j)))
-                 for block, rng in sweep for j in axes]
-        z = {j: np.empty(n) for j in axes}  # every time scales z[j] by its sigma
-        pos = {track: np.full(n, x[track[1]]) for track in tracks}
-        gaps = [np.full(n, regions[k].threshold - x[regions[k].axis]) for _, k in lanes]
+        z = np.empty(n)  # every time scales z by its sigma
+        pos = {i: np.zeros(n) for i in tracks}
+        gaps = [np.full(n, distances[k]) for _, k in lanes]
         spare, spare_gap = np.empty(n), np.empty(n)
         survive = np.ones((len(lanes), n))
         for _ in range(_N_STEPS):
-            for block, j, rng in draws:
-                rng.standard_normal(out=z[j][block])
-            for (i, j), readers in tracks.items():
+            for block, rng in sweep:
+                rng.standard_normal(out=z[block])
+            for i, readers in tracks.items():
                 step_dt, sigma = steps[i]
-                new = np.add(pos[i, j], np.multiply(z[j], sigma, out=spare), out=spare)
-                pos[i, j], spare = new, pos[i, j]
+                new = np.add(pos[i], np.multiply(z, sigma, out=spare), out=spare)
+                pos[i], spare = new, pos[i]
                 for lane in readers:
-                    r, s = regions[lanes[lane][1]], survive[lane]
-                    gap = np.subtract(r.threshold, new, out=spare_gap)
-                    if not bridge:  # new - b is exactly -(b - new)
-                        s *= r.side * gap > 0.0
-                    else:
-                        # flipping the signs of b, x0 and x1 (side -1) leaves
-                        # a bitwise unchanged, so one formula serves both sides;
-                        # a crossing, a <= 0, makes exp >= 1 and the factor 0.0
+                    s = survive[lane]
+                    gap = np.subtract(distances[lanes[lane][1]], new, out=spare_gap)
+                    if not bridge:
+                        s *= gap > 0.0
+                    else:  # a crossing, a <= 0, makes exp >= 1 and the factor 0.0
                         a = gaps[lane] * gap
                         idx = (a < _FAR * step_dt).nonzero()[0]
                         s[idx] *= np.maximum(1.0 - np.exp(a[idx] / -step_dt), 0.0)
@@ -311,16 +269,12 @@ def simulate_hitting(x, regions, times, paths: int = 100_000,
             for row in zip(sums[0].tolist(), sums[1].tolist())]
 
 
-def gaussian_bound(x, region: RegionSpec, t: float, nu: int) -> float:
-    """Envelope 2 nu exp(-dist(x,B)^2 / (4 nu t)) for P_x{tau_B <= t}."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != nu:
-        raise RegionError("x dimension must equal nu")
+def gaussian_bound(d: float, t: float, nu: int) -> float:
+    """Envelope 2 nu exp(-d^2 / (4 nu t)) for P_x{tau_B <= t}, d = dist(x, B)."""
     if not t > 0.0:
         raise RegionError("t must be positive")
-    d = region.distance(x)
-    if d <= 0.0:
-        raise RegionError("x must be strictly outside the region")
+    if not d > 0.0:
+        raise RegionError("x must be strictly outside the region: d > 0")
     return 2.0 * nu * math.exp(-d * d / (4.0 * nu * t))
 
 
@@ -353,7 +307,7 @@ def _tiles(sizes) -> list:
     return [slice(*ends) for ends in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
 
 
-def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
+def joint_bound_check(x, box_b: Box, t: float, paths: int = 100_000,
                       seed: int = 0) -> dict:
     """Monte Carlo both sides of the joint expectation bound
 
@@ -372,8 +326,6 @@ def joint_bound_check(x, box_b: RegionSpec, t: float, paths: int = 100_000,
     Paths advance in sweeps as in simulate_hitting; retirement reads only a
     block's own rows, so estimates are bitwise those of block-by-block runs.
     """
-    if box_b.kind != "box":
-        raise RegionError("joint bound expects a box region")
     x = np.asarray(x, dtype=float)
     nu = x.shape[0]
     dt = t / _N_STEPS

@@ -28,19 +28,18 @@ def run_brownian(config: ExperimentConfig) -> ResultRecord:
 
     rec = ResultRecord("brownian", config.seed, config.digest())
 
-    # one draw serves every time, distance and nu: each axis has its own stream,
-    # so an axis-0 estimate is bitwise the same at every nu, and nu sets only
+    # one draw serves every time, distance and nu: a half-space is hit when
+    # the coordinate along its normal reaches d, whatever nu, so nu sets only
     # the envelope; rows keep (d, t, nu) order
-    regions = [br.half_space(0, d) for d in distances]
-    per_time = br.simulate_hitting(np.zeros(max(nus)), regions, times, paths=paths,
-                                   bridge=bridge, seed=config.seed)
+    per_time = br.simulate_hitting(distances, times, paths=paths, bridge=bridge,
+                                   seed=config.seed)
 
     bound_ok = True
     exact_ok = True
     for (i, d), (t, ests), nu in itertools.product(enumerate(distances),
                                                    zip(times, per_time), nus):
         est = ests[i]
-        bound = br.gaussian_bound(np.zeros(nu), regions[i], t, nu)
+        bound = br.gaussian_bound(d, t, nu)
         exact = br.halfspace_exact(d, t)
         rec.rows.append({
             "x": 0.0, "d": d, "t": t, "nu": nu,

@@ -111,10 +111,7 @@ def run_bulk_limit(config: ExperimentConfig) -> ResultRecord:
     xi_b, _ = _xi_per_meas(config, wide, [field], last, lam_grid)
     shift = float(np.abs(xis[0] - xi_b[0]).max() / meas)
     rec.aggregates["ambient_doubling_shift"] = shift
-    if shift > dev_tol:
-        raise ExperimentError(
-            f"ambient box too small: doubling shifts xi/meas by {shift}")
-    rec.add_check("ambient_adequate", "hard", True, shift, dev_tol,
+    rec.add_check("ambient_adequate", "hard", shift <= dev_tol, shift, dev_tol,
                   "doubling the ambient box leaves xi/meas unchanged within tolerance")
 
     return rec

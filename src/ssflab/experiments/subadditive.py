@@ -15,7 +15,7 @@ import numpy as np
 from .. import spectral
 from ..harness.parallel import parallel_map
 from ..model import IntBox, assemble_hamiltonian, assemble_potential, \
-    free_hamiltonian
+    free_hamiltonian, interface_measure
 from ..randomfield import sample_couplings
 from .base import ExperimentConfig, ExperimentError, ResultRecord, \
     ambient_for, halve, mean_and_var
@@ -47,7 +47,7 @@ def run_subadditive(config: ExperimentConfig) -> ResultRecord:
     for length in config.schedule:
         box = IntBox.centered((length, length))
         b1, b2 = halve(box)
-        iface = length * h  # common surface of the two halves
+        iface = interface_measure(b1, b2, h)  # common surface of the two halves
 
         def one(r, box=box, b1=b1, b2=b2):
             f = _f_lambda(config, box, r, t)

@@ -137,9 +137,7 @@ def run_surface(config: ExperimentConfig) -> ResultRecord:
         denom = max(abs(base) / meas1, 1e-300)
         rec.aggregates["transverse_doubling_shift"] = float(shift)
         ttol = config.tol("transverse_tol")
-        if shift / denom > ttol:
-            raise ExperimentError(
-                f"transverse boundary contamination: doubling shifts xi by {shift}")
-        rec.add_check("transverse_adequate", "hard", True, float(shift / denom), ttol,
+        rec.add_check("transverse_adequate", "hard", shift / denom <= ttol,
+                      float(shift / denom), ttol,
                       "doubling the transversal extent leaves xi/length unchanged")
     return rec

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 
 from ..experiments.base import CAMPAIGNS, ConfigError, ExperimentConfig, value_kind
-from ..randomfield import DistributionSpec, FieldError
+from ..randomfield import DistributionSpec, FieldError, constant_couplings
 
 EXPERIMENTS = tuple(CAMPAIGNS)
 
@@ -98,9 +98,7 @@ def _build_distribution(vals: dict, violations: list):
         return None
     try:
         if kind == "constant":
-            return DistributionSpec("discrete",
-                                    values=(vals.get("distribution.value", 1.0),),
-                                    weights=(1.0,))
+            return constant_couplings(vals.get("distribution.value", 1.0))
         if kind == "bernoulli":
             return DistributionSpec("bernoulli", p=vals.get("distribution.p"),
                                     values=vals.get("distribution.values"))

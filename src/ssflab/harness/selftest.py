@@ -99,10 +99,8 @@ def _checks(seed: int):
         return bool(np.all(wb >= wa[: wb.size] - 1e-11))
 
     def bridge_dominates():
-        (est_b,), = br.simulate_hitting(np.zeros(1), [br.half_space(0, 1.0)], [1.0],
-                                        paths=2000, bridge=True, seed=seed)
-        (est_p,), = br.simulate_hitting(np.zeros(1), [br.half_space(0, 1.0)], [1.0],
-                                        paths=2000, bridge=False, seed=seed)
+        (est_b,), = br.simulate_hitting([1.0], [1.0], paths=2000, bridge=True, seed=seed)
+        (est_p,), = br.simulate_hitting([1.0], [1.0], paths=2000, bridge=False, seed=seed)
         return est_b.p_hat >= est_p.p_hat
 
     return [

@@ -8,7 +8,7 @@ import pytest
 from ssflab import brownian as br
 from ssflab.brownian import (
     RegionError, box_region,
-    envelope_constant, gaussian_bound, half_space,
+    envelope_constant, gaussian_bound,
     halfspace_exact, joint_bound_check, simulate_hitting,
 )
 
@@ -16,10 +16,8 @@ from ssflab.brownian import (
 # -- regions ----------------------------------------------------------------
 
 def test_region_distances():
-    hs = half_space(0, 2.0)
-    assert hs.distance(np.array([0.0])) == 2.0
-    assert hs.distance(np.array([3.0])) == 0.0
     box = box_region((-1.0, -1.0), (1.0, 1.0))
+    assert box.distance(np.array([0.5, 1.0])) == 0.0
     assert box.distance(np.array([2.0, 0.0])) == pytest.approx(1.0)
     assert box.distance(np.array([2.0, 2.0])) == pytest.approx(math.sqrt(2.0))
 
@@ -33,14 +31,13 @@ def test_degenerate_box_rejected():
 
 def test_gaussian_bound_value():
     # 2 nu exp(-d^2/(4 nu t)) at nu=1, d=2, t=1
-    b = gaussian_bound(np.array([0.0]), half_space(0, 2.0), 1.0, 1)
+    b = gaussian_bound(2.0, 1.0, 1)
     assert b == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
     assert b == pytest.approx(0.7357588823428847, rel=1e-10)
 
 
 def test_gaussian_bound_decays_with_distance():
-    vals = [gaussian_bound(np.array([0.0]), half_space(0, d), 1.0, 1)
-            for d in (1.0, 2.0, 4.0, 8.0)]
+    vals = [gaussian_bound(d, 1.0, 1) for d in (1.0, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-6
 
@@ -48,25 +45,29 @@ def test_gaussian_bound_decays_with_distance():
 def test_bound_dominates_exact_law():
     for d in (0.5, 1.0, 2.0, 3.0):
         for t in (0.25, 1.0, 4.0):
-            bound = gaussian_bound(np.array([0.0]), half_space(0, d), t, 1)
-            assert halfspace_exact(d, t) <= bound
+            assert halfspace_exact(d, t) <= gaussian_bound(d, t, 1)
 
 
 def test_gaussian_bound_rejects_inside():
-    with pytest.raises(RegionError):
-        gaussian_bound(np.array([3.0]), half_space(0, 2.0), 1.0, 1)
+    for d in (0.0, -1.0):
+        with pytest.raises(RegionError):
+            gaussian_bound(d, 1.0, 1)
 
 
 # -- hitting simulation -----------------------------------------------------------
 
-def test_start_inside_hits_immediately():
-    (est,), = simulate_hitting(np.array([3.0]), [half_space(0, 2.0)], [1.0], paths=1000)
-    assert est.p_hat == 1.0 and est.stderr == 0.0
+@pytest.mark.parametrize("distances", [[0.0], [-1.0], [1.0, 0.0], [math.nan], []],
+                         ids=["zero", "negative", "one-of-two-zero", "nan", "none"])
+def test_nonpositive_distance_raises_before_any_draw(distances, monkeypatch):
+    # a start on or inside the half-space has no positive distance to it
+    drawn = _wrap_generators(monkeypatch)
+    with pytest.raises(RegionError, match="distance"):
+        simulate_hitting(distances, [1.0], paths=1000)
+    assert drawn == []
 
 
 def test_halfspace_estimate_matches_exact():
-    (est,), = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], [1.0],
-                            paths=40000, bridge=True, seed=11)
+    (est,), = simulate_hitting([2.0], [1.0], paths=40000, bridge=True, seed=11)
     exact = halfspace_exact(2.0, 1.0)
     assert abs(est.p_hat - exact) <= 3.0 * est.stderr
     # per-path hit chances h in [0, 1] with mean p have variance at most
@@ -77,8 +78,7 @@ def test_halfspace_estimate_matches_exact():
 def test_monotone_in_time_up_to_noise():
     vals = []
     for t in (0.25, 1.0, 4.0):
-        (est,), = simulate_hitting(np.array([0.0]), [half_space(0, 2.0)], [t],
-                                paths=20000, bridge=True, seed=5)
+        (est,), = simulate_hitting([2.0], [t], paths=20000, bridge=True, seed=5)
         vals.append((est.p_hat, est.stderr))
     for (p1, s1), (p2, s2) in zip(vals, vals[1:]):
         assert p2 >= p1 - 3.0 * math.hypot(s1, s2)
@@ -86,43 +86,23 @@ def test_monotone_in_time_up_to_noise():
 
 def test_bridge_dominates_plain_pathwise():
     for seed in (0, 1, 2):
-        (b,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], [1.0],
-                              paths=5000, bridge=True, seed=seed)
-        (p,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.5)], [1.0],
-                              paths=5000, bridge=False, seed=seed)
+        (b,), = simulate_hitting([1.5], [1.0], paths=5000, bridge=True, seed=seed)
+        (p,), = simulate_hitting([1.5], [1.0], paths=5000, bridge=False, seed=seed)
         assert b.p_hat >= p.p_hat
-
-
-def test_mirrored_halfspace_same_law():
-    (up,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.5, side=+1)], [1.0],
-                           paths=20000, bridge=True, seed=6)
-    (down,), = simulate_hitting(np.array([0.0]), [half_space(0, -1.5, side=-1)], [1.0],
-                             paths=20000, bridge=True, seed=7)
-    assert abs(up.p_hat - down.p_hat) <= 3.0 * math.hypot(up.stderr, down.stderr)
-    exact = halfspace_exact(1.5, 1.0)
-    assert abs(down.p_hat - exact) <= 3.0 * down.stderr
 
 
 def test_dt_and_path_preconditions():
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0], paths=10)
-    # the checks run before the start-inside shortcut
+        simulate_hitting([1.0], [1.0], paths=10)
     with pytest.raises(RegionError):
-        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], [1.0], paths=10)
-    with pytest.raises(RegionError):
-        simulate_hitting(np.array([2.0]), [half_space(0, 1.0)], [0.0])
+        simulate_hitting([1.0], [0.0])
     with pytest.raises(RegionError):
         joint_bound_check(np.zeros(2), box_region((-1.0, -1.0), (1.0, 1.0)), 0.0)
-    with pytest.raises(RegionError):  # a box is the joint bound's, not a hitting target
-        simulate_hitting(np.zeros(2), [half_space(0, 1.0), box_region((1.0, -1.0), (2.0, 1.0))],
-                         [1.0], paths=1000)
 
 
 def test_simulation_deterministic_in_seed():
-    (a,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0],
-                          paths=4000, seed=9)
-    (b,), = simulate_hitting(np.array([0.0]), [half_space(0, 1.0)], [1.0],
-                          paths=4000, seed=9)
+    (a,), = simulate_hitting([1.0], [1.0], paths=4000, seed=9)
+    (b,), = simulate_hitting([1.0], [1.0], paths=4000, seed=9)
     assert a.p_hat == b.p_hat
 
 
@@ -130,26 +110,20 @@ def _bridge_avoid(a, dt):
     return 1.0 - np.where(a <= 0.0, 1.0, np.exp(-a / dt))
 
 
-def _reference_p_hat(x, region, t, paths, seed, bridge=True):
-    """One region alone, block by block, every bridge factor evaluated on every
-    path and step, side -1 mirrored onto side +1.  Only the region's axis j
-    moves, drawn from the block's stream jumped j times.  Returns (p_hat, stderr)."""
-    dt, j = t / br._N_STEPS, region.axis
+def _reference_p_hat(d, t, paths, seed, bridge=True):
+    """One distance alone, block by block, every bridge factor evaluated on
+    every path and step: the coordinate along the normal walks from 0, drawn
+    from the block's generator.  Returns (p_hat, stderr)."""
+    dt = t / br._N_STEPS
     total = squares = 0.0
     for m, rng in br._path_blocks((t,), paths, seed):
-        if j:
-            rng = np.random.Generator(rng.bit_generator.jumped(j))
-        pos = np.tile(x, (m, 1))
-        survive = np.ones(m)
+        pos, survive = np.zeros(m), np.ones(m)
         for _ in range(br._N_STEPS):
-            new = pos.copy()
-            new[:, j] += math.sqrt(2.0 * dt) * rng.standard_normal(m)
+            new = pos + math.sqrt(2.0 * dt) * rng.standard_normal(m)
             if not bridge:
-                survive *= ~region.contains(new)
+                survive *= new < d
             else:
-                c, d = region.side * pos[:, region.axis], region.side * new[:, region.axis]
-                a = (region.side * region.threshold - c) * (region.side * region.threshold - d)
-                survive *= _bridge_avoid(a, dt)
+                survive *= _bridge_avoid((d - pos) * (d - new), dt)
             pos = new
         total += float(np.sum(1.0 - survive))
         squares += float(np.sum((1.0 - survive) ** 2))
@@ -157,54 +131,45 @@ def _reference_p_hat(x, region, t, paths, seed, bridge=True):
     return p, math.sqrt(max(squares / paths - p * p, 0.0) / (paths - 1))
 
 
-@pytest.mark.parametrize("nu", [1, 2])
-def test_shared_paths_equal_separate_calls(nu):
-    x = np.zeros(nu)
-    regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1),
-               half_space(0, -0.5)]  # the last one holds the start
-    shared, = simulate_hitting(x, regions, [0.5], paths=5000, seed=3)
-    for r, est in zip(regions, shared):
-        (alone,), = simulate_hitting(x, [r], [0.5], paths=5000, seed=3)
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_shared_paths_equal_separate_calls(blocks):
+    # one Philox block, or two advanced together in one sweep
+    paths, distances = 2500 * blocks, [1.0, 0.75, 0.4]
+    shared, = simulate_hitting(distances, [0.5], paths=paths, seed=3)
+    for d, est in zip(distances, shared):
+        (alone,), = simulate_hitting([d], [0.5], paths=paths, seed=3)
         assert est == alone
-    assert shared[2].p_hat == 1.0 and shared[2].stderr == 0.0
-    assert 0.0 < shared[0].p_hat < 1.0 and 0.0 < shared[1].p_hat < 1.0
-    # the skip of unit bridge factors is exact
-    for r, est in zip(regions[:2], shared):
-        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 5000, 3)
+        assert 0.0 < est.p_hat < 1.0
+        # the skip of unit bridge factors is exact
+        assert (est.p_hat, est.stderr) == _reference_p_hat(d, 0.5, paths, 3)
 
 
 def test_list_form_endpoint_detection_and_bridge():
-    x = np.array([2.0, 0.0])
-    regions = [half_space(0, 3.0), half_space(1, -1.0, side=-1)]
-    plain, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=False, seed=4)
+    distances = [1.0, 1.5]
+    plain, = simulate_hitting(distances, [0.5], paths=2000, bridge=False, seed=4)
     assert not any(e.bridge for e in plain)
-    for r, est in zip(regions, plain):
-        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 2000, 4, bridge=False)
-    bridged, = simulate_hitting(x, regions, [0.5], paths=2000, bridge=True, seed=4)
+    for d, est in zip(distances, plain):
+        assert (est.p_hat, est.stderr) == _reference_p_hat(d, 0.5, 2000, 4, bridge=False)
+    bridged, = simulate_hitting(distances, [0.5], paths=2000, bridge=True, seed=4)
     assert all(e.bridge for e in bridged)
-    for r, est in zip(regions, bridged):
-        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.5, 2000, 4)
+    for d, est in zip(distances, bridged):
+        assert (est.p_hat, est.stderr) == _reference_p_hat(d, 0.5, 2000, 4)
     assert all(b.p_hat > p.p_hat for b, p in zip(bridged, plain))
 
 
-
 @pytest.mark.parametrize("bridge", [True, False])
-@pytest.mark.parametrize("nu", [1, 2])
-def test_times_share_one_draw(nu, bridge):
-    x = np.zeros(nu)
-    regions = [half_space(0, 1.0), half_space(nu - 1, -0.75, side=-1),
-               half_space(0, -0.5)]  # the last one holds the start
-    times = [0.25, 1.0]
-    joint = simulate_hitting(x, regions, times, paths=2000, bridge=bridge, seed=3)
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_times_share_one_draw(blocks, bridge):
+    paths, distances, times = 3000 * blocks, [1.0, 0.75], [0.25, 1.0]
+    joint = simulate_hitting(distances, times, paths=paths, bridge=bridge, seed=3)
     assert len(joint) == len(times)
     for t, ests in zip(times, joint):
-        alone, = simulate_hitting(x, regions, [t], paths=2000, bridge=bridge, seed=3)
+        alone, = simulate_hitting(distances, [t], paths=paths, bridge=bridge, seed=3)
         assert ests == alone
         assert all(e.bridge == bridge for e in ests)
-        assert ests[2].p_hat == 1.0 and ests[2].stderr == 0.0
-        for r, est in zip(regions[:2], ests):
+        for d, est in zip(distances, ests):
             assert 0.0 < est.p_hat < 1.0
-            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 3, bridge=bridge)
+            assert (est.p_hat, est.stderr) == _reference_p_hat(d, t, paths, 3, bridge=bridge)
 
 
 def _planned(monkeypatch):
@@ -216,50 +181,51 @@ def _planned(monkeypatch):
 
 
 @pytest.mark.parametrize("bridge", [True, False])
-@pytest.mark.parametrize("nu", [1, 2])
-def test_rescaling_twins_on_the_shipped_grid(nu, bridge, monkeypatch):
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_rescaling_twins_on_the_shipped_grid(blocks, bridge, monkeypatch):
     # (d, t) = (1, 1) rescales (0.5, 0.25) and (2, 1) rescales (1, 0.25) by
-    # s = 2 exactly, so 4 of the 6 (time, target) pairs are stepped
+    # s = 2 exactly, so 4 of the 6 (time, distance) pairs are stepped
     plans = _planned(monkeypatch)
-    x, times = np.zeros(nu), [0.25, 1.0]
-    regions = [half_space(0, d) for d in (0.5, 1.0, 2.0)]
-    ests = simulate_hitting(x, regions, times, paths=2000, bridge=bridge, seed=8)
+    paths, distances, times = 3000 * blocks, [0.5, 1.0, 2.0], [0.25, 1.0]
+    ests = simulate_hitting(distances, times, paths=paths, bridge=bridge, seed=8)
     (lanes, twins), = plans
     assert len(lanes) == 4 and twins == {(1, 1): (0, 0), (1, 2): (0, 1)}
     for t, row in zip(times, ests):
-        for r, est in zip(regions, row):
-            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 8, bridge=bridge)
+        for d, est in zip(distances, row):
+            assert (est.p_hat, est.stderr) == _reference_p_hat(d, t, paths, 8, bridge=bridge)
 
 
-@pytest.mark.parametrize("x, regions, times", [
-    ([0.1], [half_space(0, d) for d in (0.5, 1.0, 2.0)], [0.25, 1.0]),
-    ([0.0], [half_space(0, d) for d in (0.5, 1.0, 2.0)], [0.25, 0.5]),
-    ([0.0], [half_space(0, 0.5), half_space(0, 1.5)], [0.25, 2.25]),
-    ([0.0], [half_space(0, 0.5), half_space(0, 1.0)], [0.25, math.nextafter(1.0, 2.0)]),
-    ([0.0], [half_space(0, 0.5), half_space(0, -1.0, side=-1)], [0.25, 1.0]),
-    ([0.0, 0.0], [half_space(0, 0.5), half_space(1, 1.0)], [0.25, 1.0]),
+@pytest.mark.parametrize("distances, times", [
+    ([0.5 - 0.1, 1.0 - 0.1, 2.0 - 0.1], [0.25, 1.0]),
+    ([0.5, 1.0, 2.0], [0.25, 0.5]),
+    ([0.5, 1.5], [0.25, 2.25]),
+    ([0.5, 1.0], [0.25, math.nextafter(1.0, 2.0)]),
+    ([0.5, math.nextafter(1.0, 2.0)], [0.25, 1.0]),
 ], ids=["start-off-zero", "sigma-ratio-sqrt2", "ratio-3", "dt-off-by-an-ulp",
-        "opposite-side", "other-axis"])
-def test_near_rescalings_are_stepped(x, regions, times, monkeypatch):
+        "d-off-by-an-ulp"])
+def test_near_rescalings_are_stepped(distances, times, monkeypatch):
     # each misses one condition of an exact rescaling, so no pair is a twin:
-    # at ratio 3 sigma, dt and b all scale exactly, but z sigma does not; one
-    # ulp above t = 1, sigma still rounds to twice that of t = 0.25, dt does not
+    # the shipped targets seen from 0.1 are no longer twice each other; at
+    # ratio 3 sigma, dt and d all scale exactly, but z sigma does not; one
+    # ulp above t = 1, sigma still rounds to twice that of t = 0.25, dt does
+    # not; one ulp above d = 1, sigma and dt scale by 2, d does not
     plans = _planned(monkeypatch)
-    x = np.array(x)
-    ests = simulate_hitting(x, regions, times, paths=2000, seed=8)
+    ests = simulate_hitting(distances, times, paths=2000, seed=8)
     (lanes, twins), = plans
-    assert twins == {} and len(lanes) == len(regions) * len(times)
+    assert twins == {} and len(lanes) == len(distances) * len(times)
     for t, row in zip(times, ests):
-        for r, est in zip(regions, row):
-            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 8)
+        for d, est in zip(distances, row):
+            assert (est.p_hat, est.stderr) == _reference_p_hat(d, t, 2000, 8)
 
 
 @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 1.0], []])
-@pytest.mark.parametrize("start", [0.0, 2.0])
-def test_every_time_checked_before_the_draw(times, start):
-    # a start inside the region needs no draw, yet the times are still checked
-    with pytest.raises(RegionError):
-        simulate_hitting(np.array([start]), [half_space(0, 1.0)], times, paths=1000)
+@pytest.mark.parametrize("d", [0.0, 2.0])
+def test_every_time_checked_before_the_draw(times, d, monkeypatch):
+    # the times are checked ahead of the distances, and before any draw
+    drawn = _wrap_generators(monkeypatch)
+    with pytest.raises(RegionError, match="time"):
+        simulate_hitting([d], times, paths=1000)
+    assert drawn == []
 
 
 class _Normals:
@@ -286,36 +252,14 @@ def _wrap_generators(monkeypatch, scale=1.0):
     return drawn
 
 
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_an_axis_estimate_reads_only_its_own_stream(axis):
-    # an estimate on axis j depends only on (seed, x_j, target, time): bitwise
-    # the same at every nu > j, alone or beside targets on the other axes,
-    # whatever the start's other coordinates
-    times, mine = [0.25, 1.0], [half_space(axis, 0.8), half_space(axis, -0.6, side=-1)]
-    runs = []
-    for nu in range(axis + 1, 4):
-        x = np.full(nu, 0.05 * nu)
-        x[axis] = 0.1
-        alone = simulate_hitting(x, mine, times, paths=2000, seed=4)
-        others = [half_space(j, 0.5) for j in range(nu) if j != axis]
-        shared = simulate_hitting(x, others + mine, times, paths=2000, seed=4)
-        assert [row[len(others):] for row in shared] == alone
-        runs.append(alone)
-    assert all(run == runs[0] for run in runs)
-    for t, row in zip(times, runs[0]):
-        for r, est in zip(mine, row):
-            assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, t, 2000, 4)
-
-
 def test_only_the_normals_read_are_drawn(monkeypatch):
     drawn = _wrap_generators(monkeypatch)
     paths, box = 5000, box_region((-1.0, -1.0), (1.0, 1.0))
-    on_axis_0 = [half_space(0, d) for d in (0.5, 1.0, 2.0)]
-    simulate_hitting(np.zeros(2), on_axis_0, [0.25, 1.0], paths=paths, seed=2)
-    assert sum(drawn) == paths * br._N_STEPS
-    drawn.clear()
-    simulate_hitting(np.zeros(3), [half_space(2, 1.0)] + on_axis_0, [1.0], paths=paths, seed=2)
-    assert sum(drawn) == paths * br._N_STEPS * 2
+    # one normal per path and step, however many distances and times read it
+    for distances in ([1.0], [0.5, 1.0, 2.0], [0.3, 0.7, 1.1, 1.9, 2.5]):
+        drawn.clear()
+        simulate_hitting(distances, [0.25, 1.0], paths=paths, seed=2)
+        assert sum(drawn) == paths * br._N_STEPS
     drawn.clear()
     joint_bound_check(np.array([2.0, 0.0]), box, 0.5, paths=paths, seed=3)
     assert sum(drawn) == paths * 2
@@ -410,13 +354,12 @@ def test_sweep_boundary_matches_block_references():
     paths = 4 * br._PATH_BLOCK + 1000
     assert [[b.stop - b.start for b, _ in sw] for sw in br._sweeps((0.5,), paths, 3)] \
         == [[br._PATH_BLOCK] * 4, [1000]]
-    x = np.zeros(2)
     # at this key, summing the hit chances over a whole sweep at once moves the
-    # mean and standard error of the axis-0 estimate in their last bits
-    regions = [half_space(0, 0.5), half_space(1, -0.5, side=-1)]
-    ests, = simulate_hitting(x, regions, [0.25], paths=paths, seed=3)
-    for r, est in zip(regions, ests):
-        assert (est.p_hat, est.stderr) == _reference_p_hat(x, r, 0.25, paths, 3)
+    # mean and standard error of the d = 0.5 estimate in their last bits
+    distances = [0.5, 0.75]
+    ests, = simulate_hitting(distances, [0.25], paths=paths, seed=3)
+    for d, est in zip(distances, ests):
+        assert (est.p_hat, est.stderr) == _reference_p_hat(d, 0.25, paths, 3)
     box = box_region((-1.0, -1.0), (1.0, 1.0))
     for start in ((0.0, 0.0), (2.0, 0.0)):
         out = joint_bound_check(np.array(start), box, 0.5, paths=paths, seed=3)

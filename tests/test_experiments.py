@@ -9,6 +9,7 @@ from ssflab.experiments import (
     run_cluster, run_cutoff_equivalence, run_kirsch_demo, run_locality,
     run_resolvent_power, run_subadditive, run_surface,
 )
+from ssflab.experiments import bulk, surface
 from ssflab.experiments.base import ambient_for
 from ssflab.model import IntBox, SingleSiteProfile, \
     assemble_hamiltonian, assemble_potential, build_grid, free_hamiltonian
@@ -47,6 +48,23 @@ def test_bulk_crystal_deviation_shrinks():
 def test_bulk_random_small_passes():
     rec = run_bulk_limit(bulk_config(realizations=10))
     assert rec.passed, rec.hard_failures
+
+
+def test_bulk_ambient_doubling_shift_fails_its_check(monkeypatch):
+    # planted defect: the doubled ambient box counts one more eigenvalue per
+    # unit of cut measure, a shift of 1 against the 0.02 tolerance; the run
+    # records the failed hard check instead of raising
+    cfg = bulk_config(realizations=2, schedule=(32, 64))
+    real = bulk._xi_per_meas
+
+    def doubled_counts_more(config, grid, *args):
+        xi, meas = real(config, grid, *args)
+        return (xi + meas if grid.extents[0] > 4 * 64 else xi), meas
+
+    monkeypatch.setattr(bulk, "_xi_per_meas", doubled_counts_more)
+    rec = run_bulk_limit(cfg)
+    assert rec.aggregates["ambient_doubling_shift"] == 1.0
+    assert rec.hard_failures == ["ambient_adequate"]
 
 
 def test_bulk_requires_negative_energies():
@@ -269,6 +287,23 @@ def test_surface_sum_rules_fail_only_without_the_root2(root2, monkeypatch):
     assert (rec.aggregates["sum_rule_residual"] <= 1e-13) == root2
 
 
+def test_surface_transverse_doubling_shift_fails_its_check(monkeypatch):
+    # planted defect: the doubled strip counts one more state per site of the
+    # line, a relative shift far above the 0.05 tolerance; the run records
+    # the failed hard check instead of raising
+    cfg = surface_config(realizations=1, schedule=(32,))
+    real = surface._shifts
+
+    def doubled_counts_more(config, strip, reals):
+        xi, *rest = real(config, strip, reals)
+        return (xi + 32 if strip[0].extents[1] > 11 else xi, *rest)
+
+    monkeypatch.setattr(surface, "_shifts", doubled_counts_more)
+    rec = run_surface(cfg)
+    assert rec.aggregates["transverse_doubling_shift"] == 1.0
+    assert rec.hard_failures == ["transverse_adequate"]
+
+
 def test_surface_transverse_requirement():
     with pytest.raises(ExperimentError):
         run_surface(surface_config(options={"transverse": 5, "margin": 12}))
@@ -369,14 +404,15 @@ def _hitting_rows(rec, nu):
 
 
 def test_brownian_one_hitting_simulation_serves_every_nu(monkeypatch):
-    # every target is on axis 0, which has its own stream: one call at the
-    # largest nu gives each nu's estimates, and nu sets only the envelope
+    # a half-space estimate reads only its distance: one call gives each nu's
+    # estimates, and nu sets only the envelope
     calls = []
     real = br.simulate_hitting
     monkeypatch.setattr(br, "simulate_hitting",
-                        lambda x, *a, **kw: calls.append(len(x)) or real(x, *a, **kw))
+                        lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw))
     rec = run_brownian(BROWNIAN_SMALL)
-    assert calls == [2]
+    # paths goes by keyword, where perfbench's tracer reads it
+    assert calls == [(((1.0, 2.0), (0.25, 1.0)), {"paths": 8000, "bridge": True, "seed": 2})]
     assert _hitting_rows(rec, 2) == _hitting_rows(rec, 1)
     alone = run_brownian(dataclasses.replace(
         BROWNIAN_SMALL, options={**BROWNIAN_SMALL.options, "nus": (2,)}))
